@@ -3,7 +3,8 @@
 One subcommand per workbench procedure. Exit codes: 0 on success, 1 on a
 domain failure (a refutation where validity was asked, a failed check, an
 unsolvable instance), 2 on usage or parse errors. Output is deterministic
-for a fixed argv and seed, and independent of --jobs.
+for a fixed argv and seed. frame-valid accepts --jobs for compatibility and
+ignores it: validity runs in one process, many valuations per pass.
 """
 
 from __future__ import annotations
@@ -370,6 +371,13 @@ def cmd_enum_frames(args, out) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilemodal",
@@ -406,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("exhaustive", "random"),
                    default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; validity runs in one process")
 
     p = add("countermodel", cmd_countermodel,
             help="search associative frames for a refuting model")

@@ -344,21 +344,26 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
         if line.startswith("worlds"):
             if size is not None:
                 raise ValueError(f"line {lineno}: duplicate worlds line")
-            size = int(line.split()[1])
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 'worlds N'")
+            size = _ints(parts[1:], lineno)[0]
             continue
         if size is None:
             raise ValueError(f"line {lineno}: expected 'worlds N' first")
         if line.startswith("val"):
-            head, _, tail = line[3:].partition(":")
+            head, colon, tail = line[3:].partition(":")
             letter = head.strip()
             if not letter:
                 raise ValueError(f"line {lineno}: missing letter name")
-            valuation[letter] = {int(w) for w in tail.split()}
+            if not colon or len(letter.split()) != 1:
+                raise ValueError(f"line {lineno}: expected 'val LETTER: WORLDS'")
+            valuation[letter] = set(_ints(tail.split(), lineno))
             continue
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'x y z'")
-        triples.add((int(parts[0]), int(parts[1]), int(parts[2])))
+        triples.add(tuple(_ints(parts, lineno)))
     if size is None:
         raise ValueError("missing 'worlds N' line")
     frame = Frame(size, frozenset(triples))
@@ -366,6 +371,14 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
         if any(not (0 <= w < size) for w in worlds):
             raise ValueError(f"valuation of {letter!r} out of range")
     return frame, valuation
+
+
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        got = " ".join(tokens)
+        raise ValueError(f"line {lineno}: expected integers, got {got!r}") from None
 
 
 def render_frame_file(frame: Frame, valuation: Mapping[str, Iterable[int]] = ()) -> str:

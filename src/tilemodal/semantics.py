@@ -9,7 +9,6 @@ cheap valuation probes with exhaustive scans under a step budget.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from tilemodal import formula as fm
@@ -27,13 +26,17 @@ from tilemodal.frames import _comp_index
 class Evaluator:
     """Caching satisfaction-set evaluator for one model.
 
+    With lanes > 1 the letter masks hold one valuation per lane, packed
+    world-minor (bit lane * n + world), and so does every satisfaction set.
+
     Derived connectives are evaluated by their classical equivalences, which
     coincide pointwise with evaluating the desugared core tree.
     """
 
-    def __init__(self, model: Model):
+    def __init__(self, model: Model, lanes: int = 1):
         self.model = model
-        self.full = (1 << model.frame.size) - 1
+        self.full = (1 << (model.frame.size * lanes)) - 1
+        self._lane0 = self.full // ((1 << model.frame.size) - 1)  # bit 0 of each lane
         self._comp_items = tuple(_comp_index(model.frame).items())
         self._cache: dict[int, tuple[fm.Formula, int]] = {}
 
@@ -82,10 +85,14 @@ class Evaluator:
         raise TypeError(f"not a Formula: {f!r}")
 
     def _comp(self, left_mask: int, right_mask: int) -> int:
+        # hit marks bit 0 of each lane where y is in left and z in right;
+        # xs < 2^n, so hit * xs writes xs into those lanes without carries
         acc = 0
+        lane0 = self._lane0
         for (y, z), xs in self._comp_items:
-            if (left_mask >> y) & 1 and (right_mask >> z) & 1:
-                acc |= xs
+            hit = (left_mask >> y) & lane0
+            if hit:
+                acc |= (hit & (right_mask >> z)) * xs
         return acc
 
 
@@ -129,6 +136,8 @@ Verdict = Valid | Refuted | Unknown
 
 #: Exhaustive validity is only attempted up to this many valuation bits.
 EXHAUSTIVE_BIT_LIMIT = 24
+#: Lanes of the first chunk of a validity scan, and of the widest chunk.
+FIRST_LANES, MAX_LANES = 1 << 6, 1 << 16
 
 
 def _inventory(f: fm.Formula) -> list[str]:
@@ -141,82 +150,69 @@ def _inventory(f: fm.Formula) -> list[str]:
     return sorted(fm.letters(f) - {fm.TOP_LETTER})
 
 
-def _valuation_at(index: int, inventory: list[str], size: int) -> dict[str, int]:
-    full = (1 << size) - 1
-    return {
-        p: (index >> (j * size)) & full for j, p in enumerate(inventory)
-    }
+def _exhaustive_chunks(n: int, inventory: list[str]):
+    """(packed letter masks, lanes) of every valuation, in aligned chunks of
+    FIRST_LANES lanes and then as many as were scanned before, at most
+    MAX_LANES. low[j] is letter j under valuations 0 .. lanes-1; doubling
+    appends a copy with index bit `lanes` set: the next lanes valuations."""
+    total, full = 1 << (n * len(inventory)), (1 << n) - 1
+    lo, lanes, lane0, low = 0, 1, 1, [0] * len(inventory)
+    while lo < total:
+        while lanes < min(max(FIRST_LANES, lo), MAX_LANES, total):
+            low = [m | (m | lane0 * ((lanes >> (j * n)) & full)) << (n * lanes)
+                   for j, m in enumerate(low)]
+            lane0 |= lane0 << (n * lanes)
+            lanes *= 2
+        yield {p: low[j] | lane0 * ((lo >> (j * n)) & full)
+               for j, p in enumerate(inventory)}, lanes
+        lo += lanes
 
 
-def _scan_range(frame: Frame, f: fm.Formula, inventory: list[str],
-                start: int, stop: int) -> tuple[int, int] | None:
-    """Least (valuation index, world) refuting f in [start, stop), if any."""
-    size = frame.size
-    full = (1 << size) - 1
-    for v in range(start, stop):
-        model = Model._from_masks(frame, _valuation_at(v, inventory, size))
-        failing = full & ~Evaluator(model).mask(f)
-        if failing:
-            return v, (failing & -failing).bit_length() - 1
-    return None
-
-
-def _scan_range_packed(args) -> tuple[int, int] | None:
-    size, triples, text, inventory, start, stop = args
-    frame = Frame(size, frozenset(triples))
-    return _scan_range(frame, fm.parse(text), list(inventory), start, stop)
-
-
-def _refuted(frame: Frame, inventory: list[str], hit: tuple[int, int]) -> Refuted:
-    v, world = hit
-    masks = _valuation_at(v, inventory, frame.size)
-    model = Model(frame, {p: set(bits(m)) for p, m in masks.items() if m})
-    return Refuted(model, world)
+def _random_chunks(n: int, inventory: list[str], seed: int, samples: int):
+    """(packed letter masks, lanes) of the seeded samples, in draw order."""
+    rng, drawn, lanes = random.Random(seed), 0, 16
+    while drawn < samples:
+        lanes = min(lanes, samples - drawn, MAX_LANES)
+        draws = [[rng.getrandbits(n) for _ in inventory] for _ in range(lanes)]
+        yield {p: int("".join(f"{v:0{n}b}" for v in reversed(col)), 2)
+               for p, col in zip(inventory, zip(*draws))}, lanes
+        drawn, lanes = drawn + lanes, 2 * lanes
 
 
 def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
                    seed: int = 0, samples: int = 1000, jobs: int = 1) -> Verdict:
     """Check validity of f in the frame.
 
-    Exhaustive strategy enumerates every valuation over the letters of f
-    (counting in binary over the world-by-letter grid) and either proves
-    validity or returns the lexicographically least refutation; it returns
-    Unknown when size * letters exceeds the bit limit. The random strategy
-    samples seeded valuations and returns Unknown if none refutes.
+    Valuations are checked one per lane of a packed Evaluator (bit lane * n
+    + world), up to MAX_LANES per pass; the lowest failing bit of the first
+    failing chunk is the refutation: the least lane, then the least world.
+    The exhaustive strategy counts in binary over the world-by-letter grid
+    (letter j, lexicographic, holds world w when bit j * n + w of the index
+    is set) in aligned chunks that start at FIRST_LANES lanes and double, so
+    an early refutation costs one small pass: it proves validity, returns the
+    least refutation, or returns Unknown past the bit limit. The random
+    strategy draws seeded samples in chunks of 16, 32, ... lanes and returns
+    the first refuting one, or Unknown. jobs is accepted for compatibility.
     """
-    inventory = _inventory(f)
-    size = frame.size
+    inventory, n = _inventory(f), frame.size
     if strategy == "exhaustive":
-        if size * len(fm.letters(f)) > EXHAUSTIVE_BIT_LIMIT:
+        if n * len(inventory) > EXHAUSTIVE_BIT_LIMIT:
             return Unknown("exhaustive budget exceeded")
-        total = 1 << (size * len(inventory))
-        if jobs <= 1 or total < 4096:
-            hit = _scan_range(frame, f, inventory, 0, total)
-            return _refuted(frame, inventory, hit) if hit else Valid()
-        chunk = -(-total // jobs)
-        payload = [
-            (size, tuple(sorted(frame.triples)), fm.render(f), tuple(inventory),
-             lo, min(lo + chunk, total))
-            for lo in range(0, total, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [r for r in pool.map(_scan_range_packed, payload) if r]
-        if results:
-            return _refuted(frame, inventory, min(results))
-        return Valid()
-    if strategy == "random":
-        rng = random.Random(seed)
-        full = (1 << size) - 1
-        for _ in range(samples):
-            masks = {p: rng.getrandbits(size) for p in inventory}
-            model = Model._from_masks(frame, masks)
-            failing = full & ~Evaluator(model).mask(f)
-            if failing:
-                witness = {p: set(bits(m)) for p, m in masks.items() if m}
-                world = (failing & -failing).bit_length() - 1
-                return Refuted(Model(frame, witness), world)
-        return Unknown(f"no refutation in {samples} samples")
-    raise ValueError(f"unknown strategy {strategy!r}")
+        chunks, no_refutation = _exhaustive_chunks(n, inventory), Valid()
+    elif strategy == "random":
+        chunks = _random_chunks(n, inventory, seed, samples)
+        no_refutation = Unknown(f"no refutation in {samples} samples")
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for masks, lanes in chunks:
+        ev = Evaluator(Model._from_masks(frame, masks), lanes)
+        failing = ev.full & ~ev.mask(f)
+        if failing:
+            lane, world = divmod((failing & -failing).bit_length() - 1, n)
+            masks = {p: (m >> (lane * n)) & ((1 << n) - 1) for p, m in masks.items()}
+            witness = {p: set(bits(m)) for p, m in masks.items() if m}
+            return Refuted(Model(frame, witness), world)
+    return no_refutation
 
 
 class _Budget:
@@ -241,7 +237,7 @@ class _IntervalBounds:
     """
 
     def __init__(self, frame: Frame, nodes: int, budget: _Budget):
-        self.full = (1 << frame.size) - 1
+        self.full, self._lane0 = (1 << frame.size) - 1, 1
         self._comp_items = tuple(_comp_index(frame).items())
         self.nodes = nodes
         self.budget = budget
@@ -272,12 +268,7 @@ class _IntervalBounds:
             return self._comp(lm, rm), self._comp(lM, rM)
         raise TypeError(f"not a core node: {f!r}")
 
-    def _comp(self, left_mask: int, right_mask: int) -> int:
-        acc = 0
-        for (y, z), xs in self._comp_items:
-            if (left_mask >> y) & 1 and (right_mask >> z) & 1:
-                acc |= xs
-        return acc
+    _comp = Evaluator._comp  # the one diamond kernel, on a single lane
 
 
 def _greedy_refute(frame: Frame, core: fm.Formula, inventory: list[str],
@@ -388,3 +379,11 @@ def _found(frame: Frame, masks: dict[str, int], failing: int) -> tuple[Model, in
     witness = {p: set(bits(m)) for p, m in masks.items() if m}
     model = Model(frame, witness)
     return model, (failing & -failing).bit_length() - 1
+
+
+def __getattr__(name: str):
+    """Keeps the retired ProcessPoolExecutor importable for bench/tracer.py."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor

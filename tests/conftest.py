@@ -6,19 +6,20 @@ from tilemodal import team_logic as tl
 LETTER_POOL = ("p", "q", "r", "x_e", "x_o", "y_e", "y_o", "x'", "y'", "t1")
 
 
-def random_formula(rng: random.Random, depth: int = 4) -> fm.Formula:
+def random_formula(rng: random.Random, depth: int = 4, letters=LETTER_POOL) -> fm.Formula:
     """Uniform-ish random AST over every node type, for round-trip tests."""
     if depth == 0 or rng.random() < 0.25:
         kind = rng.randrange(3)
         if kind == 0:
-            return fm.Letter(rng.choice(LETTER_POOL))
+            return fm.Letter(rng.choice(letters))
         return fm.Top() if kind == 1 else fm.Bottom()
     unary = (fm.Neg, fm.Box)
     binary = (fm.Or, fm.Comp, fm.And, fm.Implies, fm.Iff, fm.HookR, fm.HookL)
     if rng.random() < 0.3:
-        return rng.choice(unary)(random_formula(rng, depth - 1))
+        return rng.choice(unary)(random_formula(rng, depth - 1, letters))
     node = rng.choice(binary)
-    return node(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+    return node(random_formula(rng, depth - 1, letters),
+                random_formula(rng, depth - 1, letters))
 
 
 def random_team_formula(rng: random.Random, letters=("p", "q"), depth: int = 3):

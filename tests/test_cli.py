@@ -138,6 +138,21 @@ class TestFrameValid:
                       "--formula", self.AXIOM, "--jobs", "4")
         assert out1 == out4
 
+    def test_sample_count_below_one_is_usage_error(self, capsys, bad_frame_file):
+        for samples in ("0", "-5"):
+            assert main(["frame-valid", "--frame", bad_frame_file, "--formula", self.AXIOM,
+                         "--strategy", "random", "--samples", samples]) == 2
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", ["worlds\n", "worlds 2\nval p 1\n"])
+    def test_malformed_frame_file_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "malformed.frame"
+        path.write_text(text)
+        for argv in (["frame-valid", "--formula", "p"], ["model-check", "--formula", "p"]):
+            assert main(argv + ["--frame", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "line " in err and "Traceback" not in err
+
     def test_random_strategy_seeded(self, capsys, bad_frame_file):
         _, out1 = run(capsys, "frame-valid", "--frame", bad_frame_file,
                       "--formula", self.AXIOM, "--strategy", "random",

@@ -267,6 +267,20 @@ class TestModelAndFiles:
         with pytest.raises(ValueError):
             parse_frame_file("worlds 1\nval p: 4\n")
 
+    def test_malformed_lines_name_their_line(self):
+        bad = {
+            "worlds\n": "line 1: expected 'worlds N'",
+            "worlds 2 3\n": "line 1: expected 'worlds N'",
+            "worlds two\n": "line 1: expected integers",
+            "worlds 2\nval p 1\n": "line 2: expected 'val LETTER: WORLDS'",
+            "worlds 2\nval p q: 1\n": "line 2: expected 'val LETTER: WORLDS'",
+            "worlds 2\nval p: one\n": "line 2: expected integers",
+            "worlds 2\n\n0 x 1\n": "line 3: expected integers",
+        }
+        for text, message in bad.items():
+            with pytest.raises(ValueError, match=message):
+                parse_frame_file(text)
+
     def test_empty_frame_rejected(self):
         with pytest.raises(ValueError):
             Frame(0, frozenset())

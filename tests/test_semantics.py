@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+from conftest import random_formula
 from tilemodal import formula as fm
 from tilemodal.formula import (
     Bottom,
@@ -23,9 +24,12 @@ from tilemodal.frames import (
     powerset_worlds,
 )
 from tilemodal.semantics import (
+    MAX_LANES,
+    Evaluator,
     Refuted,
     Unknown,
     Valid,
+    _inventory,
     countermodel_search,
     frame_validity,
     holds_box,
@@ -190,6 +194,119 @@ class TestFrameValidity:
         pooled = frame_validity(frame, wide, jobs=4)
         assert isinstance(lone, Refuted)
         assert lone == pooled
+
+    def test_constant_letter_not_counted_against_bit_limit(self):
+        # 15 worlds and one real letter: 15 bits, although F brings in the
+        # reserved letter behind the constants
+        frame = powerset_frame(4, "union_nonempty")
+        verdict = frame_validity(frame, parse("p o (p | F) -> p"))
+        assert isinstance(verdict, Refuted)
+        assert verdict.world == 2
+        assert verdict.model.valuation == {"p": frozenset({0, 1})}
+
+    def test_at_bit_limit(self):
+        # 4 worlds and 6 letters: 2^24 valuations, all scanned
+        frame = powerset_frame(2, "union")
+        f = parse("(a o b) o (c o d) -> a o (b o (c o (d | e | g)))")
+        assert isinstance(frame_validity(frame, f), Valid)
+
+
+def _least_refutation(frame: Frame, f: fm.Formula, valuations):
+    """(masks, world) of the first valuation refuting f, one Evaluator per
+    valuation: the reference for the packed scan."""
+    full = (1 << frame.size) - 1
+    for masks in valuations:
+        failing = full & ~Evaluator(Model._from_masks(frame, dict(masks))).mask(f)
+        if failing:
+            return masks, (failing & -failing).bit_length() - 1
+    return None
+
+
+def _exhaustive_order(frame: Frame, f: fm.Formula):
+    n, inventory = frame.size, _inventory(f)
+    for v in range(1 << (n * len(inventory))):
+        yield {p: (v >> (j * n)) & ((1 << n) - 1) for j, p in enumerate(inventory)}
+
+
+def _random_order(frame: Frame, f: fm.Formula, seed: int, samples: int):
+    rng, inventory = random.Random(seed), _inventory(f)
+    for _ in range(samples):
+        yield {p: rng.getrandbits(frame.size) for p in inventory}
+
+
+def _assert_matches(verdict, frame: Frame, expected) -> None:
+    if expected is None:
+        assert not isinstance(verdict, Refuted)
+        return
+    masks, world = expected
+    assert isinstance(verdict, Refuted)
+    assert verdict.world == world
+    assert verdict.model == Model(frame, {p: set(bits(m)) for p, m in masks.items() if m})
+
+
+class TestLaneScan:
+    """The packed scan against one Evaluator per valuation."""
+
+    def test_agrees_with_per_valuation_scan(self):
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(300):
+            n = rng.choice((1, 2, 3, 4))
+            frame = Frame(n, frozenset(
+                t for t in product(range(n), repeat=3) if rng.random() < 0.4
+            ))
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r")[:rng.choice((1, 2, 3))])
+            if n * len(_inventory(f)) > 10:
+                continue
+            verdict = frame_validity(frame, f)
+            _assert_matches(verdict, frame, _least_refutation(
+                frame, f, _exhaustive_order(frame, f)))
+            seed, samples = rng.randrange(100), rng.choice((1, 15, 16, 17, 50, 200))
+            sampled = frame_validity(frame, f, strategy="random", seed=seed, samples=samples)
+            _assert_matches(sampled, frame, _least_refutation(
+                frame, f, _random_order(frame, f, seed, samples)))
+            kinds.add((type(verdict).__name__, type(sampled).__name__))
+        assert kinds == {("Valid", "Unknown"), ("Refuted", "Refuted"), ("Refuted", "Unknown")}
+
+    @staticmethod
+    def _only_at(index: int, letters: int) -> fm.Formula:
+        """False at the one world of a reflexive point exactly under
+        valuation `index` of letters a00, a01, ...; the diamond is the
+        identity there, so half the literals go through it."""
+        literals = []
+        for j in range(letters):
+            a = Letter(f"a{j:02d}")
+            literals.append(Comp(a, a) if index >> j & 1 else Neg(Comp(a, Top())))
+        return Neg(fm.conj(literals))
+
+    def test_least_refutation_at_chunk_boundaries(self):
+        point = Frame(1, frozenset({(0, 0, 0)}))
+        for index in (0, 63, 64, 65, 127, 128, 255):
+            verdict = frame_validity(point, self._only_at(index, 8))
+            expected = {f"a{j:02d}": frozenset({0}) for j in range(8) if index >> j & 1}
+            assert isinstance(verdict, Refuted), index
+            assert verdict.world == 0 and verdict.model.valuation == expected, index
+
+    def test_last_valuation_past_the_widest_chunk(self):
+        point = Frame(1, frozenset({(0, 0, 0)}))
+        letters = MAX_LANES.bit_length() + 1  # 4 * MAX_LANES valuations
+        verdict = frame_validity(point, self._only_at((1 << letters) - 1, letters))
+        assert isinstance(verdict, Refuted)
+        assert verdict.model.valuation == {f"a{j:02d}": frozenset({0}) for j in range(letters)}
+
+    def test_random_strategy_draws_exactly_the_samples_asked(self):
+        point = Frame(1, frozenset({(0, 0, 0)}))
+        f = self._only_at(0b1011, 6)
+        first = next(i for i, masks in enumerate(_random_order(point, f, 3, 10 ** 4))
+                     if masks == {f"a{j:02d}": 0b1011 >> j & 1 for j in range(6)})
+        assert first > 16  # past the first chunk
+        assert isinstance(frame_validity(point, f, "random", 3, first + 1), Refuted)
+        assert isinstance(frame_validity(point, f, "random", 3, first), Unknown)
+
+    def test_no_refutation(self):
+        point = Frame(1, frozenset({(0, 0, 0)}))
+        f = Or(self._only_at(5, 8), Neg(self._only_at(5, 8)))
+        assert isinstance(frame_validity(point, f), Valid)
 
 
 class TestOperatorLaws:
