@@ -3,7 +3,6 @@
 # states described side-by-side as finite or cofinite sets.
 
 from tilemodal.powerset_symbolic import (
-    TauOracle,
     check_refutation,
     decompositions,
     render_state,
@@ -13,7 +12,7 @@ from tilemodal.powerset_symbolic import (
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 
 mono = TileSet(("t1",), (Tile(0, 0, 0, 0),))
-tau = TauOracle(PeriodicTiling((1, 1), {(0, 0): 0}))
+tau = PeriodicTiling((1, 1), {(0, 0): 0})
 
 print(f"universe at depth 2: {len(universe(2, 'union'))} states, e.g.")
 for s in universe(2, "union")[:5]:
@@ -33,7 +32,7 @@ for mode in ("union", "disjoint_union", "union_nonempty"):
 # not match its own left edge) trips the horizontal step conjuncts, with a
 # witness state naming where the check broke.
 swap = TileSet(("a", "b"), (Tile(0, 0, 1, 2), Tile(0, 0, 2, 1)))
-broken = TauOracle(PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0}))
+broken = PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0})
 report = check_refutation(swap, broken, 3, "union")
 print()
 print("corrupted torus:")

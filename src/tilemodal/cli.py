@@ -233,8 +233,11 @@ def cmd_tile_render(args, out) -> int:
     if args.mode == "svg":
         svg = tiling.render_svg(w, grid)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(svg)
+            except OSError as e:
+                raise CliError(f"cannot write {args.out}: {e}") from None
             _emit(out, args.format, [f"wrote {args.out}"],
                   [f"status=wrote path={args.out}"])
         else:
@@ -276,55 +279,33 @@ def cmd_verify_lemma6(args, out) -> int:
     try:
         p_str, q_str = args.period.split(",")
         periods = (int(p_str), int(q_str))
+        if min(periods) < 1:
+            raise ValueError
     except ValueError:
-        raise CliError("--period expects P,Q") from None
-    cells = {}
-    for c in range(periods[0]):
-        for r in range(periods[1]):
-            cells[(c, r)] = 0
+        raise CliError("--period expects P,Q with positive P and Q") from None
     if args.cells:
         try:
             assignments = dict(
                 item.split(":") for item in args.cells.split(" ") if item
             )
-            cells = {
+            torus = tiling.PeriodicTiling(periods, {
                 tuple(map(int, key.split(","))): w.names.index(name)
                 for key, name in assignments.items()
-            }
-        except (ValueError, IndexError):
-            raise CliError("--cells expects 'c,r:name c,r:name ...'") from None
+            })
+        except ValueError:
+            raise CliError("--cells expects 'c,r:name c,r:name ...' covering "
+                           "the P x Q torus") from None
     else:
-        torus = tiling.find_torus(w, max(periods))
-        if torus is None or torus.periods != periods:
-            torus = _torus_with_period(w, periods)
+        try:
+            torus = tiling.torus_with_period(w, periods)
+        except tiling.SearchBudgetExceeded:
+            raise CliError(f"torus search for period {periods} ran out of budget",
+                           DOMAIN_ERROR) from None
         if torus is None:
             raise CliError(f"no torus tiling with period {periods}", DOMAIN_ERROR)
-        cells = torus.cells
-    tau = ps.TauOracle(tiling.PeriodicTiling(periods, cells))
-    report = ps.check_refutation(w, tau, args.depth, _MODE_NAMES[args.mode])
+    report = ps.check_refutation(w, torus, args.depth, _MODE_NAMES[args.mode])
     _emit(out, args.format, [report.render_text()], report.render_lines())
     return 0 if report.passed else DOMAIN_ERROR
-
-
-def _torus_with_period(w: tiling.TileSet, periods: tuple[int, int]):
-    p, q = periods
-    cells: dict[tuple[int, int], int] = {}
-    order = [(c, r) for c in range(p) for r in range(q)]
-
-    def place(at: int) -> bool:
-        if at == len(order):
-            candidate = tiling.PeriodicTiling(periods, dict(cells))
-            return tiling.torus_adjacency_ok(w, candidate) is None
-        for i in range(len(w)):
-            cells[order[at]] = i
-            if place(at + 1):
-                return True
-            del cells[order[at]]
-        return False
-
-    if place(0):
-        return tiling.PeriodicTiling(periods, cells)
-    return None
 
 
 def cmd_ptl_decide(args, out) -> int:
@@ -427,17 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("tile-solve", cmd_tile_solve, help="tile a rectangle")
     p.add_argument("--tiles", required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=_positive_int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
 
     p = add("tile-torus", cmd_tile_torus, help="find a periodic tiling")
     p.add_argument("--tiles", required=True)
-    p.add_argument("--max-period", type=int, default=4)
+    p.add_argument("--max-period", type=int, choices=range(1, 5), default=4)
 
     p = add("tile-render", cmd_tile_render, help="render a solved rectangle")
     p.add_argument("--tiles", required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=_positive_int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
     p.add_argument("--mode", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--out", default=None)
 
@@ -452,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="bounded check of the powerset refutation for a tile set")
     p.add_argument("--tiles", required=True)
     p.add_argument("--period", required=True, help="P,Q torus periods")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, choices=range(1, 5), default=3)
     p.add_argument("--mode", choices=tuple(_MODE_NAMES), default="union")
     p.add_argument("--cells", default=None,
                    help="explicit torus cells 'c,r:name ...' (skips search)")
@@ -461,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
 
     p = add("enum-frames", cmd_enum_frames, help="enumerate frames up to isomorphism")
-    p.add_argument("--worlds", type=int, required=True)
+    p.add_argument("--worlds", type=_positive_int, required=True)
     p.add_argument("--associative", action="store_true")
     p.add_argument("--limit", type=int, default=0)
     p.add_argument("--count", action="store_true")

@@ -16,6 +16,7 @@ needed because any locally valid witness admits continuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from tilemodal import formula as fm
 from tilemodal import reduction
@@ -119,10 +120,20 @@ class _Checker:
     def s_reaches(self, x: int, y: int) -> bool:
         return (self._ssucc[x] >> y) & 1 == 1
 
+    @cached_property
+    def body(self) -> list[tuple[str, int]]:
+        """Conjunct masks, built once: a shared checker's evaluator would
+        otherwise memoise a fresh copy of the formula on every check."""
+        return [(name, self.ev.mask(f)) for name, f in reduction.conjuncts(self.w)]
+
     def check_body(self, z: int) -> None:
-        for name, f in reduction.conjuncts(self.w):
-            if not self.sat(self.ev.mask(f), z):
+        for name, mask in self.body:
+            if not self.sat(mask, z):
                 raise PremiseFailure(f"body conjunct {name}", z)
+
+
+#: One _Checker per (model, tile set), shared by the pipeline's stages.
+_checker = lru_cache(maxsize=8)(_Checker)
 
 
 def assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
@@ -164,7 +175,7 @@ def extract_axes(model: Model, z: int, k: int, w: TileSet) -> Axes:
     """
     if check_associative(model.frame) is not None:
         raise PremiseFailure("model frame is associative")
-    chk = _Checker(model, w)
+    chk = _checker(model, w)
     chk.check_body(z)
 
     xe, xo = chk.letter["x_e"], chk.letter["x_o"]
@@ -253,7 +264,7 @@ def extract_grid(model: Model, z: int, k: int, w: TileSet) -> GridPoints:
     before returning.
     """
     axes = extract_axes(model, z, k + 1, w)
-    chk = _Checker(model, w)
+    chk = _checker(model, w)
     K = k + 1
     p: dict[tuple[int, int], int] = {}
 
@@ -320,7 +331,7 @@ def read_tiling(model: Model, grid: GridPoints, w: TileSet) -> Grid:
     matching its coordinates (and none of the other three); the resulting
     grid must pass adjacency verification. Any failure here is a soundness
     bug or a violated precondition, never a valid outcome."""
-    chk = _Checker(model, w)
+    chk = _checker(model, w)
     k = grid.k
     cells: dict[tuple[int, int], int] = {}
     for m in range(1, k + 1):

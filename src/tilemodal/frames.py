@@ -341,17 +341,17 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("worlds"):
+        parts = line.split()
+        if parts[0] == "worlds":
             if size is not None:
                 raise ValueError(f"line {lineno}: duplicate worlds line")
-            parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'worlds N'")
             size = _ints(parts[1:], lineno)[0]
             continue
         if size is None:
             raise ValueError(f"line {lineno}: expected 'worlds N' first")
-        if line.startswith("val"):
+        if parts[0].partition(":")[0] == "val":
             head, colon, tail = line[3:].partition(":")
             letter = head.strip()
             if not letter:
@@ -360,7 +360,6 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
                 raise ValueError(f"line {lineno}: expected 'val LETTER: WORLDS'")
             valuation[letter] = set(_ints(tail.split(), lineno))
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'x y z'")
         triples.add(tuple(_ints(parts, lineno)))

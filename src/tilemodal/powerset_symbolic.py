@@ -122,17 +122,7 @@ def sym_union(a: SymState, b: SymState, mode: str = "union") -> SymState | None:
     return SymState(_side_union(a.even, b.even), _side_union(a.odd, b.odd))
 
 
-@dataclass(frozen=True)
-class TauOracle:
-    """Tile coordinates looked up through a periodic tiling's unrolling."""
-
-    tiling: PeriodicTiling
-
-    def tile_at(self, m: int, n: int) -> int:
-        return self.tiling.tile_at(m, n)
-
-
-def eval_atom(s: SymState, letter: str, tau: TauOracle, w: TileSet) -> bool:
+def eval_atom(s: SymState, letter: str, tau: PeriodicTiling, w: TileSet) -> bool:
     """The refutation valuation: parity letters hold on one-sided states with
     the matching removal parity, the primed letters on singletons of their
     side, and a tile letter where both sides are cofinite and the tiling
@@ -314,7 +304,7 @@ def _cofin_growth_pairs(s: SymState, depth: int):
 
 
 class _SymEvaluator:
-    def __init__(self, w: TileSet, tau: TauOracle, depth: int, mode: str):
+    def __init__(self, w: TileSet, tau: PeriodicTiling, depth: int, mode: str):
         self.w = w
         self.tau = tau
         self.depth = depth
@@ -432,7 +422,7 @@ _BOX_NOTE = (
 )
 
 
-def check_refutation(w: TileSet, tau: TauOracle, depth: int,
+def check_refutation(w: TileSet, tau: PeriodicTiling, depth: int,
                      mode: str = "union") -> Report:
     """Check each body conjunct of the tiling formula at the top state.
 

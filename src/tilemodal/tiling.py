@@ -112,50 +112,66 @@ class SearchBudgetExceeded(RuntimeError):
 DEFAULT_BUDGET = 10_000_000
 
 
+def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
+          spent: int) -> tuple[dict[tuple[int, int], int] | None, int]:
+    """The one tile-placement backtracker: returns the first placement found
+    (None if there is none) and the steps spent, counting on from ``spent``.
+    With ``wrap`` the last column meets the first and the top row the bottom,
+    so a side of length 1 must match itself."""
+    tiles = w.tiles
+    left_colours = {t.left for t in tiles}
+    down_colours = {t.down for t in tiles}
+    n = width * height
+    placed = [-1] * n  # cell col * height + row -> tile index
+    at = 0
+    while 0 <= at < n:
+        col, row = divmod(at, height)
+        for i in range(placed[at] + 1, len(tiles)):
+            spent += 1
+            if spent > budget:
+                raise SearchBudgetExceeded(f"budget {budget} exhausted")
+            tile = tiles[i]
+            if col > 0 and tiles[placed[at - height]].right != tile.left:
+                continue
+            if row > 0 and tiles[placed[at - 1]].up != tile.down:
+                continue
+            # the right (up) neighbour is unplaced, or wraps to the first
+            # column (bottom row), which is this very cell on a side of 1
+            if col + 1 < width:
+                if tile.right not in left_colours:
+                    continue
+            elif wrap and (tiles[placed[row]] if col else tile).left != tile.right:
+                continue
+            if row + 1 < height:
+                if tile.up not in down_colours:
+                    continue
+            elif wrap and (tiles[placed[at - row]] if row else tile).down != tile.up:
+                continue
+            placed[at] = i
+            at += 1
+            break
+        else:
+            placed[at] = -1
+            at -= 1
+    if at < 0:
+        return None, spent
+    return {divmod(cell, height): i for cell, i in enumerate(placed)}, spent
+
+
 def solve_rect(w: TileSet, width: int, height: int,
                budget: int = DEFAULT_BUDGET) -> Grid | None:
     """Backtracking search for a width x height tiling.
 
-    Fills column-major, bottom-up, checking the left and down neighbours at
-    each placement and forward-pruning placements whose right or up colour no
-    tile can continue. None means the search space was exhausted: no tiling
-    of the rectangle exists. Running out of budget raises instead, so a None
-    is always a proof.
+    Fills column-major, bottom-up, trying tiles in index order; each edge is
+    checked when its second cell is placed, and a right or up colour that no
+    tile can continue is pruned at once. Every tile tried costs one step of
+    the budget, and running out of it raises SearchBudgetExceeded, so a None
+    is always a proof that no tiling of the rectangle exists.
     """
     if width < 1 or height < 1:
         raise ValueError("rectangle sides must be positive")
-    order = [(c, r) for c in range(width) for r in range(height)]
-    left_colours = {t.left for t in w.tiles}
-    down_colours = {t.down for t in w.tiles}
-    cells: dict[tuple[int, int], int] = {}
-    steps = 0
-
-    def place(at: int) -> bool:
-        nonlocal steps
-        if at == len(order):
-            return True
-        col, row = order[at]
-        for i, tile in enumerate(w.tiles):
-            steps += 1
-            if steps > budget:
-                raise SearchBudgetExceeded(f"budget {budget} exhausted")
-            if col > 0 and w.tiles[cells[(col - 1, row)]].right != tile.left:
-                continue
-            if row > 0 and w.tiles[cells[(col, row - 1)]].up != tile.down:
-                continue
-            if col + 1 < width and tile.right not in left_colours:
-                continue
-            if row + 1 < height and tile.up not in down_colours:
-                continue
-            cells[(col, row)] = i
-            if place(at + 1):
-                return True
-            del cells[(col, row)]
-        return False
-
-    if place(0):
-        return Grid(width, height, cells)
-    return None
+    cells, _ = _fill(w, width, height, False, budget, 0)
+    return None if cells is None else Grid(width, height, cells)
 
 
 @dataclass
@@ -202,38 +218,36 @@ def unroll(t: PeriodicTiling, width: int, height: int) -> Grid:
 
 def find_torus(w: TileSet, max_period: int,
                budget: int = DEFAULT_BUDGET) -> PeriodicTiling | None:
-    """Smallest-period torus tiling, trying periods in lexicographic order."""
+    """Smallest-period torus tiling, trying periods in lexicographic order.
+
+    Each period is searched as by torus_with_period, all of them drawing on
+    one budget, so a None proves that no torus with periods up to max_period
+    exists.
+    """
     if not (1 <= max_period <= 4):
         raise ValueError("max_period must be between 1 and 4")
-    steps = 0
+    spent = 0
     for p in range(1, max_period + 1):
         for q in range(1, max_period + 1):
-            order = [(c, r) for c in range(p) for r in range(q)]
-            cells: dict[tuple[int, int], int] = {}
-
-            def place(at: int) -> bool:
-                nonlocal steps
-                if at == len(order):
-                    return torus_adjacency_ok(w, PeriodicTiling((p, q), cells)) is None
-                col, row = order[at]
-                for i, tile in enumerate(w.tiles):
-                    steps += 1
-                    if steps > budget:
-                        raise SearchBudgetExceeded(f"budget {budget} exhausted")
-                    # check the non-wrap neighbours already placed
-                    if col > 0 and w.tiles[cells[(col - 1, row)]].right != tile.left:
-                        continue
-                    if row > 0 and w.tiles[cells[(col, row - 1)]].up != tile.down:
-                        continue
-                    cells[(col, row)] = i
-                    if place(at + 1):
-                        return True
-                    del cells[(col, row)]
-                return False
-
-            if place(0):
+            cells, spent = _fill(w, p, q, True, budget, spent)
+            if cells is not None:
                 return PeriodicTiling((p, q), cells)
     return None
+
+
+def torus_with_period(w: TileSet, periods: tuple[int, int],
+                      budget: int = DEFAULT_BUDGET) -> PeriodicTiling | None:
+    """First torus tiling with exactly these periods, in solve_rect's order.
+
+    Wrap-around edges are checked as soon as both their cells are placed, and
+    the right and up colours of every cell are pruned, since every cell has
+    both neighbours. The budget works as in solve_rect: a None is a proof.
+    """
+    p, q = periods
+    if p < 1 or q < 1:
+        raise ValueError("periods must be positive")
+    cells, _ = _fill(w, p, q, True, budget, 0)
+    return None if cells is None else PeriodicTiling((p, q), cells)
 
 
 # -- tile set file format ------------------------------------------------------

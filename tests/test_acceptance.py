@@ -283,7 +283,7 @@ def test_criterion_4_reduction_golden():
 
 
 def test_criterion_5_bounded_refutation_check():
-    tau = ps.TauOracle(PeriodicTiling((1, 1), {(0, 0): 0}))
+    tau = PeriodicTiling((1, 1), {(0, 0): 0})
     for mode in ("union", "disjoint_union", "union_nonempty"):
         t0 = time.time()
         rep = ps.check_refutation(MONO, tau, 3, mode)
@@ -291,7 +291,7 @@ def test_criterion_5_bounded_refutation_check():
         assert rep.passed and len(rep.entries) == 15
         assert elapsed < 60, f"{mode} took {elapsed:.1f}s"
     # a broken 2x1 torus must trip at least one gamma conjunct with a witness
-    bad = ps.TauOracle(PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0}))
+    bad = PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0})
     rep = ps.check_refutation(SWAP, bad, 3, "union")
     assert not rep.passed
     gamma_failures = [e for e in rep.entries

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from fixtures_quotient import quotient_countermodel
@@ -10,6 +13,7 @@ from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 MONO_TILES = "t1 0 0 0 0\n"
 TWO_TILES = "t1 0 0 0 1\nt2 0 0 2 0\n"
 SWAP_TILES = "a 0 0 1 2\nb 0 0 2 1\n"
+CYCLE_TILES = "a 1 1 1 2\nb 1 1 2 3\nc 1 1 3 1\n"  # smallest torus (3,1)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -252,6 +256,20 @@ class TestVerifyLemma6:
                         "--period", "1,1", "--depth", "2")
         assert "not full refutation" in out
 
+    def test_period_above_four_is_searched(self, capsys, swap_file):
+        code, out = run(capsys, "verify-lemma6", "--tiles", swap_file,
+                        "--period", "6,1", "--depth", "1", "--format", "lines")
+        assert code == 0 and out.count("status=pass") == 15
+
+    def test_no_torus_with_period_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "cycle.tiles"
+        path.write_text(CYCLE_TILES)
+        code = main(["verify-lemma6", "--tiles", str(path),
+                     "--period", "4,4", "--depth", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "no torus tiling with period (4, 4)" in captured.err
+
 
 class TestPtlDecide:
     def test_global_excluded_middle(self, capsys):
@@ -288,3 +306,27 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["tile-torus", "--tiles", "{swap}", "--max-period", "9"],
+    ["tile-solve", "--tiles", "{swap}", "--width", "0", "--height", "1"],
+    ["tile-render", "--tiles", "{swap}", "--width", "0", "--height", "1"],
+    ["verify-lemma6", "--tiles", "{swap}", "--period", "0,1"],
+    ["verify-lemma6", "--tiles", "{swap}", "--period", "2,1", "--depth", "9"],
+    ["verify-lemma6", "--tiles", "{swap}", "--cells", "0,0:a", "--period", "2,1"],
+    ["tile-render", "--tiles", "{swap}", "--width", "1", "--height", "1",
+     "--mode", "svg", "--out", "{missing}/grid.svg"],
+    ["enum-frames", "--worlds", "0"],
+    ["model-check", "--frame", "{valley}", "--formula", "ley"],
+])
+def test_bad_input_is_usage_error_without_traceback(tmp_path, argv):
+    (tmp_path / "swap.tiles").write_text(SWAP_TILES)
+    (tmp_path / "valley.frame").write_text("worlds 2\nvalley: 0\n")
+    args = [a.format(swap=tmp_path / "swap.tiles", valley=tmp_path / "valley.frame",
+                     missing=tmp_path / "missing")
+            for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "tilemodal.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

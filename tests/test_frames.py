@@ -281,6 +281,18 @@ class TestModelAndFiles:
             with pytest.raises(ValueError, match=message):
                 parse_frame_file(text)
 
+    def test_keywords_match_whole_tokens(self):
+        bad = {
+            "worlds 2\nvalley: 0\n": "line 2: expected 'x y z'",
+            "worldsx 2\n": "line 1: expected 'worlds N' first",
+            "worlds 2\nworldsx 2\n": "line 2: expected 'x y z'",
+        }
+        for text, message in bad.items():
+            with pytest.raises(ValueError, match=message):
+                parse_frame_file(text)
+        _, val = parse_frame_file("worlds 2\nval\tp:1\nval q: 0\n")
+        assert val == {"p": {1}, "q": {0}}
+
     def test_empty_frame_rejected(self):
         with pytest.raises(ValueError):
             Frame(0, frozenset())

@@ -5,7 +5,6 @@ from tilemodal.frames import powerset_frame, powerset_worlds
 from tilemodal.powerset_symbolic import (
     SidePart,
     SymState,
-    TauOracle,
     check_refutation,
     cofin,
     contains,
@@ -23,9 +22,9 @@ from tilemodal.powerset_symbolic import (
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 
 MONO = TileSet(("t1",), (Tile(0, 0, 0, 0),))
-MONO_TAU = TauOracle(PeriodicTiling((1, 1), {(0, 0): 0}))
+MONO_TAU = PeriodicTiling((1, 1), {(0, 0): 0})
 SWAP = TileSet(("a", "b"), (Tile(0, 0, 1, 2), Tile(0, 0, 2, 1)))
-SWAP_TAU = TauOracle(PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 1}))
+SWAP_TAU = PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 1})
 
 
 class TestSymState:
@@ -189,7 +188,7 @@ class TestCheckRefutation:
         assert check_refutation(SWAP, SWAP_TAU, 2, "union").passed
 
     def test_corrupted_tau_fails_some_gamma(self):
-        bad = TauOracle(PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0}))
+        bad = PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0})
         report = check_refutation(SWAP, bad, 2, "union")
         assert not report.passed
         failed = [e for e in report.entries if not e.passed]

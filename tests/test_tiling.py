@@ -17,6 +17,7 @@ from tilemodal.tiling import (
     render_tileset_file,
     solve_rect,
     torus_adjacency_ok,
+    torus_with_period,
     unroll,
     verify_grid,
 )
@@ -33,6 +34,19 @@ def oracle_solve(w: TileSet, width: int, height: int):
         grid = Grid(width, height, dict(zip(coords, combo)))
         if verify_grid(w, grid) is None:
             return grid
+    return None
+
+
+def oracle_torus(w: TileSet, periods: tuple[int, int]):
+    """Independent oracle: the first complete torus assignment, in the search
+    order (column-major, bottom-up, tiles by index), passing every wrap-around
+    adjacency; no pruning and no budget."""
+    p, q = periods
+    coords = [(c, r) for c in range(p) for r in range(q)]
+    for combo in product(range(len(w)), repeat=len(coords)):
+        torus = PeriodicTiling(periods, dict(zip(coords, combo)))
+        if torus_adjacency_ok(w, torus) is None:
+            return torus
     return None
 
 
@@ -100,6 +114,10 @@ class TestSolveRect:
         with pytest.raises(SearchBudgetExceeded):
             solve_rect(MONO, 4, 4, budget=3)
 
+    def test_more_cells_than_the_recursion_limit(self):
+        grid = solve_rect(SWAP, 2, 1000)
+        assert grid is not None and verify_grid(SWAP, grid) is None
+
     def test_agrees_with_oracle_exhaustively(self):
         for w in all_small_tilesets():
             for width in (1, 2, 3):
@@ -152,6 +170,44 @@ class TestFindTorus:
     def test_torus_budget_exhaustion_raises(self):
         with pytest.raises(SearchBudgetExceeded):
             find_torus(SWAP, 2, budget=1)
+
+    def test_budget_shared_across_periods(self):
+        w = TileSet(("t1",), (Tile(0, 1, 0, 0),))  # one step per period
+        assert find_torus(w, 2, budget=4) is None
+        with pytest.raises(SearchBudgetExceeded):
+            find_torus(w, 2, budget=3)
+
+    def test_agrees_with_oracle_exhaustively(self):
+        periods = [(1, 1), (1, 2), (2, 1), (2, 2)]
+        for w in all_small_tilesets():
+            expect = {pq: oracle_torus(w, pq) for pq in periods}
+            for pq in periods:
+                got = torus_with_period(w, pq)
+                assert got == expect[pq]
+                assert got is None or torus_adjacency_ok(w, got) is None
+            first = next((t for t in expect.values() if t is not None), None)
+            assert find_torus(w, 2) == first
+
+    def test_side_of_one_wraps_onto_itself(self):
+        no_horizontal = TileSet(("t1",), (Tile(0, 0, 1, 2),))
+        no_vertical = TileSet(("t1",), (Tile(1, 2, 0, 0),))
+        for n in (1, 2, 3):
+            assert torus_with_period(no_horizontal, (1, n)) is None
+            assert torus_with_period(no_vertical, (n, 1)) is None
+        assert torus_with_period(SWAP, (1, 1)) is None
+        assert torus_with_period(SWAP, (2, 1)).cells == {(0, 0): 0, (1, 0): 1}
+        column = TileSet(("a", "b"), (Tile(2, 1, 0, 0), Tile(1, 2, 0, 0)))
+        assert torus_with_period(column, (1, 1)) is None
+        assert torus_with_period(column, (1, 2)).cells == {(0, 0): 0, (0, 1): 1}
+
+    def test_cycle_without_square_torus_answers_within_budget(self):
+        cycle = parse_tileset_file("a 1 1 1 2\nb 1 1 2 3\nc 1 1 3 1\n")
+        assert torus_with_period(cycle, (3, 1)) is not None
+        assert torus_with_period(cycle, (4, 4)) is None
+
+    def test_periods_must_be_positive(self):
+        with pytest.raises(ValueError):
+            torus_with_period(MONO, (0, 1))
 
     def test_broken_torus_detected(self):
         bad = PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0})
