@@ -253,6 +253,8 @@ def cmd_extract(args, out) -> int:
     frame, valuation = _load_frame(args.frame)
     model = Model(frame, valuation)
     w = _load_tiles(args.tiles)
+    if not 0 <= args.point < frame.size:
+        raise CliError(f"point {args.point} out of range")
     try:
         grid = extraction.extract_tiling(model, args.point, args.k, w)
     except extraction.ExtractionError as e:
@@ -352,11 +354,18 @@ def cmd_enum_frames(args, out) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers no less than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("countermodel", cmd_countermodel,
             help="search associative frames for a refuting model")
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--max-worlds", type=_positive_int, default=3)
+    p.add_argument("--budget", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("tile-solve", cmd_tile_solve, help="tile a rectangle")
@@ -427,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", required=True)
     p.add_argument("--tiles", required=True)
     p.add_argument("--point", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_positive_int, default=2)
 
     p = add("verify-lemma6", cmd_verify_lemma6,
             help="bounded check of the powerset refutation for a tile set")
@@ -444,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enum-frames", cmd_enum_frames, help="enumerate frames up to isomorphism")
     p.add_argument("--worlds", type=_positive_int, required=True)
     p.add_argument("--associative", action="store_true")
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--limit", type=_int_at_least(0), default=0,
+                   help="stop after this many frames; 0 means no limit")
     p.add_argument("--count", action="store_true")
 
     return parser

@@ -122,8 +122,8 @@ class _Checker:
 
     @cached_property
     def body(self) -> list[tuple[str, int]]:
-        """Conjunct masks, built once: a shared checker's evaluator would
-        otherwise memoise a fresh copy of the formula on every check."""
+        """Conjunct masks, built once: every stage checks the body, and
+        each check would otherwise rebuild and evaluate all conjuncts."""
         return [(name, self.ev.mask(f)) for name, f in reduction.conjuncts(self.w)]
 
     def check_body(self, z: int) -> None:

@@ -1,8 +1,10 @@
-"""Syntax of the binary-diamond modal language: AST, parser, printer, desugaring.
+"""Syntax of the binary-diamond modal language: AST, parser, printer, compiler.
 
 Core connectives are negation, disjunction, and the binary diamond ``o``;
 everything else (conjunction, implication, biconditional, constants, the two
-hooks, and the box) is derived and expanded by :func:`desugar`.
+hooks, and the box) is derived: :class:`Dag` compiles a formula into a
+hash-consed op list over the core, which every evaluator interprets, and
+:func:`desugar` reads that expansion back as a tree.
 """
 
 from __future__ import annotations
@@ -128,44 +130,113 @@ def disj(parts: list[Formula]) -> Formula:
 
 
 def desugar(f: Formula) -> Formula:
-    """Expand derived connectives, returning a tree of core nodes only.
+    """Expand derived connectives as the evaluators do, reading the core
+    tree back from f's Dag. Idempotent: core nodes are fixed points."""
+    return to_dag(f).tree()
 
-    Hooks become their negative diamond forms, the box becomes its
-    three-conjunct hook definition, and T is encoded as excluded middle over
-    the reserved letter. Idempotent: core nodes are fixed points.
+
+# -- compiled form -------------------------------------------------------------
+
+#: Op kinds of a compiled formula: a letter, negation, disjunction, diamond.
+VAR, NOT, OR, DIA = "var", "not", "or", "dia"
+
+
+class Dag:
+    """The desugared core of formulas as a hash-consed op list.
+
+    ops[i] is (VAR, name, None), (NOT, a, None), (OR, a, b) or (DIA, a, b),
+    a and b indexing earlier ops, so one pass in index order evaluates every
+    op; equal subterms share one index (hash-consing: Filliatre and Conchon,
+    2006). Only here, with _ENCODE, are derived connectives encoded: hooks
+    as negative diamonds, the box as its three-conjunct hook definition, and
+    T as excluded middle over the reserved letter.
     """
-    if isinstance(f, Letter):
-        return f
-    if isinstance(f, Neg):
-        return Neg(desugar(f.sub))
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right))
-    if isinstance(f, Comp):
-        return Comp(desugar(f.left), desugar(f.right))
-    if isinstance(f, And):
-        a, b = desugar(f.left), desugar(f.right)
-        return Neg(Or(Neg(a), Neg(b)))
-    if isinstance(f, Implies):
-        return Or(Neg(desugar(f.left)), desugar(f.right))
-    if isinstance(f, Iff):
-        a, b = desugar(f.left), desugar(f.right)
-        fwd = Or(Neg(a), b)
-        bwd = Or(Neg(b), a)
-        return Neg(Or(Neg(fwd), Neg(bwd)))
-    if isinstance(f, Top):
-        p0 = Letter(TOP_LETTER)
-        return Or(p0, Neg(p0))
-    if isinstance(f, Bottom):
-        p0 = Letter(TOP_LETTER)
-        return Neg(Or(p0, Neg(p0)))
-    if isinstance(f, HookR):
-        return Neg(Comp(desugar(f.left), Neg(desugar(f.right))))
-    if isinstance(f, HookL):
-        return Neg(Comp(Neg(desugar(f.left)), desugar(f.right)))
-    if isinstance(f, Box):
-        once = HookR(Top(), f.sub)
-        return desugar(And(And(once, HookL(f.sub, Top())), HookL(once, Top())))
-    raise TypeError(f"not a Formula: {f!r}")
+
+    def __init__(self, f: Formula | None = None):
+        self.ops: list[tuple[str, str | int, int | None]] = []
+        self._index: dict[tuple, int] = {}
+        if f is not None:
+            self.add(f)
+
+    def _op(self, kind: str, a, b: int | None = None) -> int:
+        op = (kind, a, b)
+        i = self._index.setdefault(op, len(self.ops))
+        if i == len(self.ops):
+            self.ops.append(op)
+        return i
+
+    def add(self, f: Formula) -> int:
+        """Index of f's desugared core, appending the ops not yet present."""
+        encode = _ENCODE.get(type(f))
+        if encode is None:
+            raise TypeError(f"not a Formula: {f!r}")
+        return encode(self, f)
+
+    def _not(self, a: int) -> int:
+        return self._op(NOT, a)
+
+    def _and(self, a: int, b: int) -> int:
+        return self._not(self._op(OR, self._not(a), self._not(b)))
+
+    def _iff(self, a: int, b: int) -> int:
+        return self._and(self._op(OR, self._not(a), b), self._op(OR, self._not(b), a))
+
+    def _top(self) -> int:
+        p0 = self._op(VAR, TOP_LETTER)
+        return self._op(OR, p0, self._not(p0))
+
+    def _hook_r(self, a: int, b: int) -> int:
+        return self._not(self._op(DIA, a, self._not(b)))
+
+    def _hook_l(self, a: int, b: int) -> int:
+        return self._not(self._op(DIA, self._not(a), b))
+
+    def _box(self, a: int) -> int:
+        top = self._top()
+        once = self._hook_r(top, a)
+        return self._and(self._and(once, self._hook_l(a, top)), self._hook_l(once, top))
+
+    def tree(self) -> Formula:
+        """The core tree of the last op; equal subtrees are one object."""
+        nodes: list[Formula] = []
+        for kind, a, b in self.ops:
+            nodes.append(Letter(a) if kind == VAR else Neg(nodes[a]) if kind == NOT
+                         else (Or if kind == OR else Comp)(nodes[a], nodes[b]))
+        return nodes[-1]
+
+    def tree_size(self) -> int:
+        """node_count(self.tree()), without building the tree."""
+        sizes: list[int] = []
+        for kind, a, b in self.ops:
+            sizes.append(1 if kind == VAR else 1 + sizes[a] + (b is not None and sizes[b]))
+        return sizes[-1]
+
+
+#: How each node type compiles into ops of the Dag d.
+_ENCODE = {
+    Letter: lambda d, f: d._op(VAR, f.name),
+    Neg: lambda d, f: d._not(d.add(f.sub)),
+    Or: lambda d, f: d._op(OR, d.add(f.left), d.add(f.right)),
+    Comp: lambda d, f: d._op(DIA, d.add(f.left), d.add(f.right)),
+    And: lambda d, f: d._and(d.add(f.left), d.add(f.right)),
+    Implies: lambda d, f: d._op(OR, d._not(d.add(f.left)), d.add(f.right)),
+    Iff: lambda d, f: d._iff(d.add(f.left), d.add(f.right)),
+    Top: lambda d, f: d._top(),
+    Bottom: lambda d, f: d._not(d._top()),
+    HookR: lambda d, f: d._hook_r(d.add(f.left), d.add(f.right)),
+    HookL: lambda d, f: d._hook_l(d.add(f.left), d.add(f.right)),
+    Box: lambda d, f: d._box(d.add(f.sub)),
+}
+
+
+def to_dag(f: Formula | Dag) -> Dag:
+    """f compiled into a Dag whose last op is f's root; a Dag as it is."""
+    return f if isinstance(f, Dag) else Dag(f)
+
+
+def unbox(f: Formula) -> Formula | None:
+    """The argument of a top-level box, or None."""
+    return f.sub if isinstance(f, Box) else None
 
 
 def node_count(f: Formula) -> int:
@@ -240,14 +311,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         m = IDENT_RE.match(text, i)
         if m:
             word = m.group(0)
-            if word == "o":
-                toks.append(("o", word, i))
-            elif word == "T":
-                toks.append(("T", word, i))
-            elif word == "F":
-                toks.append(("F", word, i))
-            else:
-                toks.append(("ident", word, i))
+            toks.append((word if word in RESERVED_WORDS else "ident", word, i))
             i = m.end()
             continue
         for sym in _SYMBOLS:
@@ -370,32 +434,28 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
+#: Printed form of each node type: (token, precedence, associativity).
+_SYNTAX = {
+    Top: ("T", _PREC_ATOM, None), Bottom: ("F", _PREC_ATOM, None),
+    Neg: ("~", _PREC_PREFIX, None), Box: ("[]", _PREC_PREFIX, None),
+    Comp: ("o", _PREC_COMP, "left"), And: ("&", _PREC_AND, "left"),
+    Or: ("|", _PREC_OR, "left"), HookR: ("@>", _PREC_HOOK, "none"),
+    HookL: ("<@", _PREC_HOOK, "none"), Implies: ("->", _PREC_IMPLIES, "right"),
+    Iff: ("<->", _PREC_IFF, "right"),
+}
+
+
 def _render(f: Formula) -> tuple[str, int]:
     if isinstance(f, Letter):
         return f.name, _PREC_ATOM
-    if isinstance(f, Top):
-        return "T", _PREC_ATOM
-    if isinstance(f, Bottom):
-        return "F", _PREC_ATOM
-    if isinstance(f, Neg):
-        return "~" + _child(f.sub, _PREC_PREFIX), _PREC_PREFIX
-    if isinstance(f, Box):
-        return "[]" + _child(f.sub, _PREC_PREFIX), _PREC_PREFIX
-    if isinstance(f, Comp):
-        return _binary(f, "o", _PREC_COMP, "left")
-    if isinstance(f, And):
-        return _binary(f, "&", _PREC_AND, "left")
-    if isinstance(f, Or):
-        return _binary(f, "|", _PREC_OR, "left")
-    if isinstance(f, HookR):
-        return _binary(f, "@>", _PREC_HOOK, "none")
-    if isinstance(f, HookL):
-        return _binary(f, "<@", _PREC_HOOK, "none")
-    if isinstance(f, Implies):
-        return _binary(f, "->", _PREC_IMPLIES, "right")
-    if isinstance(f, Iff):
-        return _binary(f, "<->", _PREC_IFF, "right")
-    raise TypeError(f"not a Formula: {f!r}")
+    if type(f) not in _SYNTAX:
+        raise TypeError(f"not a Formula: {f!r}")
+    token, prec, assoc = _SYNTAX[type(f)]
+    if prec == _PREC_ATOM:
+        return token, prec
+    if prec == _PREC_PREFIX:
+        return token + _child(f.sub, prec), prec
+    return _binary(f, token, prec, assoc)
 
 
 def _binary(f, op: str, prec: int, assoc: str) -> tuple[str, int]:

@@ -304,65 +304,43 @@ def _cofin_growth_pairs(s: SymState, depth: int):
 
 
 class _SymEvaluator:
+    """Satisfaction at states, op by op over one Dag shared by every formula
+    asked about, memoised per (state, op index)."""
+
     def __init__(self, w: TileSet, tau: PeriodicTiling, depth: int, mode: str):
-        self.w = w
-        self.tau = tau
-        self.depth = depth
-        self.mode = mode
+        self.w, self.tau, self.depth, self.mode = w, tau, depth, mode
+        self.dag = fm.Dag()
         self._memo: dict[tuple[SymState, int], bool] = {}
         self._pairs: dict[SymState, list] = {}
-        self._keep: list[fm.Formula] = []
 
     def pairs(self, s: SymState):
         hit = self._pairs.get(s)
         if hit is None:
-            hit = decompositions(s, self.depth, self.mode)
-            self._pairs[s] = hit
+            hit = self._pairs[s] = decompositions(s, self.depth, self.mode)
         return hit
 
     def sat(self, s: SymState, f: fm.Formula) -> bool:
-        key = (s, id(f))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._keep.append(f)
-        val = self._eval(s, f)
-        self._memo[key] = val
-        return val
+        return self.holds(s, self.dag.add(f))
 
-    def _eval(self, s: SymState, f: fm.Formula) -> bool:
-        if isinstance(f, fm.Letter):
-            return eval_atom(s, f.name, self.tau, self.w)
-        if isinstance(f, fm.Neg):
-            return not self.sat(s, f.sub)
-        if isinstance(f, fm.Or):
-            return self.sat(s, f.left) or self.sat(s, f.right)
-        if isinstance(f, fm.And):
-            return self.sat(s, f.left) and self.sat(s, f.right)
-        if isinstance(f, fm.Implies):
-            return not self.sat(s, f.left) or self.sat(s, f.right)
-        if isinstance(f, fm.Iff):
-            return self.sat(s, f.left) == self.sat(s, f.right)
-        if isinstance(f, fm.Top):
-            return True
-        if isinstance(f, fm.Bottom):
-            return False
-        if isinstance(f, fm.Comp):
-            return any(
-                self.sat(a, f.left) and self.sat(b, f.right)
-                for a, b in self.pairs(s)
-            )
-        if isinstance(f, fm.HookR):
-            return all(
-                not self.sat(a, f.left) or self.sat(b, f.right)
-                for a, b in self.pairs(s)
-            )
-        if isinstance(f, fm.HookL):
-            return all(
-                not self.sat(b, f.right) or self.sat(a, f.left)
-                for a, b in self.pairs(s)
-            )
-        raise ValueError(f"box is only checked at conjunct top level: {f!r}")
+    def holds(self, s: SymState, i: int) -> bool:
+        """Whether op i of the dag holds at s; a diamond ranges over the
+        decomposition shapes only, so a box nested in f would too.
+        Negations are not memoised: they cost less than a lookup."""
+        kind, a, b = self.dag.ops[i]
+        if kind == fm.NOT:
+            return not self.holds(s, a)
+        key = (s, i)
+        hit = self._memo.get(key)
+        if hit is None:
+            if kind == fm.VAR:
+                hit = eval_atom(s, a, self.tau, self.w)
+            elif kind == fm.OR:
+                hit = self.holds(s, a) or self.holds(s, b)
+            else:
+                hit = any(self.holds(x, a) and self.holds(y, b)
+                          for x, y in self.pairs(s))
+            self._memo[key] = hit
+        return hit
 
 
 @dataclass(frozen=True)
@@ -436,12 +414,10 @@ def check_refutation(w: TileSet, tau: PeriodicTiling, depth: int,
     states = universe(depth, mode)
     entries = []
     for name, f in reduction.conjuncts(w):
-        if isinstance(f, fm.Box):
-            witness = None
-            for s in states:
-                if not ev.sat(s, f.sub):
-                    witness = s
-                    break
+        sub = fm.unbox(f)
+        if sub is not None:
+            i = ev.dag.add(sub)
+            witness = next((s for s in states if not ev.holds(s, i)), None)
             status = "pass" if witness is None else "fail"
             entries.append(ConjunctReport(name, status, witness, _BOX_NOTE))
         else:

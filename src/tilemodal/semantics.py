@@ -24,13 +24,13 @@ from tilemodal.frames import _comp_index
 
 
 class Evaluator:
-    """Caching satisfaction-set evaluator for one model.
+    """Satisfaction-set evaluator for one model.
 
     With lanes > 1 the letter masks hold one valuation per lane, packed
     world-minor (bit lane * n + world), and so does every satisfaction set.
 
-    Derived connectives are evaluated by their classical equivalences, which
-    coincide pointwise with evaluating the desugared core tree.
+    A formula is evaluated through its compiled Dag, one pass over the ops,
+    so derived connectives get exactly the sets of their desugared core.
     """
 
     def __init__(self, model: Model, lanes: int = 1):
@@ -38,51 +38,20 @@ class Evaluator:
         self.full = (1 << (model.frame.size * lanes)) - 1
         self._lane0 = self.full // ((1 << model.frame.size) - 1)  # bit 0 of each lane
         self._comp_items = tuple(_comp_index(model.frame).items())
-        self._cache: dict[int, tuple[fm.Formula, int]] = {}
 
-    def mask(self, f: fm.Formula) -> int:
-        key = id(f)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit[1]
-        m = self._eval(f)
-        self._cache[key] = (f, m)
-        return m
-
-    def _eval(self, f: fm.Formula) -> int:
-        if isinstance(f, fm.Letter):
-            return self.model.letter_mask(f.name)
-        if isinstance(f, fm.Neg):
-            return self.full & ~self.mask(f.sub)
-        if isinstance(f, fm.Or):
-            return self.mask(f.left) | self.mask(f.right)
-        if isinstance(f, fm.And):
-            return self.mask(f.left) & self.mask(f.right)
-        if isinstance(f, fm.Implies):
-            return (self.full & ~self.mask(f.left)) | self.mask(f.right)
-        if isinstance(f, fm.Iff):
-            l, r = self.mask(f.left), self.mask(f.right)
-            return self.full & ~(l ^ r)
-        if isinstance(f, fm.Top):
-            return self.full
-        if isinstance(f, fm.Bottom):
-            return 0
-        if isinstance(f, fm.Comp):
-            return self._comp(self.mask(f.left), self.mask(f.right))
-        if isinstance(f, fm.HookR):
-            bad = self._comp(self.mask(f.left), self.full & ~self.mask(f.right))
-            return self.full & ~bad
-        if isinstance(f, fm.HookL):
-            bad = self._comp(self.full & ~self.mask(f.left), self.mask(f.right))
-            return self.full & ~bad
-        if isinstance(f, fm.Box):
-            sub = f.sub
-            once = fm.HookR(fm.Top(), sub)
-            m = self.mask(once)
-            m &= self.mask(fm.HookL(sub, fm.Top()))
-            m &= self.mask(fm.HookL(once, fm.Top()))
-            return m
-        raise TypeError(f"not a Formula: {f!r}")
+    def mask(self, f: fm.Formula | fm.Dag) -> int:
+        """Satisfaction set of f, or of the last op of a compiled Dag."""
+        full, comp, letter, out = self.full, self._comp, self.model.letter_mask, []
+        for kind, a, b in fm.to_dag(f).ops:
+            if kind == fm.DIA:
+                out.append(comp(out[a], out[b]))
+            elif kind == fm.NOT:
+                out.append(full & ~out[a])
+            elif kind == fm.OR:
+                out.append(out[a] | out[b])
+            else:
+                out.append(letter(a))
+        return out[-1]
 
     def _comp(self, left_mask: int, right_mask: int) -> int:
         # hit marks bit 0 of each lane where y is in left and z in right;
@@ -194,7 +163,7 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
     strategy draws seeded samples in chunks of 16, 32, ... lanes and returns
     the first refuting one, or Unknown. jobs is accepted for compatibility.
     """
-    inventory, n = _inventory(f), frame.size
+    inventory, n, dag = _inventory(f), frame.size, fm.to_dag(f)
     if strategy == "exhaustive":
         if n * len(inventory) > EXHAUSTIVE_BIT_LIMIT:
             return Unknown("exhaustive budget exceeded")
@@ -206,7 +175,7 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
         raise ValueError(f"unknown strategy {strategy!r}")
     for masks, lanes in chunks:
         ev = Evaluator(Model._from_masks(frame, masks), lanes)
-        failing = ev.full & ~ev.mask(f)
+        failing = ev.full & ~ev.mask(dag)
         if failing:
             lane, world = divmod((failing & -failing).bit_length() - 1, n)
             masks = {p: (m >> (lane * n)) & ((1 << n) - 1) for p, m in masks.items()}
@@ -230,48 +199,42 @@ class _IntervalBounds:
     """Three-valued evaluation under a partial valuation.
 
     Each letter carries a mask of decided bit positions and their values;
-    every subformula gets a (must, may) world-mask pair bracketing its
-    satisfaction set over all completions of the assignment. The diamond is
-    monotone in both arguments and negation swaps the complements, so the
-    bounds are sound on the desugared core.
+    every op of the compiled formula gets a (must, may) world-mask pair
+    bracketing its satisfaction set over all completions of the assignment.
+    The diamond is monotone in both arguments and negation swaps the
+    complements, so the bounds are sound on the desugared core. Each bound
+    charges the budget the node count of the desugared tree.
     """
 
-    def __init__(self, frame: Frame, nodes: int, budget: _Budget):
+    def __init__(self, frame: Frame, dag: fm.Dag, budget: _Budget):
         self.full, self._lane0 = (1 << frame.size) - 1, 1
         self._comp_items = tuple(_comp_index(frame).items())
-        self.nodes = nodes
-        self.budget = budget
+        self.dag, self.nodes, self.budget = dag, dag.tree_size(), budget
 
-    def bounds(self, f: fm.Formula, known: dict[str, int],
+    def bounds(self, known: dict[str, int],
                value: dict[str, int]) -> tuple[int, int] | None:
-        """(must, may) of the desugared-core formula f, or None when the
-        step budget runs dry."""
+        """(must, may) of the dag's last op, or None when the step budget
+        runs dry."""
         if not self.budget.spend(self.nodes):
             return None
-        return self._bounds(f, known, value)
-
-    def _bounds(self, f, known, value) -> tuple[int, int]:
-        if isinstance(f, fm.Letter):
-            k = known.get(f.name, 0)
-            v = value.get(f.name, 0)
-            return v & k, v | (self.full & ~k)
-        if isinstance(f, fm.Neg):
-            must, may = self._bounds(f.sub, known, value)
-            return self.full & ~may, self.full & ~must
-        if isinstance(f, fm.Or):
-            lm, lM = self._bounds(f.left, known, value)
-            rm, rM = self._bounds(f.right, known, value)
-            return lm | rm, lM | rM
-        if isinstance(f, fm.Comp):
-            lm, lM = self._bounds(f.left, known, value)
-            rm, rM = self._bounds(f.right, known, value)
-            return self._comp(lm, rm), self._comp(lM, rM)
-        raise TypeError(f"not a core node: {f!r}")
+        full, comp, out = self.full, self._comp, []
+        for kind, a, b in self.dag.ops:
+            if kind == fm.VAR:
+                k, v = known.get(a, 0), value.get(a, 0)
+                out.append((v & k, v | (full & ~k)))
+            elif kind == fm.NOT:
+                must, may = out[a]
+                out.append((full & ~may, full & ~must))
+            else:
+                (lm, lM), (rm, rM) = out[a], out[b]
+                out.append((lm | rm, lM | rM) if kind == fm.OR
+                           else (comp(lm, rm), comp(lM, rM)))
+        return out[-1]
 
     _comp = Evaluator._comp  # the one diamond kernel, on a single lane
 
 
-def _greedy_refute(frame: Frame, core: fm.Formula, inventory: list[str],
+def _greedy_refute(frame: Frame, core: fm.Formula | fm.Dag, inventory: list[str],
                    budget: _Budget) -> dict[str, int] | None | str:
     """Backtracking search for a refuting valuation, one bit at a time.
 
@@ -283,21 +246,19 @@ def _greedy_refute(frame: Frame, core: fm.Formula, inventory: list[str],
     whole tree is exhausted, or "budget" when the steps run out.
     """
     n = frame.size
-    ivals = _IntervalBounds(frame, fm.node_count(core), budget)
+    ivals = _IntervalBounds(frame, fm.to_dag(core), budget)
     full = (1 << n) - 1
-    known = {p: 0 for p in inventory}
-    value = {p: 0 for p in inventory}
     # pin the reserved constants letter: satisfaction is independent of it,
     # and deciding it keeps the bounds exact once all real letters are set
-    known[fm.TOP_LETTER] = full
-    value[fm.TOP_LETTER] = 0
+    known = dict.fromkeys(inventory, 0) | {fm.TOP_LETTER: full}
+    value = dict.fromkeys(inventory, 0) | {fm.TOP_LETTER: 0}
     order = [
         (inventory[pos // n], (pos % n))
         for pos in range(len(inventory) * n - 1, -1, -1)
     ]
 
     def descend(depth: int) -> dict[str, int] | None | str:
-        got = ivals.bounds(core, known, value)
+        got = ivals.bounds(known, value)
         if got is None:
             return "budget"
         must, may = got
@@ -334,12 +295,13 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
     seeded valuation probes and then a greedy bit-by-bit backtracker over
     valuations, which prunes completions that cannot refute and is complete
     when it runs to the end. The budget counts elementary evaluation steps
-    (formula nodes per valuation or per bound computed); exhausting it
+    (nodes of the desugared tree per valuation or per bound computed),
+    though each is one pass over the compiled Dag's fewer ops; exhausting it
     returns None, which carries no validity claim.
     """
     tracker = _Budget(budget)
-    core = fm.desugar(f)
-    cost = fm.node_count(core)
+    dag = fm.to_dag(f)
+    cost = dag.tree_size()  # node_count(desugar(f)), the budget's unit
     rng = random.Random(seed)
     inventory = _inventory(f)
     for n in range(1, max_worlds + 1):
@@ -360,15 +322,15 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
                 if not tracker.spend(cost):
                     return None
                 model = Model._from_masks(frame, dict(masks))
-                failing = full & ~Evaluator(model).mask(f)
+                failing = full & ~Evaluator(model).mask(dag)
                 if failing:
                     return _found(frame, masks, failing)
-            got = _greedy_refute(frame, core, inventory, tracker)
+            got = _greedy_refute(frame, dag, inventory, tracker)
             if got == "budget":
                 return None
             if got is not None:
                 model = Model._from_masks(frame, dict(got))
-                failing = full & ~Evaluator(model).mask(f)
+                failing = full & ~Evaluator(model).mask(dag)
                 assert failing, "backtracker returned a non-refuting valuation"
                 return _found(frame, got, failing)
     return None

@@ -319,12 +319,25 @@ class TestUsage:
      "--mode", "svg", "--out", "{missing}/grid.svg"],
     ["enum-frames", "--worlds", "0"],
     ["model-check", "--frame", "{valley}", "--formula", "ley"],
+    ["extract", "--frame", "{quotient}", "--tiles", "{mono}", "--point", "-1", "--k", "1"],
+    ["extract", "--frame", "{quotient}", "--tiles", "{mono}", "--point", "99", "--k", "1"],
+    ["extract", "--frame", "{quotient}", "--tiles", "{mono}", "--point", "0", "--k", "-1"],
+    ["extract", "--frame", "{quotient}", "--tiles", "{mono}", "--point", "0", "--k", "0"],
+    ["countermodel", "--formula", "p", "--max-worlds", "0"],
+    ["countermodel", "--formula", "p", "--max-worlds", "-3"],
+    ["countermodel", "--formula", "p", "--budget", "-5"],
+    ["enum-frames", "--worlds", "1", "--limit", "-1"],
 ])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, argv):
     (tmp_path / "swap.tiles").write_text(SWAP_TILES)
+    (tmp_path / "one.tiles").write_text(MONO_TILES)
     (tmp_path / "valley.frame").write_text("worlds 2\nvalley: 0\n")
+    model, _ = quotient_countermodel(TileSet(("t1",), (Tile(0, 0, 0, 0),)),
+                                     PeriodicTiling((1, 1), {(0, 0): 0}))
+    (tmp_path / "quotient.frame").write_text(render_frame_file(model.frame, model.valuation))
     args = [a.format(swap=tmp_path / "swap.tiles", valley=tmp_path / "valley.frame",
-                     missing=tmp_path / "missing")
+                     missing=tmp_path / "missing", mono=tmp_path / "one.tiles",
+                     quotient=tmp_path / "quotient.frame")
             for a in argv]
     proc = subprocess.run([sys.executable, "-m", "tilemodal.cli", *args],
                           capture_output=True, text=True)

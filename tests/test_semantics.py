@@ -3,6 +3,8 @@ from itertools import product
 
 from conftest import random_formula
 from tilemodal import formula as fm
+from tilemodal import powerset_symbolic as ps
+from tilemodal import reduction
 from tilemodal.formula import (
     Bottom,
     Box,
@@ -23,9 +25,12 @@ from tilemodal.frames import (
     powerset_frame,
     powerset_worlds,
 )
+from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 from tilemodal.semantics import (
     MAX_LANES,
     Evaluator,
+    _Budget,
+    _IntervalBounds,
     Refuted,
     Unknown,
     Valid,
@@ -432,3 +437,166 @@ class TestCountermodelSearch:
         hit = countermodel_search(Neg(p), max_worlds=2, budget=2000)
         assert hit is not None
         assert check_associative(hit[0].frame) is None
+
+
+# -- the op-list evaluators against tree walks ---------------------------------
+
+MONO = TileSet(("t1",), (Tile(0, 0, 0, 0),))
+SWAP = TileSet(("a", "b"), (Tile(0, 0, 1, 2), Tile(0, 0, 2, 1)))
+
+
+def _tree_mask(model: Model, f: fm.Formula) -> int:
+    """Satisfaction set by one clause per connective, walking the tree, with
+    a diamond read straight off the triples: the oracle for the op list."""
+    full = (1 << model.frame.size) - 1
+
+    def dia(left: int, right: int) -> int:
+        return sum({1 << x for x, y, z in model.frame.triples
+                    if (left >> y) & 1 and (right >> z) & 1})
+
+    def ev(g: fm.Formula) -> int:
+        if isinstance(g, Letter):
+            return model.letter_mask(g.name)
+        if isinstance(g, Neg):
+            return full & ~ev(g.sub)
+        if isinstance(g, Or):
+            return ev(g.left) | ev(g.right)
+        if isinstance(g, fm.And):
+            return ev(g.left) & ev(g.right)
+        if isinstance(g, fm.Implies):
+            return (full & ~ev(g.left)) | ev(g.right)
+        if isinstance(g, fm.Iff):
+            return full & ~(ev(g.left) ^ ev(g.right))
+        if isinstance(g, Top):
+            return full
+        if isinstance(g, Bottom):
+            return 0
+        if isinstance(g, Comp):
+            return dia(ev(g.left), ev(g.right))
+        if isinstance(g, HookR):
+            return full & ~dia(ev(g.left), full & ~ev(g.right))
+        if isinstance(g, HookL):
+            return full & ~dia(full & ~ev(g.left), ev(g.right))
+        assert isinstance(g, Box)
+        once = HookR(Top(), g.sub)
+        return ev(once) & ev(HookL(g.sub, Top())) & ev(HookL(once, Top()))
+
+    return ev(f)
+
+
+def _tree_sat(s, f: fm.Formula, memo: dict) -> bool:
+    """Satisfaction at a symbolic state by one clause per connective over
+    the MONO refutation valuation at depth 2; memo holds the results by
+    (state, formula) and the decompositions by state."""
+    key = (s, f)
+    if key in memo:
+        return memo[key]
+
+    def sat(t, g):
+        return _tree_sat(t, g, memo)
+
+    pairs = memo.get(s)
+    if pairs is None:
+        pairs = memo[s] = ps.decompositions(s, 2, "union")
+    if isinstance(f, Letter):
+        val = ps.eval_atom(s, f.name, PeriodicTiling((1, 1), {(0, 0): 0}), MONO)
+    elif isinstance(f, Neg):
+        val = not sat(s, f.sub)
+    elif isinstance(f, Or):
+        val = sat(s, f.left) or sat(s, f.right)
+    elif isinstance(f, fm.And):
+        val = sat(s, f.left) and sat(s, f.right)
+    elif isinstance(f, fm.Implies):
+        val = not sat(s, f.left) or sat(s, f.right)
+    elif isinstance(f, fm.Iff):
+        val = sat(s, f.left) == sat(s, f.right)
+    elif isinstance(f, (Top, Bottom)):
+        val = isinstance(f, Top)
+    elif isinstance(f, Comp):
+        val = any(sat(a, f.left) and sat(b, f.right) for a, b in pairs)
+    elif isinstance(f, HookR):
+        val = all(not sat(a, f.left) or sat(b, f.right) for a, b in pairs)
+    else:
+        assert isinstance(f, HookL)
+        val = all(not sat(b, f.right) or sat(a, f.left) for a, b in pairs)
+    memo[key] = val
+    return val
+
+
+def _random_frame(rng: random.Random) -> Frame:
+    n = rng.randint(1, 4)
+    density = rng.choice((0.15, 0.3, 0.5))
+    return Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                              if rng.random() < density))
+
+
+class TestOpList:
+    """Every evaluator of the compiled Dag against a tree walk."""
+
+    def test_phi_shares_subterms(self):
+        for w, ops, nodes in ((MONO, 391, 1650), (SWAP, 479, 3180)):
+            f = reduction.phi(w)
+            dag = fm.to_dag(f)
+            assert len(dag.ops) == ops
+            assert dag.tree_size() == fm.node_count(fm.desugar(f)) == nodes
+            assert dag.tree() == fm.desugar(f)
+
+    def test_mask_on_one_lane_and_packed_lanes(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            frame, lanes = _random_frame(rng), rng.randint(2, 9)
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r"))
+            n = frame.size
+            valuations = [{l: rng.getrandbits(n) for l in ("p", "q", "r")}
+                          for _ in range(lanes)]
+            packed = {l: sum(v[l] << (i * n) for i, v in enumerate(valuations))
+                      for l in ("p", "q", "r")}
+            got = Evaluator(Model._from_masks(frame, packed), lanes).mask(f)
+            for i, masks in enumerate(valuations):
+                model = Model._from_masks(frame, masks)
+                expect = _tree_mask(model, f)
+                assert Evaluator(model).mask(f) == expect, fm.render(f)
+                assert (got >> (i * n)) & ((1 << n) - 1) == expect, fm.render(f)
+
+    def test_decided_bounds_are_the_mask(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            frame = _random_frame(rng)
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r"))
+            masks = {l: rng.getrandbits(frame.size) for l in ("p", "q", "r")}
+            known = {l: (1 << frame.size) - 1 for l in fm.letters(f) | {fm.TOP_LETTER}}
+            value = {l: masks.get(l, 0) for l in known}
+            ivals = _IntervalBounds(frame, fm.to_dag(f), _Budget(10 ** 9))
+            expect = _tree_mask(Model._from_masks(frame, masks), f)
+            assert ivals.bounds(known, value) == (expect, expect), fm.render(f)
+
+    def test_partial_bounds_bracket_every_completion(self):
+        rng = random.Random(45)
+        for _ in range(150):
+            frame = _random_frame(rng)
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q"))
+            n, full = frame.size, (1 << frame.size) - 1
+            known = {"p": rng.getrandbits(n), "q": rng.getrandbits(n), fm.TOP_LETTER: full}
+            value = {l: rng.getrandbits(n) & k for l, k in known.items()}
+            must, may = _IntervalBounds(frame, fm.to_dag(f), _Budget(10 ** 9)).bounds(
+                known, value)
+            for fill in product(range(1 << n), repeat=2):
+                masks = {l: value[l] | (m & ~known[l]) for l, m in zip("pq", fill)}
+                mask = _tree_mask(Model._from_masks(frame, masks), f)
+                assert must & ~mask == 0 and mask & ~may == 0, fm.render(f)
+
+    def test_symbolic_evaluator_on_mono(self):
+        rng = random.Random(47)
+        states = ps.universe(2, "union")
+        letters = ("x_e", "x_o", "y_e", "y_o", "x'", "y'", "t1")
+        formulas = [sub for _, f in reduction.conjuncts(MONO)
+                    if (sub := fm.unbox(f)) is not None]
+        while len(formulas) < 74:
+            f = random_formula(rng, rng.randint(1, 3), letters)
+            if "[]" not in fm.render(f):
+                formulas.append(f)
+        ev = ps._SymEvaluator(MONO, PeriodicTiling((1, 1), {(0, 0): 0}), 2, "union")
+        memo: dict = {}
+        for f in formulas:
+            for s in states:
+                assert ev.sat(s, f) == _tree_sat(s, f, memo), fm.render(f)
