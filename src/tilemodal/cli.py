@@ -93,8 +93,8 @@ def cmd_gen_phi(args, out) -> int:
         raise CliError(str(e)) from None
     if args.desugar:
         f = fm.desugar(f)
-    lines = [fm.render(f)]
-    kv = [f"formula={fm.render(f)}"]
+    text = fm.render(f)
+    lines, kv = [text], [f"formula={text}"]
     if args.stats:
         stats = reduction.phi_stats(w)
         lines += [f"{k}: {v}" for k, v in sorted(stats.items())]

@@ -166,11 +166,33 @@ class Dag:
         return i
 
     def add(self, f: Formula) -> int:
-        """Index of f's desugared core, appending the ops not yet present."""
-        encode = _ENCODE.get(type(f))
-        if encode is None:
-            raise TypeError(f"not a Formula: {f!r}")
-        return encode(self, f)
+        """Index of f's desugared core, appending the ops not yet present.
+
+        Subformulas are compiled before their parents, left to right, from
+        explicit stacks, so nesting depth is not bounded by recursion:
+        visiting each node before its children, right child first, lists
+        the nodes in reverse post-order."""
+        nodes, arities, todo, encode = [], [], [f], _ENCODE
+        while todo:
+            g = todo.pop()
+            n = _ARITY.get(type(g))
+            if n is None:
+                raise TypeError(f"not a Formula: {g!r}")
+            nodes.append(g)
+            arities.append(n)
+            if n == 1:
+                todo.append(g.sub)
+            elif n:
+                todo += (g.left, g.right)
+        done: list[int] = []
+        for g, n in zip(reversed(nodes), reversed(arities)):
+            if n == 2:
+                right = done.pop()
+                done.append(encode[type(g)](self, g, done.pop(), right))
+            else:
+                done.append(encode[type(g)](self, g, done.pop()) if n
+                            else encode[type(g)](self, g))
+        return done[0]
 
     def _not(self, a: int) -> int:
         return self._op(NOT, a)
@@ -212,21 +234,35 @@ class Dag:
         return sizes[-1]
 
 
-#: How each node type compiles into ops of the Dag d.
+#: How each node type compiles into ops of the Dag d, given the op indices
+#: of its children.
 _ENCODE = {
     Letter: lambda d, f: d._op(VAR, f.name),
-    Neg: lambda d, f: d._not(d.add(f.sub)),
-    Or: lambda d, f: d._op(OR, d.add(f.left), d.add(f.right)),
-    Comp: lambda d, f: d._op(DIA, d.add(f.left), d.add(f.right)),
-    And: lambda d, f: d._and(d.add(f.left), d.add(f.right)),
-    Implies: lambda d, f: d._op(OR, d._not(d.add(f.left)), d.add(f.right)),
-    Iff: lambda d, f: d._iff(d.add(f.left), d.add(f.right)),
+    Neg: lambda d, f, a: d._not(a),
+    Or: lambda d, f, a, b: d._op(OR, a, b),
+    Comp: lambda d, f, a, b: d._op(DIA, a, b),
+    And: lambda d, f, a, b: d._and(a, b),
+    Implies: lambda d, f, a, b: d._op(OR, d._not(a), b),
+    Iff: lambda d, f, a, b: d._iff(a, b),
     Top: lambda d, f: d._top(),
     Bottom: lambda d, f: d._not(d._top()),
-    HookR: lambda d, f: d._hook_r(d.add(f.left), d.add(f.right)),
-    HookL: lambda d, f: d._hook_l(d.add(f.left), d.add(f.right)),
-    Box: lambda d, f: d._box(d.add(f.sub)),
+    HookR: lambda d, f, a, b: d._hook_r(a, b),
+    HookL: lambda d, f, a, b: d._hook_l(a, b),
+    Box: lambda d, f, a: d._box(a),
 }
+
+
+#: How many children each node type has: none, `sub`, or `left` and `right`.
+_ARITY = {Letter: 0, Top: 0, Bottom: 0, Neg: 1, Box: 1, Or: 2, Comp: 2, And: 2,
+          Implies: 2, Iff: 2, HookR: 2, HookL: 2}
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of f, left to right."""
+    n = _ARITY.get(type(f))
+    if n is None:
+        raise TypeError(f"not a Formula: {f!r}")
+    return (f.left, f.right) if n == 2 else (f.sub,) if n else ()
 
 
 def to_dag(f: Formula | Dag) -> Dag:
@@ -241,11 +277,11 @@ def unbox(f: Formula) -> Formula | None:
 
 def node_count(f: Formula) -> int:
     """Number of AST nodes, counting derived nodes as single nodes."""
-    if isinstance(f, (Letter, Top, Bottom)):
-        return 1
-    if isinstance(f, (Neg, Box)):
-        return 1 + node_count(f.sub)
-    return 1 + node_count(f.left) + node_count(f.right)
+    count, todo = 0, [f]
+    while todo:
+        count += 1
+        todo += _children(todo.pop())
+    return count
 
 
 def letters(f: Formula) -> set[str]:
@@ -296,7 +332,8 @@ class FormulaSyntaxError(ValueError):
         )
 
 
-_SYMBOLS = ("<->", "->", "@>", "<@", "[]", "~", "&", "|", "(", ")")
+#: One token after optional whitespace: a word (group 1) or a symbol (group 2).
+_TOKEN_RE = re.compile(r"\s*(?:(" + IDENT_RE.pattern + r")|(<->|->|@>|<@|\[\]|[~&|()]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -304,28 +341,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
     i, n = 0, len(text)
     while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            toks.append((word if word in RESERVED_WORDS else "ident", word, i))
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append((sym, sym, i))
-                i += len(sym)
-                break
+        m = _TOKEN_RE.match(text, i)
+        if m is None:  # trailing whitespace, or no token after it
+            i = n - len(text[i:].lstrip())
+            if i < n:
+                raise FormulaSyntaxError(text, i, {"a token"}, repr(text[i]))
+            break
+        word, sym = m.groups()
+        if word is not None:
+            toks.append((word if word in RESERVED_WORDS else "ident", word, m.start(1)))
         else:
-            raise FormulaSyntaxError(text, i, {"a token"}, repr(c))
+            toks.append((sym, sym, m.start(2)))
+        i = m.end()
     toks.append(("end", "", n))
     return toks
 
 
 class _Parser:
+    """Operator-precedence parsing with explicit stacks: an open parenthesis
+    saves the operands, operators and prefix operators around it, so nesting
+    depth is not bounded by recursion."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
@@ -350,83 +386,60 @@ class _Parser:
         raise FormulaSyntaxError(self.text, pos, expected, found)
 
     def parse(self) -> Formula:
-        f = self.iff()
-        if self.peek() != "end":
-            self.fail({"end of input"})
-        return f
+        outer: list[tuple[list, list, int]] = []
+        operands: list[Formula] = []
+        operators: list[str] = []
+        prefixes: list[type] = []  # of every open operand, innermost last
+        while True:  # at an operand
+            mark = len(prefixes)
+            while self.peek() in ("~", "[]"):
+                prefixes.append(Neg if self.advance()[0] == "~" else Box)
+            if self.peek() == "(":
+                self.advance()
+                outer.append((operands, operators, mark))
+                operands, operators = [], []
+                continue
+            f = self.atom()
+            while True:  # f ends an operand; a binary operator may follow
+                while len(prefixes) > mark:
+                    f = prefixes.pop()(f)
+                operands.append(f)
+                kind = self.peek()
+                if kind in _BINARY and self.shift(kind, operands, operators):
+                    break
+                _reduce(operands, operators, 0)
+                f = operands.pop()
+                if not outer:
+                    if kind != "end":
+                        self.fail({"end of input"})
+                    return f
+                self.expect(")")
+                operands, operators, mark = outer.pop()
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek() == "<->":
-            self.advance()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.hook()
-        if self.peek() == "->":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def hook(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "@>":
-            self.advance()
-            return HookR(left, self.disjunction())
-        if self.peek() == "<@":
-            self.advance()
-            return HookL(left, self.disjunction())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "|":
-            self.advance()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.composition()
-        while self.peek() == "&":
-            self.advance()
-            f = And(f, self.composition())
-        return f
-
-    def composition(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "o":
-            self.advance()
-            f = Comp(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind = self.peek()
-        if kind == "~":
-            self.advance()
-            return Neg(self.unary())
-        if kind == "[]":
-            self.advance()
-            return Box(self.unary())
-        return self.atom()
+    def shift(self, kind: str, operands: list[Formula], operators: list[str]) -> bool:
+        """Reduce what binds tighter than the binary operator kind, then push
+        it; False, pushing nothing, when a hook follows a hook unbracketed."""
+        _, prec, assoc = _BINARY[kind]
+        _reduce(operands, operators, prec if assoc == "left" else prec + 1)
+        if assoc == "none" and operators and _BINARY[operators[-1]][1] == prec:
+            return False
+        operators.append(kind)
+        self.advance()
+        return True
 
     def atom(self) -> Formula:
         kind, value, _ = self.toks[self.pos]
-        if kind == "ident":
-            self.advance()
-            return Letter(value)
-        if kind == "T":
-            self.advance()
-            return Top()
-        if kind == "F":
-            self.advance()
-            return Bottom()
-        if kind == "(":
-            self.advance()
-            f = self.iff()
-            self.expect(")")
-            return f
-        self.fail({"a letter", "T", "F", "~", "[]", "("})
+        if kind not in ("ident", "T", "F"):
+            self.fail({"a letter", "T", "F", "~", "[]", "("})
+        self.advance()
+        return Letter(value) if kind == "ident" else Top() if kind == "T" else Bottom()
+
+
+def _reduce(operands: list[Formula], operators: list[str], least: int) -> None:
+    """Apply the stacked operators binding at least as tightly as least."""
+    while operators and _BINARY[operators[-1]][1] >= least:
+        right = operands.pop()
+        operands[-1] = _BINARY[operators.pop()][0](operands[-1], right)
 
 
 def parse(text: str) -> Formula:
@@ -445,30 +458,40 @@ _SYNTAX = {
 }
 
 
-def _render(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Letter):
-        return f.name, _PREC_ATOM
-    if type(f) not in _SYNTAX:
-        raise TypeError(f"not a Formula: {f!r}")
-    token, prec, assoc = _SYNTAX[type(f)]
-    if prec == _PREC_ATOM:
-        return token, prec
-    if prec == _PREC_PREFIX:
-        return token + _child(f.sub, prec), prec
-    return _binary(f, token, prec, assoc)
-
-
-def _binary(f, op: str, prec: int, assoc: str) -> tuple[str, int]:
-    lneed = prec if assoc == "left" else prec + 1
-    rneed = prec if assoc == "right" else prec + 1
-    return f"{_child(f.left, lneed)} {op} {_child(f.right, rneed)}", prec
-
-
-def _child(f: Formula, need: int) -> str:
-    s, prec = _render(f)
-    return s if prec >= need else f"({s})"
+#: Binary operator token -> (node type, precedence, associativity).
+_BINARY = {token: (node, prec, assoc)
+           for node, (token, prec, assoc) in _SYNTAX.items() if assoc}
 
 
 def render(f: Formula) -> str:
-    """Minimal-parenthesis text; parse(render(f)) is structurally equal to f."""
-    return _render(f)[0]
+    """Minimal-parenthesis text; parse(render(f)) is structurally equal to f.
+
+    Written left to right from an explicit stack of pending text and
+    (node, least precedence printable bare) pairs, so nesting depth is not
+    bounded by recursion."""
+    out, todo = [], [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, need = item
+        if isinstance(g, Letter):
+            out.append(g.name)
+            continue
+        if type(g) not in _SYNTAX:
+            raise TypeError(f"not a Formula: {g!r}")
+        token, prec, assoc = _SYNTAX[type(g)]
+        if prec < need:
+            out.append("(")
+            todo.append(")")
+        if prec == _PREC_ATOM:
+            out.append(token)
+        elif prec == _PREC_PREFIX:
+            out.append(token)
+            todo.append((g.sub, prec))
+        else:
+            lneed = prec if assoc == "left" else prec + 1
+            rneed = prec if assoc == "right" else prec + 1
+            todo += ((g.right, rneed), f" {token} ", (g.left, lneed))
+    return "".join(out)

@@ -6,8 +6,11 @@ the refutation valuation built from a periodic tiling, every satisfaction
 claim made for the body conjuncts can be checked over a finite universe of
 such states, with box quantification restricted to states of bounded
 representation depth and diamond quantification restricted to the
-decomposition shapes the conjuncts actually use. A passing report certifies
-the bounded fragment only, and says so.
+decomposition shapes the conjuncts actually use. The universe closed under
+those decompositions is a finite frame, one world per state and one triple
+per decomposition, which the shared semantics.Evaluator checks for all
+conjuncts in one pass. A passing report certifies the bounded fragment
+only, and says so.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from dataclasses import dataclass, field
 
 from tilemodal import formula as fm
 from tilemodal import reduction
+from tilemodal.frames import Frame, Model, mask_of
+from tilemodal.semantics import Evaluator
 from tilemodal.tiling import PeriodicTiling, TileSet
 
 MODES = ("union", "disjoint_union", "union_nonempty")
@@ -93,33 +98,62 @@ def contains(s: SymState, n: int) -> bool:
     return (n in side.elems) if side.kind == FIN else (n not in side.elems)
 
 
-def _side_union(a: SidePart, b: SidePart) -> SidePart:
-    if a.kind == FIN and b.kind == FIN:
-        return SidePart(FIN, a.elems | b.elems)
-    if a.kind == COFIN and b.kind == COFIN:
-        return SidePart(COFIN, a.elems & b.elems)
-    removed, members = (a.elems, b.elems) if a.kind == COFIN else (b.elems, a.elems)
-    return SidePart(COFIN, removed - members)
+# -- int codes ------------------------------------------------------------------
+#
+# A side's code holds bit i for element 2i (even side) or 2i + 1 (odd side),
+# i < _WIDTH, plus the _COFIN bit; a state's code is even | odd << _SHIFT.
+# Unions and overlaps are bit operations on codes, and decompositions are
+# generated on codes; SymState is the readable form at the module's edges.
+
+_WIDTH = 5  # the window at depth 4
+_COFIN = 1 << _WIDTH
+_SHIFT = _WIDTH + 1
+_SIDE = (1 << _SHIFT) - 1
+_ELEMS = (_COFIN - 1) | (_COFIN - 1) << _SHIFT
 
 
-def _side_overlap(a: SidePart, b: SidePart) -> bool:
-    if a.kind == FIN and b.kind == FIN:
-        return bool(a.elems & b.elems)
-    if a.kind == COFIN and b.kind == COFIN:
-        return True
-    removed, members = (a.elems, b.elems) if a.kind == COFIN else (b.elems, a.elems)
-    return bool(members - removed)
+def _encode(s: SymState) -> int:
+    code = 0
+    for shift, side in ((0, s.even), (_SHIFT, s.odd)):
+        elems = sum(1 << (e // 2) for e in side.elems)
+        if elems >> _WIDTH:
+            raise ValueError(f"{render_state(s)} mentions an element above {2 * _WIDTH - 1}")
+        code |= (elems | (_COFIN if side.kind == COFIN else 0)) << shift
+    return code
+
+
+def _decode(code: int) -> SymState:
+    sides = []
+    for parity, side in ((0, code & _SIDE), (1, code >> _SHIFT)):
+        elems = frozenset(2 * i + parity for i in range(_WIDTH) if side >> i & 1)
+        sides.append(SidePart(COFIN if side & _COFIN else FIN, elems))
+    return SymState(*sides)
+
+
+def _depth(code: int) -> int:
+    return (code & _ELEMS).bit_count()
+
+
+def _side_union(a: int, b: int) -> tuple[int, bool]:
+    """The union of two side codes, and whether the sides overlap."""
+    if not (a | b) & _COFIN:
+        return a | b, bool(a & b)
+    if a & b & _COFIN:
+        return a & b, True
+    removed, members = (a, b) if a & _COFIN else (b, a)
+    return removed & ~members, bool(members & ~removed)
 
 
 def sym_union(a: SymState, b: SymState, mode: str = "union") -> SymState | None:
     """Canonical union of two states; None in disjoint mode when they overlap."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "disjoint_union" and (
-        _side_overlap(a.even, b.even) or _side_overlap(a.odd, b.odd)
-    ):
+    ca, cb = _encode(a), _encode(b)
+    even, clash_even = _side_union(ca & _SIDE, cb & _SIDE)
+    odd, clash_odd = _side_union(ca >> _SHIFT, cb >> _SHIFT)
+    if mode == "disjoint_union" and (clash_even or clash_odd):
         return None
-    return SymState(_side_union(a.even, b.even), _side_union(a.odd, b.odd))
+    return _decode(even | odd << _SHIFT)
 
 
 def eval_atom(s: SymState, letter: str, tau: PeriodicTiling, w: TileSet) -> bool:
@@ -222,125 +256,82 @@ def decompositions(s: SymState, depth: int, mode: str = "union"):
         raise ValueError("depth must be at most 4")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    pairs: dict[tuple[SymState, SymState], None] = {}
+    return [(_decode(a), _decode(b)) for a, b in _pairs(_encode(s), depth, mode)]
+
+
+def _pairs(s: int, depth: int, mode: str) -> list[tuple[int, int]]:
+    """decompositions on codes. Only pairs whose union in the mode is s are
+    generated: a singleton overlaps the whole state and two cofinite sides
+    always overlap, so disjoint mode has no idempotent peels and no growth
+    pairs, and nonempty mode drops the pairs with an empty part."""
+    nonempty, disjoint = mode == "union_nonempty", mode == "disjoint_union"
+    window = (1 << depth + 1) - 1
     # rests may overshoot the universe depth by one so peels remain available
     # at maximum-depth states; they are only evaluated, never box-quantified
     limit = depth + 1
-
-    def emit(a: SymState, b: SymState):
-        if mode == "union_nonempty" and (a.is_empty() or b.is_empty()):
-            return
-        if sym_union(a, b, mode) == s:
-            pairs[(a, b)] = None
-
-    emit(SymState(s.even, fin()), SymState(fin(), s.odd))
-
-    for n in _peelable(s, depth):
-        sing = singleton(n)
-        rest = _without(s, n)
-        if rest is not None and rest.depth() <= limit:
-            emit(sing, rest)
-            emit(rest, sing)
-        emit(sing, s)
-        emit(s, sing)
-
-    for grown_a, grown_b in _cofin_growth_pairs(s, depth):
-        emit(grown_a, grown_b)
-
-    return list(pairs)
-
-
-def _peelable(s: SymState, depth: int) -> list[int]:
-    out = []
-    for side, window in ((s.even, even_window(depth)), (s.odd, odd_window(depth))):
-        if side.kind == FIN:
-            out.extend(sorted(side.elems))
-        else:
-            out.extend(n for n in window if n not in side.elems)
-    return sorted(out)
+    even, odd = s & _SIDE, s >> _SHIFT
+    out = [] if nonempty and not (even and odd) else [(even, odd << _SHIFT)]
+    # peelable: the members of a finite side, the window elements a
+    # cofinite side keeps; in ascending order of the element
+    peel_even = window & ~even if even & _COFIN else even
+    peel_odd = window & ~odd if odd & _COFIN else odd
+    for i in range(_WIDTH):
+        for shift, peel in ((0, peel_even), (_SHIFT, peel_odd)):
+            if peel >> i & 1:
+                sing = 1 << i + shift
+                rest = s ^ sing
+                if _depth(rest) <= limit and not (nonempty and rest == 0):
+                    out += [(sing, rest), (rest, sing)]
+                if not disjoint:
+                    out += [(sing, s), (s, sing)]
+    if not disjoint:
+        # same-side splits of a cofinite side into two larger removals whose
+        # intersection is the original removal; the other side rides along
+        room = limit - _depth(s)
+        for shift in (0, _SHIFT):
+            side = s >> shift & _SIDE
+            if side & _COFIN:
+                free = [1 << i + shift for i in range(depth + 1) if not side >> i & 1]
+                for a in _subsets(free, room):
+                    for b in _subsets([f for f in free if not a & f], room):
+                        out.append((s | a, s | b))
+    return list(dict.fromkeys(out))
 
 
-def _without(s: SymState, n: int) -> SymState | None:
-    side = s.even if n % 2 == 0 else s.odd
-    if side.kind == FIN:
-        if n not in side.elems:
-            return None
-        new = SidePart(FIN, side.elems - {n})
-    else:
-        if n in side.elems:
-            return None
-        new = SidePart(COFIN, side.elems | {n})
-    if n % 2 == 0:
-        return SymState(new, s.odd)
-    return SymState(s.even, new)
+def _subsets(bits: list[int], most: int):
+    """Unions of at most `most` of the bits, by size, then in combination order."""
+    for r in range(min(len(bits), most) + 1):
+        for combo in itertools.combinations(bits, r):
+            yield sum(combo)
 
 
-def _cofin_growth_pairs(s: SymState, depth: int):
-    """Same-side splits of a cofinite side into two larger removals whose
-    intersection is the original removal; the other side rides along whole."""
-    out = []
-    for pick_even in (True, False):
-        side = s.even if pick_even else s.odd
-        if side.kind != COFIN:
-            continue
-        window = even_window(depth) if pick_even else odd_window(depth)
-        free = [n for n in window if n not in side.elems]
-        for a_size in range(len(free) + 1):
-            for a_combo in itertools.combinations(free, a_size):
-                remaining = [n for n in free if n not in a_combo]
-                for b_size in range(len(remaining) + 1):
-                    for b_combo in itertools.combinations(remaining, b_size):
-                        part_a = SidePart(COFIN, side.elems | set(a_combo))
-                        part_b = SidePart(COFIN, side.elems | set(b_combo))
-                        if pick_even:
-                            sa = SymState(part_a, s.odd)
-                            sb = SymState(part_b, s.odd)
-                        else:
-                            sa = SymState(s.even, part_a)
-                            sb = SymState(s.even, part_b)
-                        if sa.depth() <= depth + 1 and sb.depth() <= depth + 1:
-                            out.append((sa, sb))
-    return out
+def _satisfaction(w: TileSet, tau: PeriodicTiling, top: list[SymState], depth: int,
+                  mode: str, dag: fm.Dag) -> tuple[list[SymState], list[int]]:
+    """The states top and every state their decompositions reach, in that
+    order, and the satisfaction set of each dag op over them as a mask (bit i
+    for states[i]) under the refutation valuation.
 
+    The states are the worlds of one finite frame, with a triple (s, a, b)
+    for each decomposition pair (a, b) of each state s; the diamond reads
+    those triples, so a box nested in the dag ranges over them only."""
+    codes = [_encode(s) for s in top]
+    index = {c: i for i, c in enumerate(codes)}
 
-class _SymEvaluator:
-    """Satisfaction at states, op by op over one Dag shared by every formula
-    asked about, memoised per (state, op index)."""
+    def world(code: int) -> int:
+        i = index.setdefault(code, len(codes))
+        if i == len(codes):
+            codes.append(code)
+        return i
 
-    def __init__(self, w: TileSet, tau: PeriodicTiling, depth: int, mode: str):
-        self.w, self.tau, self.depth, self.mode = w, tau, depth, mode
-        self.dag = fm.Dag()
-        self._memo: dict[tuple[SymState, int], bool] = {}
-        self._pairs: dict[SymState, list] = {}
-
-    def pairs(self, s: SymState):
-        hit = self._pairs.get(s)
-        if hit is None:
-            hit = self._pairs[s] = decompositions(s, self.depth, self.mode)
-        return hit
-
-    def sat(self, s: SymState, f: fm.Formula) -> bool:
-        return self.holds(s, self.dag.add(f))
-
-    def holds(self, s: SymState, i: int) -> bool:
-        """Whether op i of the dag holds at s; a diamond ranges over the
-        decomposition shapes only, so a box nested in f would too.
-        Negations are not memoised: they cost less than a lookup."""
-        kind, a, b = self.dag.ops[i]
-        if kind == fm.NOT:
-            return not self.holds(s, a)
-        key = (s, i)
-        hit = self._memo.get(key)
-        if hit is None:
-            if kind == fm.VAR:
-                hit = eval_atom(s, a, self.tau, self.w)
-            elif kind == fm.OR:
-                hit = self.holds(s, a) or self.holds(s, b)
-            else:
-                hit = any(self.holds(x, a) and self.holds(y, b)
-                          for x, y in self.pairs(s))
-            self._memo[key] = hit
-        return hit
+    triples, x = [], 0
+    while x < len(codes):
+        triples.extend((x, world(a), world(b)) for a, b in _pairs(codes[x], depth, mode))
+        x += 1
+    states = top + [_decode(c) for c in codes[len(top):]]
+    valuation = {a: mask_of(i for i, s in enumerate(states) if eval_atom(s, a, tau, w))
+                 for kind, a, _ in dag.ops if kind == fm.VAR}
+    model = Model._from_masks(Frame(len(codes), frozenset(triples)), valuation)
+    return states, Evaluator(model).masks(dag)
 
 
 @dataclass(frozen=True)
@@ -405,23 +396,28 @@ def check_refutation(w: TileSet, tau: PeriodicTiling, depth: int,
     """Check each body conjunct of the tiling formula at the top state.
 
     The seed conjunct is evaluated at the all-naturals state; every boxed
-    conjunct is evaluated at all universe states. Failures carry the
-    offending state.
+    conjunct is evaluated at all universe states. All conjuncts share one
+    Dag, evaluated in one pass over the closure frame. Failures carry the
+    offending state: for a boxed conjunct, the first in universe order.
     """
     if not 1 <= depth <= 4:
         raise ValueError("depth must be between 1 and 4")
-    ev = _SymEvaluator(w, tau, depth, mode)
-    states = universe(depth, mode)
-    entries = []
+    top = universe(depth, mode)
+    dag, roots = fm.Dag(), []
     for name, f in reduction.conjuncts(w):
         sub = fm.unbox(f)
-        if sub is not None:
-            i = ev.dag.add(sub)
-            witness = next((s for s in states if not ev.holds(s, i)), None)
-            status = "pass" if witness is None else "fail"
-            entries.append(ConjunctReport(name, status, witness, _BOX_NOTE))
+        roots.append((name, sub is not None, dag.add(f if sub is None else sub)))
+    states, sat = _satisfaction(w, tau, top, depth, mode, dag)
+    boxed, seed_at = (1 << len(top)) - 1, top.index(state_n())
+    entries = []
+    for name, is_boxed, i in roots:
+        if is_boxed:
+            failing = boxed & ~sat[i]
+            witness = states[(failing & -failing).bit_length() - 1] if failing else None
+            entries.append(ConjunctReport(name, "fail" if failing else "pass",
+                                          witness, _BOX_NOTE))
         else:
-            ok = ev.sat(state_n(), f)
+            ok = sat[i] >> seed_at & 1
             entries.append(ConjunctReport(
                 name, "pass" if ok else "fail",
                 None if ok else state_n(),

@@ -30,9 +30,6 @@ class LetterInventory:
     tile_letters: tuple[str, ...]
     structural: tuple[str, ...] = STRUCTURAL_LETTERS
 
-    def all_letters(self) -> tuple[str, ...]:
-        return self.tile_letters + self.structural
-
 
 def letter_inventory(w: TileSet) -> LetterInventory:
     for name in w.names:
@@ -130,7 +127,7 @@ def phi_stats(w: TileSet) -> dict[str, int]:
     f = phi(w)
     return {
         "nodes": fm.node_count(f),
-        "letters": len(fm.letters(f)),
+        "letters": len(fm.letters(f) - {fm.TOP_LETTER}),
         "conjuncts": len(conjuncts(w)),
         "tiles": len(w),
     }

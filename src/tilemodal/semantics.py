@@ -41,8 +41,12 @@ class Evaluator:
 
     def mask(self, f: fm.Formula | fm.Dag) -> int:
         """Satisfaction set of f, or of the last op of a compiled Dag."""
+        return self.masks(fm.to_dag(f))[-1]
+
+    def masks(self, dag: fm.Dag) -> list[int]:
+        """Satisfaction set of every op of the Dag, in op order."""
         full, comp, letter, out = self.full, self._comp, self.model.letter_mask, []
-        for kind, a, b in fm.to_dag(f).ops:
+        for kind, a, b in dag.ops:
             if kind == fm.DIA:
                 out.append(comp(out[a], out[b]))
             elif kind == fm.NOT:
@@ -51,7 +55,7 @@ class Evaluator:
                 out.append(out[a] | out[b])
             else:
                 out.append(letter(a))
-        return out[-1]
+        return out
 
     def _comp(self, left_mask: int, right_mask: int) -> int:
         # hit marks bit 0 of each lane where y is in left and z in right;

@@ -62,6 +62,16 @@ class TestParseFormula:
     def test_syntax_error_exit_2(self, capsys):
         assert main(["parse-formula", "p |"]) == 2
 
+    @pytest.mark.parametrize("text, printed", [
+        ("~" * 3000 + "p", "~" * 3000 + "p"),
+        ("[]" * 3000 + "p", "[]" * 3000 + "p"),
+        (" -> ".join(["p"] * 3000), " -> ".join(["p"] * 3000)),
+        ("(" * 3000 + "p" + ")" * 3000, "p"),
+    ])
+    def test_deep_nesting(self, capsys, text, printed):
+        code, out = run(capsys, "parse-formula", text)
+        assert code == 0 and out == printed + "\n"
+
     def test_lines_format(self, capsys):
         code, out = run(capsys, "parse-formula", "--format", "lines", "p o q")
         assert out == "formula=p o q\n"
@@ -79,6 +89,13 @@ class TestGenPhi:
                         "--format", "lines")
         assert "conjuncts=15" in out
         assert "letters=7" in out
+
+    def test_stats_leave_out_the_constants_letter(self, capsys, tmp_path):
+        path = tmp_path / "dead_end.tiles"
+        path.write_text("a 0 0 0 1\n")  # no tile matches to its right: phi has F
+        code, out = run(capsys, "gen-phi", "--tiles", str(path), "--stats",
+                        "--format", "lines")
+        assert code == 0 and "letters=7" in out
 
     def test_structural_collision_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "clash.tiles"
@@ -241,6 +258,13 @@ class TestVerifyLemma6:
             assert code == 0
             assert out.count("status=pass") == 15
 
+    @pytest.mark.parametrize("mode", ("union", "disjoint", "nonempty"))
+    def test_depth_four(self, capsys, swap_file, mode):
+        code, out = run(capsys, "verify-lemma6", "--tiles", swap_file,
+                        "--period", "2,1", "--depth", "4", "--mode", mode,
+                        "--format", "lines")
+        assert code == 0 and out.count("status=pass") == 15
+
     def test_corrupted_cells_fail(self, capsys, swap_file):
         code, out = run(capsys, "verify-lemma6", "--tiles", swap_file,
                         "--period", "2,1", "--cells", "0,0:a 1,0:a",
@@ -327,6 +351,9 @@ class TestUsage:
     ["countermodel", "--formula", "p", "--max-worlds", "-3"],
     ["countermodel", "--formula", "p", "--budget", "-5"],
     ["enum-frames", "--worlds", "1", "--limit", "-1"],
+    ["parse-formula", "~" * 3000],
+    ["parse-formula", "[]" * 3000 + ")"],
+    ["parse-formula", "(" * 3000 + "p"],
 ])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, argv):
     (tmp_path / "swap.tiles").write_text(SWAP_TILES)

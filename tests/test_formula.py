@@ -186,6 +186,18 @@ class TestRoundTrip:
             s = render(random_formula(rng))
             assert render(parse(s)) == s
 
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        f = p
+        for i in range(3000):
+            f = (Implies(Letter(f"q{i % 3}"), Neg(f)) if i % 2
+                 else Comp(Neg(f), HookL(q, Top())))
+        s = render(f)
+        assert render(parse(s)) == s
+        assert fm.node_count(f) == 1 + 1500 * 3 + 1500 * 5
+        dag = fm.Dag(f)
+        assert dag.tree_size() == fm.node_count(desugar(f))
+        assert render(dag.tree()) == render(desugar(f))
+
 
 class TestLetterValidation:
     def test_reserved_words_rejected(self):

@@ -1,6 +1,11 @@
+import itertools
+import random
+
 import pytest
 
+from tilemodal import formula as fm
 from tilemodal import powerset_symbolic as ps
+from tilemodal import reduction
 from tilemodal.frames import powerset_frame, powerset_worlds
 from tilemodal.powerset_symbolic import (
     SidePart,
@@ -19,7 +24,8 @@ from tilemodal.powerset_symbolic import (
     sym_union,
     universe,
 )
-from tilemodal.tiling import PeriodicTiling, Tile, TileSet
+from tilemodal.tiling import PeriodicTiling, Tile, TileSet, find_torus
+from test_tiling import all_small_tilesets
 
 MONO = TileSet(("t1",), (Tile(0, 0, 0, 0),))
 MONO_TAU = PeriodicTiling((1, 1), {(0, 0): 0})
@@ -165,12 +171,13 @@ class TestUniverse:
 
     def test_antecedent_coverage(self):
         # states satisfying a parity product are exactly two-sided cofinite
-        ev = ps._SymEvaluator(MONO, MONO_TAU, 2, "union")
-        from tilemodal import formula as fm
-
-        prod = fm.parse("x_e o y_e")
-        for s in universe(2, "union"):
-            if ev.sat(s, prod):
+        states = universe(2, "union")
+        dag = fm.Dag()
+        prod = dag.add(fm.parse("x_e o y_e"))
+        closure, sat = ps._satisfaction(MONO, MONO_TAU, states, 2, "union", dag)
+        assert closure[:len(states)] == states
+        for k, s in enumerate(states):
+            if sat[prod] >> k & 1:
                 assert s.even.kind == "cofin" and s.odd.kind == "cofin"
                 assert len(s.even.elems) % 2 == 0
                 assert len(s.odd.elems) % 2 == 0
@@ -297,3 +304,196 @@ def _subsets(items: frozenset[int]):
     items = sorted(items)
     for mask in range(1 << len(items)):
         yield frozenset(x for i, x in enumerate(items) if (mask >> i) & 1)
+
+
+# -- reference: the SymState decomposition rules and the lazy evaluator --------
+#
+# The checker generates decompositions on int codes and evaluates all
+# conjuncts over one finite frame; these are the rules and the evaluator it
+# replaced, kept here to compare against.
+
+def _ref_side_union(a: SidePart, b: SidePart) -> SidePart:
+    if a.kind == "fin" and b.kind == "fin":
+        return SidePart("fin", a.elems | b.elems)
+    if a.kind == "cofin" and b.kind == "cofin":
+        return SidePart("cofin", a.elems & b.elems)
+    removed, members = (a.elems, b.elems) if a.kind == "cofin" else (b.elems, a.elems)
+    return SidePart("cofin", removed - members)
+
+
+def _ref_side_overlap(a: SidePart, b: SidePart) -> bool:
+    if a.kind == "fin" and b.kind == "fin":
+        return bool(a.elems & b.elems)
+    if a.kind == "cofin" and b.kind == "cofin":
+        return True
+    removed, members = (a.elems, b.elems) if a.kind == "cofin" else (b.elems, a.elems)
+    return bool(members - removed)
+
+
+def _ref_union(a: SymState, b: SymState, mode: str) -> SymState | None:
+    if mode == "disjoint_union" and (
+        _ref_side_overlap(a.even, b.even) or _ref_side_overlap(a.odd, b.odd)
+    ):
+        return None
+    return SymState(_ref_side_union(a.even, b.even), _ref_side_union(a.odd, b.odd))
+
+
+def _ref_decompositions(s: SymState, depth: int, mode: str) -> list:
+    pairs: dict = {}
+    limit = depth + 1
+
+    def emit(a, b):
+        if mode == "union_nonempty" and (a.is_empty() or b.is_empty()):
+            return
+        if _ref_union(a, b, mode) == s:
+            pairs[(a, b)] = None
+
+    emit(SymState(s.even, fin()), SymState(fin(), s.odd))
+    for n in _ref_peelable(s, depth):
+        sing, rest = singleton(n), _ref_without(s, n)
+        if rest is not None and rest.depth() <= limit:
+            emit(sing, rest)
+            emit(rest, sing)
+        emit(sing, s)
+        emit(s, sing)
+    for grown_a, grown_b in _ref_growth_pairs(s, depth):
+        emit(grown_a, grown_b)
+    return list(pairs)
+
+
+def _ref_peelable(s: SymState, depth: int) -> list[int]:
+    out = []
+    for side, window in ((s.even, ps.even_window(depth)), (s.odd, ps.odd_window(depth))):
+        if side.kind == "fin":
+            out.extend(sorted(side.elems))
+        else:
+            out.extend(n for n in window if n not in side.elems)
+    return sorted(out)
+
+
+def _ref_without(s: SymState, n: int) -> SymState | None:
+    side = s.even if n % 2 == 0 else s.odd
+    if side.kind == "fin":
+        if n not in side.elems:
+            return None
+        new = SidePart("fin", side.elems - {n})
+    else:
+        if n in side.elems:
+            return None
+        new = SidePart("cofin", side.elems | {n})
+    return SymState(new, s.odd) if n % 2 == 0 else SymState(s.even, new)
+
+
+def _ref_growth_pairs(s: SymState, depth: int) -> list:
+    out = []
+    for pick_even in (True, False):
+        side = s.even if pick_even else s.odd
+        if side.kind != "cofin":
+            continue
+        window = ps.even_window(depth) if pick_even else ps.odd_window(depth)
+        free = [n for n in window if n not in side.elems]
+        for a_size in range(len(free) + 1):
+            for a_combo in itertools.combinations(free, a_size):
+                remaining = [n for n in free if n not in a_combo]
+                for b_size in range(len(remaining) + 1):
+                    for b_combo in itertools.combinations(remaining, b_size):
+                        part_a = SidePart("cofin", side.elems | set(a_combo))
+                        part_b = SidePart("cofin", side.elems | set(b_combo))
+                        if pick_even:
+                            sa, sb = SymState(part_a, s.odd), SymState(part_b, s.odd)
+                        else:
+                            sa, sb = SymState(s.even, part_a), SymState(s.even, part_b)
+                        if sa.depth() <= depth + 1 and sb.depth() <= depth + 1:
+                            out.append((sa, sb))
+    return out
+
+
+class _RefEvaluator:
+    """Satisfaction at states, op by op, memoised per (state, op index),
+    decomposing each state it visits by the reference rules."""
+
+    def __init__(self, w, tau, depth, mode):
+        self.w, self.tau, self.depth, self.mode = w, tau, depth, mode
+        self.dag = fm.Dag()
+        self._memo: dict = {}
+        self._pairs: dict = {}
+
+    def holds(self, s: SymState, i: int) -> bool:
+        kind, a, b = self.dag.ops[i]
+        if kind == fm.NOT:
+            return not self.holds(s, a)
+        key = (s, i)
+        if key not in self._memo:
+            if kind == fm.VAR:
+                hit = eval_atom(s, a, self.tau, self.w)
+            elif kind == fm.OR:
+                hit = self.holds(s, a) or self.holds(s, b)
+            else:
+                if s not in self._pairs:
+                    self._pairs[s] = _ref_decompositions(s, self.depth, self.mode)
+                hit = any(self.holds(x, a) and self.holds(y, b) for x, y in self._pairs[s])
+            self._memo[key] = hit
+        return self._memo[key]
+
+
+def _ref_check_refutation(w, tau, depth, mode) -> ps.Report:
+    ev = _RefEvaluator(w, tau, depth, mode)
+    entries = []
+    for name, f in reduction.conjuncts(w):
+        sub = fm.unbox(f)
+        if sub is not None:
+            i = ev.dag.add(sub)
+            witness = next((s for s in universe(depth, mode) if not ev.holds(s, i)), None)
+            entries.append(ps.ConjunctReport(
+                name, "pass" if witness is None else "fail", witness, ps._BOX_NOTE))
+        else:
+            ok = ev.holds(state_n(), ev.dag.add(f))
+            entries.append(ps.ConjunctReport(
+                name, "pass" if ok else "fail", None if ok else state_n(),
+                "checked at the all-naturals state"))
+    return ps.Report(mode, depth, tuple(entries))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("depth", range(5))
+    def test_decompositions_at_every_universe_state(self, depth):
+        for mode in ps.MODES:
+            for s in universe(depth, mode):
+                assert decompositions(s, depth, mode) == _ref_decompositions(
+                    s, depth, mode), render_state(s)
+
+    def test_union_of_every_pair_of_states(self):
+        states = universe(2, "union")
+        for mode in ps.MODES:
+            for a in states:
+                for b in states:
+                    assert sym_union(a, b, mode) == _ref_union(a, b, mode)
+
+    def test_reports_on_genuine_and_corrupted_tori(self):
+        rng = random.Random(61)
+        cases = [(MONO, MONO_TAU), (SWAP, SWAP_TAU),
+                 (SWAP, PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0}))]
+        for w in rng.sample(list(all_small_tilesets()), 3):
+            tau = find_torus(w, 2)
+            if tau is None:
+                p, q = rng.randint(1, 2), rng.randint(1, 2)
+                tau = PeriodicTiling((p, q), {(i, j): 0 for i in range(p) for j in range(q)})
+            cells = dict(tau.cells)
+            cells[rng.choice(sorted(cells))] = rng.randrange(len(w))
+            cases += [(w, tau), (w, PeriodicTiling(tau.periods, cells))]
+        failed = 0
+        for w, tau in cases:
+            for depth in (1, 2, 3):
+                for mode in ps.MODES:
+                    if depth == 3 and mode != "disjoint_union" and w != MONO:
+                        continue  # the reference takes a quarter second each
+                    report = check_refutation(w, tau, depth, mode)
+                    assert report == _ref_check_refutation(w, tau, depth, mode)
+                    failed += not report.passed
+        assert failed  # the corpus exercises witnesses, not only passes
+
+    def test_states_outside_the_window_are_rejected(self):
+        with pytest.raises(ValueError):
+            decompositions(singleton(10), 2)
+        with pytest.raises(ValueError):
+            sym_union(singleton(11), state_n())

@@ -148,6 +148,11 @@ class TestPhi:
         # doubling the tiles should much more than double the nodes
         assert sizes[2] > 3 * sizes[1]
 
+    def test_stats_leave_out_the_constants_letter(self):
+        dead_end = TileSet(("a",), (Tile(0, 0, 0, 1),))  # no right match: phi has F
+        assert fm.TOP_LETTER in fm.letters(phi(dead_end))
+        assert phi_stats(dead_end)["letters"] == phi_stats(MONO)["letters"] == 7
+
     def test_structural_name_collision_rejected(self):
         w = TileSet(("x_e",), (Tile(0, 0, 0, 0),))
         with pytest.raises(ValueError):

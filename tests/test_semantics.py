@@ -595,8 +595,12 @@ class TestOpList:
             f = random_formula(rng, rng.randint(1, 3), letters)
             if "[]" not in fm.render(f):
                 formulas.append(f)
-        ev = ps._SymEvaluator(MONO, PeriodicTiling((1, 1), {(0, 0): 0}), 2, "union")
+        dag = fm.Dag()
+        roots = [dag.add(f) for f in formulas]
+        closure, sat = ps._satisfaction(
+            MONO, PeriodicTiling((1, 1), {(0, 0): 0}), states, 2, "union", dag)
+        assert closure[:len(states)] == states
         memo: dict = {}
-        for f in formulas:
-            for s in states:
-                assert ev.sat(s, f) == _tree_sat(s, f, memo), fm.render(f)
+        for f, i in zip(formulas, roots):
+            for k, s in enumerate(states):
+                assert sat[i] >> k & 1 == _tree_sat(s, f, memo), fm.render(f)
