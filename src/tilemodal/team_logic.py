@@ -1,16 +1,22 @@
-"""Propositional team logic: syntax, team semantics, the exhaustive decision
-procedure, and the two translations to and from powerset Kripke models.
+"""Propositional team logic: syntax, team semantics over families of teams,
+the decision procedure, and the translations to and from powerset models.
 
-A team is a set of classical valuations; split disjunction quantifies over
-covers of the team by two subteams, which is exactly the binary-diamond
-clause over the powerset-union frame. Restricting Kripke valuations to
-principal ones (all subsets of a fixed world set) makes the correspondence
-exact in both directions.
+A team is a set of classical valuations; split disjunction covers the team
+by two subteams, exactly the binary diamond over the powerset-union frame
+(principal valuations make the correspondence exact both ways). A formula is
+evaluated on the Dag of its translation, one pass over the ops, as families:
+bitmasks of the subteams that satisfy each op. A letter is a down-set,
+`~~`, `&` and `\\|/` are bitwise, and `|` is the union product (zeta transform,
+pointwise product, Moebius transform: Bjorklund, Husfeldt, Kaski and Koivisto,
+2007). Validity is one pass over all teams; 4-letter formulas take seconds.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from tilemodal import formula as fm
@@ -58,11 +64,11 @@ class BoolNeg(TeamFormula):
 
 
 def team_letters(f: TeamFormula) -> set[str]:
-    if isinstance(f, Letter):
-        return {f.name}
-    if isinstance(f, BoolNeg):
-        return team_letters(f.sub)
-    return team_letters(f.left) | team_letters(f.right)
+    return _letters(fm.to_dag(translate(f)))
+
+
+def _letters(dag: fm.Dag) -> set[str]:
+    return {a for kind, a, _ in dag.ops if kind == fm.VAR}
 
 
 @dataclass(frozen=True)
@@ -82,52 +88,69 @@ class Team:
         return (row >> self.inventory.index(letter)) & 1
 
 
-class _TeamEvaluator:
-    """Memoized team satisfaction for a fixed inventory."""
+def downset(top: int) -> int:
+    """Mask of the subsets of top: bit w is set iff w & ~top == 0."""
+    mask = 1
+    for i in bits(top):
+        mask |= mask << (1 << i)
+    return mask
 
-    def __init__(self, inventory: tuple[str, ...]):
-        self.inventory = inventory
-        self._memo: dict[tuple[frozenset[int], int], bool] = {}
-        self._keep: list[TeamFormula] = []
 
-    def sat(self, members: frozenset[int], f: TeamFormula) -> bool:
-        key = (members, id(f))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._keep.append(f)
-        val = self._eval(members, f)
-        self._memo[key] = val
-        return val
+def _transform(v: list[int], op) -> list[int]:
+    """For each bit i, v[S] = op(v[S], v[S without i]) at every S holding i,
+    in place: add gives subset sums (zeta), sub undoes them (Moebius).
 
-    def _eval(self, members: frozenset[int], f: TeamFormula) -> bool:
-        if isinstance(f, Letter):
-            col = self.inventory.index(f.name)
-            return all((row >> col) & 1 for row in members)
-        if isinstance(f, BoolNeg):
-            return not self.sat(members, f.sub)
-        if isinstance(f, And):
-            return self.sat(members, f.left) and self.sat(members, f.right)
-        if isinstance(f, GlobalOr):
-            return self.sat(members, f.left) or self.sat(members, f.right)
-        if isinstance(f, SplitOr):
-            rows = sorted(members)
-            # each row goes left, right, or both: all covers of the team
-            for assign in itertools.product((0, 1, 2), repeat=len(rows)):
-                left = frozenset(r for r, a in zip(rows, assign) if a != 1)
-                right = frozenset(r for r, a in zip(rows, assign) if a != 0)
-                if self.sat(left, f.left) and self.sat(right, f.right):
-                    return True
-            return False
-        raise TypeError(f"not a TeamFormula: {f!r}")
+    Each step is a handful of slice operations: strided runs while the bit
+    is low, contiguous blocks once it is high."""
+    n, s = len(v), 1
+    while s < n:
+        if s * s < n:
+            for t in range(s):
+                v[s + t::2 * s] = map(op, v[s + t::2 * s], v[t::2 * s])
+        else:
+            for j in range(s, n, 2 * s):
+                v[j:j + s] = map(op, v[j:j + s], v[j - s:j])
+        s *= 2
+    return v
+
+
+def _union_product(f: int, g: int, n: int) -> int:
+    """Family of the unions A | B with A in f and B in g, over n subteams.
+
+    The subset sums of f and g multiply to the count of pairs inside each
+    subteam; undoing the sums leaves the count of pairs whose union is it."""
+    sums = (_transform(list(map(int, reversed(format(h, f"0{n}b")))), operator.add)
+            for h in (f, g))
+    pairs = _transform(list(map(operator.mul, *sums)), operator.sub)
+    return int("".join("1" if c else "0" for c in reversed(pairs)), 2)
+
+
+def _family(dag: fm.Dag, inventory: tuple[str, ...], rows: Sequence[int]) -> int:
+    """Family of the Dag's last op over the subteams of rows: bit S is set
+    iff the team of the rows[i] with bit i set in S satisfies the op."""
+    n = 1 << len(rows)
+    full, out = (1 << n) - 1, []
+    for kind, a, b in dag.ops:
+        if kind == fm.DIA:
+            out.append(_union_product(out[a], out[b], n))
+        elif kind == fm.NOT:
+            out.append(full & ~out[a])
+        elif kind == fm.OR:
+            out.append(out[a] | out[b])
+        else:
+            col = inventory.index(a)
+            out.append(downset(mask_of(i for i, r in enumerate(rows) if (r >> col) & 1)))
+    return out[-1]
 
 
 def team_sat(t: Team, f: TeamFormula) -> bool:
     """Team satisfaction; the empty team satisfies every letter."""
-    missing = team_letters(f) - set(t.inventory)
+    dag = fm.to_dag(translate(f))
+    missing = _letters(dag) - set(t.inventory)
     if missing:
         raise ValueError(f"letters {sorted(missing)} not in inventory")
-    return _TeamEvaluator(t.inventory).sat(t.members, f)
+    # the whole team is the last subteam
+    return bool(_family(dag, t.inventory, sorted(t.members)) >> ((1 << len(t.members)) - 1))
 
 
 @dataclass(frozen=True)
@@ -141,62 +164,72 @@ class Counterteam:
 
 
 def ptl_decide(f: TeamFormula) -> TeamValid | Counterteam:
-    """Exhaustive validity check over all teams on the letters of f.
+    """Validity by one family over all teams on the letters of f.
 
-    Teams are visited by cardinality, then lexicographic bit pattern over the
-    row indices, and the first failing team is returned.
+    The counterteam is the least failing team by cardinality, then by
+    lexicographic bit pattern over the row indices.
     """
-    inventory = tuple(sorted(team_letters(f)))
+    dag = fm.to_dag(translate(f))
+    inventory = tuple(sorted(_letters(dag)))
     if len(inventory) > 4:
         raise ValueError("at most 4 letters are supported")
     rows = 1 << len(inventory)
-    ev = _TeamEvaluator(inventory)
-    patterns = sorted(range(1 << rows), key=lambda m: (m.bit_count(), m))
-    for pattern in patterns:
-        members = frozenset(bits(pattern))
-        if not ev.sat(members, f):
-            return Counterteam(Team(inventory, members))
-    return TeamValid()
+    missing = ((1 << (1 << rows)) - 1) & ~_family(dag, inventory, range(rows))
+    if not missing:
+        return TeamValid()
+    layers = [1]  # layers[k]: the teams of k members among the rows so far
+    for row in range(rows):
+        layers = [a | b << (1 << row) for a, b in zip(layers + [0], [0] + layers)]
+    least = next(m & -m for m in (missing & layer for layer in layers) if m)
+    return Counterteam(Team(inventory, frozenset(bits(least.bit_length() - 1))))
+
+
+#: Binary team connective -> modal connective of its translation.
+_TRANSLATION = {And: fm.And, SplitOr: fm.Comp, GlobalOr: fm.Or}
+_BACK = {modal: team for team, modal in _TRANSLATION.items()}
 
 
 def translate(f: TeamFormula) -> fm.Formula:
     """Split disjunction to the diamond, global disjunction to disjunction,
-    Boolean negation to negation."""
-    if isinstance(f, Letter):
-        return fm.Letter(f.name)
-    if isinstance(f, And):
-        return fm.And(translate(f.left), translate(f.right))
-    if isinstance(f, SplitOr):
-        return fm.Comp(translate(f.left), translate(f.right))
-    if isinstance(f, GlobalOr):
-        return fm.Or(translate(f.left), translate(f.right))
-    if isinstance(f, BoolNeg):
-        return fm.Neg(translate(f.sub))
-    raise TypeError(f"not a TeamFormula: {f!r}")
+    Boolean negation to negation.
+
+    Built from explicit stacks, children before parents, so nesting depth
+    is not bounded by recursion."""
+    nodes, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        nodes.append(g)
+        if isinstance(g, BoolNeg):
+            todo.append(g.sub)
+        elif type(g) in _TRANSLATION:
+            todo += (g.left, g.right)
+        elif not isinstance(g, Letter):
+            raise TypeError(f"not a TeamFormula: {g!r}")
+    done: list[fm.Formula] = []
+    for g in reversed(nodes):
+        if isinstance(g, Letter):
+            done.append(fm.Letter(g.name))
+        elif isinstance(g, BoolNeg):
+            done.append(fm.Neg(done.pop()))
+        else:
+            right = done.pop()
+            done.append(_TRANSLATION[type(g)](done.pop(), right))
+    return done[0]
 
 
 def translate_back(g: fm.Formula) -> TeamFormula | None:
     """Inverse of translate on its image; None on any other node."""
     if isinstance(g, fm.Letter):
         return Letter(g.name)
-    if isinstance(g, fm.And):
-        left, right = translate_back(g.left), translate_back(g.right)
-    elif isinstance(g, fm.Comp):
-        left, right = translate_back(g.left), translate_back(g.right)
-    elif isinstance(g, fm.Or):
-        left, right = translate_back(g.left), translate_back(g.right)
-    elif isinstance(g, fm.Neg):
+    if isinstance(g, fm.Neg):
         sub = translate_back(g.sub)
         return BoolNeg(sub) if sub is not None else None
-    else:
+    if type(g) not in _BACK:
         return None
+    left, right = translate_back(g.left), translate_back(g.right)
     if left is None or right is None:
         return None
-    if isinstance(g, fm.And):
-        return And(left, right)
-    if isinstance(g, fm.Comp):
-        return SplitOr(left, right)
-    return GlobalOr(left, right)
+    return _BACK[type(g)](left, right)
 
 
 def to_kripke(f: TeamFormula) -> tuple[Model, dict[frozenset[int], int]]:
@@ -212,15 +245,10 @@ def to_kripke(f: TeamFormula) -> tuple[Model, dict[frozenset[int], int]]:
         raise ValueError("at most 3 letters are supported")
     ground = 1 << len(inventory)
     frame = powerset_frame(ground, "union")
-    valuation = {}
-    for j, p in enumerate(inventory):
-        true_rows = mask_of(r for r in range(ground) if (r >> j) & 1)
-        valuation[p] = {w for w in range(1 << ground) if w & ~true_rows == 0}
-    model = Model(frame, valuation)
-    state_map = {
-        frozenset(bits(w)): w for w in range(1 << ground)
-    }
-    return model, state_map
+    model = Model(frame, {
+        p: bits(downset(mask_of(r for r in range(ground) if (r >> j) & 1)))
+        for j, p in enumerate(inventory)})
+    return model, {frozenset(bits(w)): w for w in range(1 << ground)}
 
 
 class NonPrincipalValuation(ValueError):
@@ -267,23 +295,12 @@ def from_kripke(model: Model, formulas: tuple[TeamFormula, ...] = ()) -> tuple[
     letters = tuple(sorted(model.valuation))
     tops: dict[str, int] = {}
     for p in letters:
-        mask = model.letter_mask(p)
-        top = 0
-        for w in bits(mask):
-            top |= w
-        expect = mask_of(w for w in range(1 << k) if w & ~top == 0)
-        if mask != expect:
+        # a powerset's greatest world is the set it is the powerset of
+        tops[p] = max(bits(model.letter_mask(p)), default=0)
+        if model.letter_mask(p) != downset(tops[p]):
             raise NonPrincipalValuation(p)
-        tops[p] = top
-
-    def v_row(x: int) -> int:
-        row = 0
-        for j, p in enumerate(letters):
-            if (tops[p] >> x) & 1:
-                row |= 1 << j
-        return row
-
-    team_map = {x: v_row(x) for x in range(k)}
+    team_map = {x: mask_of(j for j, p in enumerate(letters) if (tops[p] >> x) & 1)
+                for x in range(k)}
 
     def image(world: int) -> frozenset[int]:
         return frozenset(team_map[x] for x in bits(world))
@@ -334,11 +351,14 @@ def from_kripke(model: Model, formulas: tuple[TeamFormula, ...] = ()) -> tuple[
 # `\|/` global disjunction, `~~` Boolean negation. Precedence loosest to
 # tightest: \|/, |, &, ~~; the binary connectives are left-associative.
 
-_T_GLOBAL = 1
-_T_SPLIT = 2
-_T_AND = 3
-_T_NEG = 4
-_T_ATOM = 5
+_T_NEG, _T_ATOM = 4, 5
+
+#: Binary connective token -> (node type, precedence).
+_TEAM_BINARY = {"\\|/": (GlobalOr, 1), "|": (SplitOr, 2), "&": (And, 3)}
+_TEAM_TOKEN = {node: (token, prec) for token, (node, prec) in _TEAM_BINARY.items()}
+
+#: Whitespace, a letter, or a connective or bracket, at one position.
+_TEAM_LEXEME = re.compile(rf"(\s+)|({fm.IDENT_RE.pattern})|\\\|/|~~|[&|()]")
 
 
 class TeamSyntaxError(ValueError):
@@ -348,85 +368,64 @@ class TeamSyntaxError(ValueError):
 
 
 def _team_tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = fm.IDENT_RE.match(text, i)
-        if m:
-            toks.append(("ident", m.group(0), i))
-            i = m.end()
-            continue
-        for sym in ("\\|/", "~~", "&", "|", "(", ")"):
-            if text.startswith(sym, i):
-                toks.append((sym, sym, i))
-                i += len(sym)
-                break
-        else:
-            raise TeamSyntaxError(text, i, f"unexpected character {c!r}")
-    toks.append(("end", "", n))
+    toks, i = [], 0
+    while i < len(text):
+        m = _TEAM_LEXEME.match(text, i)
+        if m is None:
+            raise TeamSyntaxError(text, i, f"unexpected character {text[i]!r}")
+        if not m.group(1):
+            toks.append(("ident" if m.group(2) else m.group(0), m.group(0), i))
+        i = m.end()
+    toks.append(("end", "", len(text)))
     return toks
 
 
 def parse_team_formula(text: str) -> TeamFormula:
+    """Operator precedence over explicit stacks, so nesting depth is not
+    bounded by recursion. Each open bracket saves the operands, operators
+    and pending negations of the level around it."""
     toks = _team_tokenize(text)
-    pos = 0
-
-    def peek() -> str:
-        return toks[pos][0]
-
-    def advance():
-        nonlocal pos
-        pos += 1
-
-    def global_or() -> TeamFormula:
-        f = split_or()
-        while peek() == "\\|/":
-            advance()
-            f = GlobalOr(f, split_or())
-        return f
-
-    def split_or() -> TeamFormula:
-        f = conjunction()
-        while peek() == "|":
-            advance()
-            f = SplitOr(f, conjunction())
-        return f
-
-    def conjunction() -> TeamFormula:
-        f = negation()
-        while peek() == "&":
-            advance()
-            f = And(f, negation())
-        return f
-
-    def negation() -> TeamFormula:
-        if peek() == "~~":
-            advance()
-            return BoolNeg(negation())
-        return atom()
-
-    def atom() -> TeamFormula:
+    pos, negs = 0, 0
+    operands: list[TeamFormula] = []
+    operators: list[str] = []
+    outer: list[tuple[list, list, int]] = []
+    while True:  # at an operand
         kind, value, at = toks[pos]
-        if kind == "ident":
-            advance()
-            return Letter(value)
+        pos += 1
+        if kind == "~~":
+            negs += 1
+            continue
         if kind == "(":
-            advance()
-            f = global_or()
-            if peek() != ")":
-                raise TeamSyntaxError(text, toks[pos][2], "expected ')'")
-            advance()
-            return f
-        raise TeamSyntaxError(text, at, f"expected a letter or '(', found {value!r}")
-
-    f = global_or()
-    if peek() != "end":
-        raise TeamSyntaxError(text, toks[pos][2], "trailing input")
-    return f
+            outer.append((operands, operators, negs))
+            operands, operators, negs = [], [], 0
+            continue
+        if kind != "ident":
+            raise TeamSyntaxError(text, at, f"expected a letter or '(', found {value!r}")
+        f = Letter(value)
+        while True:  # f ends an operand; a binary connective may follow
+            for _ in range(negs):
+                f = BoolNeg(f)
+            negs = 0
+            operands.append(f)
+            kind, _, at = toks[pos]
+            # apply the stacked connectives binding at least as tightly as kind
+            least = _TEAM_BINARY[kind][1] if kind in _TEAM_BINARY else 0
+            while operators and _TEAM_BINARY[operators[-1]][1] >= least:
+                right = operands.pop()
+                operands[-1] = _TEAM_BINARY[operators.pop()][0](operands[-1], right)
+            if least:
+                operators.append(kind)
+                pos += 1
+                break
+            f = operands.pop()
+            if not outer:
+                if kind != "end":
+                    raise TeamSyntaxError(text, at, "trailing input")
+                return f
+            if kind != ")":
+                raise TeamSyntaxError(text, at, "expected ')'")
+            pos += 1
+            operands, operators, negs = outer.pop()
 
 
 def _render_team(f: TeamFormula) -> tuple[str, int]:
@@ -437,8 +436,7 @@ def _render_team(f: TeamFormula) -> tuple[str, int]:
         if prec < _T_NEG:
             s = f"({s})"
         return "~~" + s, _T_NEG
-    ops = {GlobalOr: ("\\|/", _T_GLOBAL), SplitOr: ("|", _T_SPLIT), And: ("&", _T_AND)}
-    op, prec = ops[type(f)]
+    op, prec = _TEAM_TOKEN[type(f)]
     ls, lp = _render_team(f.left)
     rs, rp = _render_team(f.right)
     if lp < prec:

@@ -307,6 +307,26 @@ class TestPtlDecide:
     def test_syntax_error(self, capsys):
         assert main(["ptl-decide", "p @ q"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "~~" * 2000 + "p",
+        "(" * 2000 + "p" + ")" * 2000,
+        " | ".join(["p"] * 2000),
+        "".join(f"p{i % 2} & (" for i in range(2000)) + "p" + ")" * 2000,
+    ])
+    def test_deep_nesting(self, capsys, text):
+        code, out = run(capsys, "ptl-decide", text, "--format", "lines")
+        assert code == 1 and out.startswith("status=refuted team=")
+
+    def test_four_letters_valid(self, capsys):
+        code, out = run(capsys, "ptl-decide",
+                        "(p | q) | (r | s) \\|/ ~~((p | q) | (r | s))",
+                        "--format", "lines")
+        assert code == 0 and out == "status=valid\n"
+
+    def test_four_letters_least_counterteam(self, capsys):
+        code, out = run(capsys, "ptl-decide", "(p | q) | (r | s)", "--format", "lines")
+        assert code == 1 and out == "status=refuted team=p=0,q=0,r=0,s=0\n"
+
 
 class TestEnumFrames:
     def test_one_world_count(self, capsys):
@@ -354,6 +374,11 @@ class TestUsage:
     ["parse-formula", "~" * 3000],
     ["parse-formula", "[]" * 3000 + ")"],
     ["parse-formula", "(" * 3000 + "p"],
+    ["ptl-decide", "~~" * 3000],
+    ["ptl-decide", "(" * 3000 + "p"],
+    ["ptl-decide", "(" * 3000 + "p" + ")" * 3001],
+    ["ptl-decide", "~~(" * 3000 + "p &"],
+    ["ptl-decide", "p | T"],
 ])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, argv):
     (tmp_path / "swap.tiles").write_text(SWAP_TILES)

@@ -1,11 +1,13 @@
+import itertools
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from conftest import all_team_formulas, random_team_formula
 from tilemodal import formula as fm
-from tilemodal.frames import bits, powerset_frame
+from tilemodal.frames import bits, mask_of, powerset_frame
 from tilemodal.semantics import sat_mask
 from tilemodal.team_logic import (
     And,
@@ -17,10 +19,13 @@ from tilemodal.team_logic import (
     SplitOr,
     Team,
     TeamValid,
+    _union_product,
+    downset,
     from_kripke,
     parse_team_formula,
     ptl_decide,
     render_team_formula,
+    team_letters,
     team_sat,
     to_kripke,
     translate,
@@ -28,6 +33,112 @@ from tilemodal.team_logic import (
 )
 
 p, q = Letter("p"), Letter("q")
+
+
+# -- reference: the cover-enumerating evaluator and the team-by-team decision
+# procedure that the family evaluator replaced, kept as an independent oracle.
+
+class _TeamEvaluator:
+    """Memoized team satisfaction for a fixed inventory."""
+
+    def __init__(self, inventory: tuple[str, ...]):
+        self.inventory = inventory
+        self._memo: dict[tuple[frozenset[int], int], bool] = {}
+        self._keep: list = []
+
+    def sat(self, members: frozenset[int], f) -> bool:
+        key = (members, id(f))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        self._keep.append(f)
+        val = self._eval(members, f)
+        self._memo[key] = val
+        return val
+
+    def _eval(self, members: frozenset[int], f) -> bool:
+        if isinstance(f, Letter):
+            col = self.inventory.index(f.name)
+            return all((row >> col) & 1 for row in members)
+        if isinstance(f, BoolNeg):
+            return not self.sat(members, f.sub)
+        if isinstance(f, And):
+            return self.sat(members, f.left) and self.sat(members, f.right)
+        if isinstance(f, GlobalOr):
+            return self.sat(members, f.left) or self.sat(members, f.right)
+        if isinstance(f, SplitOr):
+            rows = sorted(members)
+            # each row goes left, right, or both: all covers of the team
+            for assign in itertools.product((0, 1, 2), repeat=len(rows)):
+                left = frozenset(r for r, a in zip(rows, assign) if a != 1)
+                right = frozenset(r for r, a in zip(rows, assign) if a != 0)
+                if self.sat(left, f.left) and self.sat(right, f.right):
+                    return True
+            return False
+        raise TypeError(f"not a TeamFormula: {f!r}")
+
+
+def reference_ptl_decide(f) -> TeamValid | Counterteam:
+    inventory = tuple(sorted(team_letters(f)))
+    if len(inventory) > 4:
+        raise ValueError("at most 4 letters are supported")
+    rows = 1 << len(inventory)
+    ev = _TeamEvaluator(inventory)
+    patterns = sorted(range(1 << rows), key=lambda m: (m.bit_count(), m))
+    for pattern in patterns:
+        members = frozenset(bits(pattern))
+        if not ev.sat(members, f):
+            return Counterteam(Team(inventory, members))
+    return TeamValid()
+
+
+class TestAgainstReference:
+    def test_ptl_decide_verdicts_and_least_counterteams(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            letters = ("p", "q", "r")[:rng.randint(1, 3)]
+            f = random_team_formula(rng, letters, rng.randint(1, 4))
+            assert ptl_decide(f) == reference_ptl_decide(f), render_team_formula(f)
+
+    def test_team_sat_at_every_two_letter_team(self):
+        rng = random.Random(10)
+        for _ in range(100):
+            f = random_team_formula(rng, ("p", "q"), 4)
+            ev = _TeamEvaluator(("p", "q"))
+            for m in range(16):
+                t = Team(("p", "q"), frozenset(bits(m)))
+                assert team_sat(t, f) == ev.sat(t.members, f)
+
+    def test_team_sat_over_wide_inventories(self):
+        rng = random.Random(8)
+        names = ("a", "b", "c", "d", "e", "f")
+        for _ in range(300):
+            inventory = names[:rng.randint(1, 6)]
+            f = random_team_formula(rng, inventory, 3)
+            members = frozenset(rng.randrange(1 << len(inventory))
+                                for _ in range(rng.randint(0, 6)))
+            t = Team(inventory, members)
+            assert team_sat(t, f) == _TeamEvaluator(inventory).sat(members, f)
+
+    def test_union_product_against_all_pairs(self):
+        rng = random.Random(9)
+        for rows in range(5):
+            n = 1 << rows
+            for _ in range(50):
+                f, g = rng.getrandbits(n), rng.getrandbits(n)
+                want = mask_of(a | b for a in bits(f) for b in bits(g))
+                assert _union_product(f, g, n) == want
+
+    def test_three_letter_split_is_fast(self):
+        f = parse_team_formula("(p | q) | r \\|/ ~~((p | q) | r)")
+        t0 = time.perf_counter()
+        assert isinstance(ptl_decide(f), TeamValid)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_downset_is_every_subset():
+    for top in range(32):
+        assert downset(top) == mask_of(w for w in range(32) if w & ~top == 0)
 
 
 def brute_split_or(t: Team, left, right) -> bool:
@@ -277,3 +388,26 @@ class TestTeamSyntax:
     def test_single_tilde_rejected(self):
         with pytest.raises(ValueError):
             parse_team_formula("~p")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p q", "syntax error at byte 2: trailing input"),
+        ("p)", "syntax error at byte 1: trailing input"),
+        ("(p q", "syntax error at byte 3: expected ')'"),
+        ("((p)", "syntax error at byte 4: expected ')'"),
+        ("~~", "syntax error at byte 2: expected a letter or '(', found ''"),
+        ("p & ~~)", "syntax error at byte 6: expected a letter or '(', found ')'"),
+        ("(\\|/ p)", "syntax error at byte 1: expected a letter or '(', found '\\\\|/'"),
+        ("é | p !", "syntax error at byte 0: unexpected character 'é'"),
+        ("p | é", "syntax error at byte 4: unexpected character 'é'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_team_formula(text)
+        assert str(info.value) == message
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        f = parse_team_formula("~~(" * 3000 + "p" + ")" * 3000)
+        assert team_letters(f) == {"p"}
+        assert team_sat(Team(("p",), frozenset({1})), f)
+        assert not team_sat(Team(("p",), frozenset({0, 1})), f)
+        assert parse_team_formula("(" * 3000 + "p & q" + ")" * 3000) == And(p, q)
