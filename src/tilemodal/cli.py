@@ -4,7 +4,8 @@ One subcommand per workbench procedure. Exit codes: 0 on success, 1 on a
 domain failure (a refutation where validity was asked, a failed check, an
 unsolvable instance), 2 on usage or parse errors. Output is deterministic
 for a fixed argv and seed. frame-valid accepts --jobs for compatibility and
-ignores it: validity runs in one process, many valuations per pass.
+ignores it: validity runs in one process, many valuations per pass. Only the
+named subcommand's parser is built; help and errors come from the full one.
 """
 
 from __future__ import annotations
@@ -73,14 +74,25 @@ def _emit(out: list[str], fmt: str, text_lines: list[str], kv_lines: list[str]):
     out.extend(kv_lines if fmt == "lines" else text_lines)
 
 
+#: Most nodes a desugared formula may have to be printed. Each [] copies its
+#: argument three times, so the tree can be exponentially larger than its Dag.
+DESUGAR_LIMIT = 10**7
+
+
+def _desugar(f: fm.Formula) -> fm.Formula:
+    dag = fm.to_dag(f)
+    if (size := dag.tree_size()) > DESUGAR_LIMIT:
+        raise CliError(f"desugared formula has {size} nodes, over the limit of "
+                       f"{DESUGAR_LIMIT}", DOMAIN_ERROR)
+    return fm.desugar(dag)
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
 def cmd_parse_formula(args, out) -> int:
     f = _parse_formula(args.formula)
-    if args.desugar:
-        f = fm.desugar(f)
-    text = fm.render(f)
+    text = fm.render(_desugar(f) if args.desugar else f)
     _emit(out, args.format, [text], [f"formula={text}"])
     return 0
 
@@ -91,9 +103,7 @@ def cmd_gen_phi(args, out) -> int:
         f = reduction.phi(w)
     except ValueError as e:
         raise CliError(str(e)) from None
-    if args.desugar:
-        f = fm.desugar(f)
-    text = fm.render(f)
+    text = fm.render(_desugar(f) if args.desugar else f)
     lines, kv = [text], [f"formula={text}"]
     if args.stats:
         stats = reduction.phi_stats(w)
@@ -368,104 +378,109 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tilemodal",
-        description="workbench for modal logic over associative frames",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FLAG = dict(action="store_true")
+_REQUIRED = dict(required=True)
+_POSITIVE = dict(type=_positive_int)
+_RECTANGLE = {"--tiles": _REQUIRED, "--width": dict(_POSITIVE, required=True),
+              "--height": dict(_POSITIVE, required=True)}
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("text", "lines"), default="text")
-        return p
+#: One row per subcommand: name -> (handler, help, {argument: add_argument keywords}).
+COMMANDS = {
+    "parse-formula": (cmd_parse_formula, "parse and reprint a formula",
+                      {"formula": {}, "--desugar": _FLAG}),
+    "gen-phi": (cmd_gen_phi, "print the tiling formula of a tile set",
+                {"--tiles": _REQUIRED, "--desugar": _FLAG, "--stats": _FLAG}),
+    "check-assoc": (cmd_check_assoc, "check a frame for associativity",
+                    {"--frame": _REQUIRED}),
+    "model-check": (cmd_model_check, "evaluate a formula on a model", {
+        "--frame": _REQUIRED, "--formula": _REQUIRED,
+        "--world": dict(type=int, default=None)}),
+    "frame-valid": (cmd_frame_valid, "decide validity on a frame", {
+        "--frame": _REQUIRED, "--formula": _REQUIRED,
+        "--strategy": dict(choices=("exhaustive", "random"), default="exhaustive"),
+        "--seed": dict(type=int, default=0),
+        "--samples": dict(_POSITIVE, default=1000),
+        "--jobs": dict(type=int, default=1,
+                       help="accepted for compatibility; validity runs in one process")}),
+    "countermodel": (cmd_countermodel, "search associative frames for a refuting model", {
+        "--formula": _REQUIRED, "--max-worlds": dict(_POSITIVE, default=3),
+        "--budget": dict(_POSITIVE, default=100_000), "--seed": dict(type=int, default=0)}),
+    "tile-solve": (cmd_tile_solve, "tile a rectangle", _RECTANGLE),
+    "tile-torus": (cmd_tile_torus, "find a periodic tiling", {
+        "--tiles": _REQUIRED,
+        "--max-period": dict(type=int, choices=range(1, 5), default=4)}),
+    "tile-render": (cmd_tile_render, "render a solved rectangle", {
+        **_RECTANGLE, "--mode": dict(choices=("ascii", "svg"), default="ascii"),
+        "--out": dict(default=None)}),
+    "extract": (cmd_extract, "extract a verified tiling from a refuting model", {
+        "--frame": _REQUIRED, "--tiles": _REQUIRED,
+        "--point": dict(type=int, required=True), "--k": dict(_POSITIVE, default=2)}),
+    "verify-lemma6": (cmd_verify_lemma6,
+                      "bounded check of the powerset refutation for a tile set", {
+        "--tiles": _REQUIRED, "--period": dict(required=True, help="P,Q torus periods"),
+        "--depth": dict(type=int, choices=range(1, 5), default=3),
+        "--mode": dict(choices=tuple(_MODE_NAMES), default="union"),
+        "--cells": dict(default=None,
+                        help="explicit torus cells 'c,r:name ...' (skips search)")}),
+    "ptl-decide": (cmd_ptl_decide, "decide a team-logic formula", {"formula": {}}),
+    "enum-frames": (cmd_enum_frames, "enumerate frames up to isomorphism", {
+        "--worlds": dict(_POSITIVE, required=True), "--associative": _FLAG,
+        "--limit": dict(type=_int_at_least(0), default=0,
+                        help="stop after this many frames; 0 means no limit"),
+        "--count": _FLAG}),
+}
 
-    p = add("parse-formula", cmd_parse_formula, help="parse and reprint a formula")
-    p.add_argument("formula")
-    p.add_argument("--desugar", action="store_true")
 
-    p = add("gen-phi", cmd_gen_phi, help="print the tiling formula of a tile set")
-    p.add_argument("--tiles", required=True)
-    p.add_argument("--desugar", action="store_true")
-    p.add_argument("--stats", action="store_true")
-
-    p = add("check-assoc", cmd_check_assoc, help="check a frame for associativity")
-    p.add_argument("--frame", required=True)
-
-    p = add("model-check", cmd_model_check, help="evaluate a formula on a model")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--world", type=int, default=None)
-
-    p = add("frame-valid", cmd_frame_valid, help="decide validity on a frame")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--strategy", choices=("exhaustive", "random"),
-                   default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; validity runs in one process")
-
-    p = add("countermodel", cmd_countermodel,
-            help="search associative frames for a refuting model")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--max-worlds", type=_positive_int, default=3)
-    p.add_argument("--budget", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("tile-solve", cmd_tile_solve, help="tile a rectangle")
-    p.add_argument("--tiles", required=True)
-    p.add_argument("--width", type=_positive_int, required=True)
-    p.add_argument("--height", type=_positive_int, required=True)
-
-    p = add("tile-torus", cmd_tile_torus, help="find a periodic tiling")
-    p.add_argument("--tiles", required=True)
-    p.add_argument("--max-period", type=int, choices=range(1, 5), default=4)
-
-    p = add("tile-render", cmd_tile_render, help="render a solved rectangle")
-    p.add_argument("--tiles", required=True)
-    p.add_argument("--width", type=_positive_int, required=True)
-    p.add_argument("--height", type=_positive_int, required=True)
-    p.add_argument("--mode", choices=("ascii", "svg"), default="ascii")
-    p.add_argument("--out", default=None)
-
-    p = add("extract", cmd_extract,
-            help="extract a verified tiling from a refuting model")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--tiles", required=True)
-    p.add_argument("--point", type=int, required=True)
-    p.add_argument("--k", type=_positive_int, default=2)
-
-    p = add("verify-lemma6", cmd_verify_lemma6,
-            help="bounded check of the powerset refutation for a tile set")
-    p.add_argument("--tiles", required=True)
-    p.add_argument("--period", required=True, help="P,Q torus periods")
-    p.add_argument("--depth", type=int, choices=range(1, 5), default=3)
-    p.add_argument("--mode", choices=tuple(_MODE_NAMES), default="union")
-    p.add_argument("--cells", default=None,
-                   help="explicit torus cells 'c,r:name ...' (skips search)")
-
-    p = add("ptl-decide", cmd_ptl_decide, help="decide a team-logic formula")
-    p.add_argument("formula")
-
-    p = add("enum-frames", cmd_enum_frames, help="enumerate frames up to isomorphism")
-    p.add_argument("--worlds", type=_positive_int, required=True)
-    p.add_argument("--associative", action="store_true")
-    p.add_argument("--limit", type=_int_at_least(0), default=0,
-                   help="stop after this many frames; 0 means no limit")
-    p.add_argument("--count", action="store_true")
-
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    handler, _, arguments = COMMANDS[name]
+    parser.set_defaults(handler=handler)
+    parser.add_argument("--format", choices=("text", "lines"), default="text")
+    for flag, keywords in arguments.items():
+        parser.add_argument(flag, **keywords)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every subcommand's; it prints all help and errors."""
+    parser = argparse.ArgumentParser(
+        prog="tilemodal", description="workbench for modal logic over associative frames")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
+class _Fallback(Exception):
+    """The one-subcommand parser met input only the full parser may answer."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Fallback
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One subcommand's arguments in a standalone parser. Its -h/--help is a
+    plain flag, so that abbreviations resolve as in the full parser."""
+    parser = _CommandParser(prog=f"tilemodal {name}", add_help=False)
+    parser.add_argument("-h", "--help", action="store_true")
+    return _add_arguments(parser, name)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return USAGE_ERROR if e.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = None
+    if argv and argv[0] in COMMANDS:
+        try:
+            args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+            args = None if rest or args.help else args
+        except _Fallback:
+            pass
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return USAGE_ERROR if e.code not in (0, None) else 0
     out: list[str] = []
     try:
         code = args.handler(args, out)

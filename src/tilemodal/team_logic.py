@@ -218,18 +218,29 @@ def translate(f: TeamFormula) -> fm.Formula:
 
 
 def translate_back(g: fm.Formula) -> TeamFormula | None:
-    """Inverse of translate on its image; None on any other node."""
-    if isinstance(g, fm.Letter):
-        return Letter(g.name)
-    if isinstance(g, fm.Neg):
-        sub = translate_back(g.sub)
-        return BoolNeg(sub) if sub is not None else None
-    if type(g) not in _BACK:
-        return None
-    left, right = translate_back(g.left), translate_back(g.right)
-    if left is None or right is None:
-        return None
-    return _BACK[type(g)](left, right)
+    """Inverse of translate on its image; None on any other node.
+
+    Built from explicit stacks, children before parents, like translate."""
+    nodes, todo = [], [g]
+    while todo:
+        h = todo.pop()
+        nodes.append(h)
+        if isinstance(h, fm.Neg):
+            todo.append(h.sub)
+        elif type(h) in _BACK:
+            todo += (h.left, h.right)
+        elif not isinstance(h, fm.Letter):
+            return None
+    done: list[TeamFormula] = []
+    for h in reversed(nodes):
+        if isinstance(h, fm.Letter):
+            done.append(Letter(h.name))
+        elif isinstance(h, fm.Neg):
+            done.append(BoolNeg(done.pop()))
+        else:
+            right = done.pop()
+            done.append(_BACK[type(h)](done.pop(), right))
+    return done[0]
 
 
 def to_kripke(f: TeamFormula) -> tuple[Model, dict[frozenset[int], int]]:
@@ -351,7 +362,7 @@ def from_kripke(model: Model, formulas: tuple[TeamFormula, ...] = ()) -> tuple[
 # `\|/` global disjunction, `~~` Boolean negation. Precedence loosest to
 # tightest: \|/, |, &, ~~; the binary connectives are left-associative.
 
-_T_NEG, _T_ATOM = 4, 5
+_T_NEG = 4
 
 #: Binary connective token -> (node type, precedence).
 _TEAM_BINARY = {"\\|/": (GlobalOr, 1), "|": (SplitOr, 2), "&": (And, 3)}
@@ -428,23 +439,29 @@ def parse_team_formula(text: str) -> TeamFormula:
             operands, operators, negs = outer.pop()
 
 
-def _render_team(f: TeamFormula) -> tuple[str, int]:
-    if isinstance(f, Letter):
-        return f.name, _T_ATOM
-    if isinstance(f, BoolNeg):
-        s, prec = _render_team(f.sub)
-        if prec < _T_NEG:
-            s = f"({s})"
-        return "~~" + s, _T_NEG
-    op, prec = _TEAM_TOKEN[type(f)]
-    ls, lp = _render_team(f.left)
-    rs, rp = _render_team(f.right)
-    if lp < prec:
-        ls = f"({ls})"
-    if rp <= prec:  # left-associative: same-level right children need parens
-        rs = f"({rs})"
-    return f"{ls} {op} {rs}", prec
-
-
 def render_team_formula(f: TeamFormula) -> str:
-    return _render_team(f)[0]
+    """Minimal-parenthesis text; parse_team_formula inverts it.
+
+    Written left to right from an explicit stack of pending text and
+    (node, least precedence printable bare) pairs, so nesting depth is not
+    bounded by recursion."""
+    out, todo = [], [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, need = item
+        if isinstance(g, Letter):
+            out.append(g.name)
+            continue
+        token, prec = ("~~", _T_NEG) if isinstance(g, BoolNeg) else _TEAM_TOKEN[type(g)]
+        if prec < need:
+            out.append("(")
+            todo.append(")")
+        if isinstance(g, BoolNeg):
+            out.append(token)
+            todo.append((g.sub, prec))
+        else:  # left-associative: same-level right children need parens
+            todo += ((g.right, prec + 1), f" {token} ", (g.left, prec))
+    return "".join(out)

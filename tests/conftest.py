@@ -1,7 +1,9 @@
 import random
+import sys
 
 from tilemodal import formula as fm
 from tilemodal import team_logic as tl
+from tilemodal.cli import CliError, build_parser
 
 LETTER_POOL = ("p", "q", "r", "x_e", "x_o", "y_e", "y_o", "x'", "y'", "t1")
 
@@ -49,3 +51,22 @@ def all_team_formulas(max_size: int, letters=("p", "q")):
                     )
         by_size[size] = out
     return [f for fs in by_size.values() for f in fs]
+
+
+def full_parser_main(argv: list[str]) -> int:
+    """cli.main by the full parser alone: every subcommand's parser is built,
+    argv is parsed by it, and the handler runs. The reference for main's
+    one-subcommand parser."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 2 if e.code not in (0, None) else 0
+    out: list[str] = []
+    try:
+        code = args.handler(args, out)
+    except CliError as e:
+        print(str(e), file=sys.stderr)
+        return e.code
+    for line in out:
+        print(line)
+    return code

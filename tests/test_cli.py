@@ -1,12 +1,15 @@
+import argparse
 import subprocess
 import sys
+import time
 
 import pytest
 
+from conftest import full_parser_main
 from fixtures_quotient import quotient_countermodel
 from tilemodal import formula as fm
 from tilemodal import reduction
-from tilemodal.cli import main
+from tilemodal.cli import COMMANDS, DESUGAR_LIMIT, main
 from tilemodal.frames import render_frame_file
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 
@@ -76,6 +79,18 @@ class TestParseFormula:
         code, out = run(capsys, "parse-formula", "--format", "lines", "p o q")
         assert out == "formula=p o q\n"
 
+    def test_desugar_size_limit(self, capsys):
+        text = "[]" * 20 + "p"  # each [] triples the desugared tree
+        start = time.perf_counter()
+        code = main(["parse-formula", "--desugar", text])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        size = fm.to_dag(fm.parse(text)).tree_size()
+        assert code == 1 and captured.out == "" and size > DESUGAR_LIMIT
+        assert captured.err == (f"desugared formula has {size} nodes, over the limit "
+                                f"of {DESUGAR_LIMIT}\n")
+        assert elapsed < 10
+
 
 class TestGenPhi:
     def test_matches_library(self, capsys, mono_file):
@@ -106,6 +121,8 @@ class TestGenPhi:
         code, out = run(capsys, "gen-phi", "--tiles", mono_file, "--desugar")
         assert code == 0
         assert "[]" not in out and "@>" not in out and "<@" not in out
+        w = TileSet(("t1",), (Tile(0, 0, 0, 0),))
+        assert out == fm.render(fm.desugar(reduction.phi(w))) + "\n"
 
 
 class TestCheckAssoc:
@@ -352,7 +369,7 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
+BAD_INPUTS = [
     ["tile-torus", "--tiles", "{swap}", "--max-period", "9"],
     ["tile-solve", "--tiles", "{swap}", "--width", "0", "--height", "1"],
     ["tile-render", "--tiles", "{swap}", "--width", "0", "--height", "1"],
@@ -379,19 +396,84 @@ class TestUsage:
     ["ptl-decide", "(" * 3000 + "p" + ")" * 3001],
     ["ptl-decide", "~~(" * 3000 + "p &"],
     ["ptl-decide", "p | T"],
-])
-def test_bad_input_is_usage_error_without_traceback(tmp_path, argv):
+]
+
+#: One well-formed, quick argv per subcommand.
+GOOD_INPUTS = [
+    ["parse-formula", "--desugar", "p @> q"],
+    ["gen-phi", "--tiles", "{mono}", "--stats"],
+    ["check-assoc", "--frame", "{quotient}"],
+    ["model-check", "--frame", "{quotient}", "--formula", "p o q", "--world", "0"],
+    ["frame-valid", "--frame", "{quotient}", "--formula", "p -> p", "--jobs", "4"],
+    ["countermodel", "--formula", "F", "--max-worlds", "1"],
+    ["tile-solve", "--tiles", "{swap}", "--width", "3", "--height", "2"],
+    ["tile-torus", "--tiles", "{swap}", "--max-period", "2"],
+    ["tile-render", "--tiles", "{swap}", "--width", "2", "--height", "1", "--mode", "svg"],
+    ["extract", "--frame", "{quotient}", "--tiles", "{mono}", "--point", "0", "--k", "1"],
+    ["verify-lemma6", "--tiles", "{mono}", "--period", "1,1", "--depth", "1"],
+    ["ptl-decide", "p \\|/ ~~p", "--format", "lines"],
+    ["enum-frames", "--worlds", "2", "--associative", "--count"],
+]
+
+#: Help, unknown or missing commands, ambiguous and abbreviated options,
+#: --opt=value, and -- before a positional.
+EDGE_INPUTS = [
+    [], ["-h"], ["frobnicate"], ["frobnicate", "-h"], ["--format", "lines"],
+    ["tile-solve", "--tiles", "{swap}", "--width", "2", "--h", "1"],
+    ["tile-solve", "--tiles", "{swap}", "--wid", "2", "--hei", "1"],
+    ["frame-valid", "--frame", "{quotient}", "--form", "p"],
+    ["frame-valid", "--frame={quotient}", "--formula=p", "--strat=random", "--samples=3"],
+    ["tile-torus", "--tiles={swap}", "--max-period=9"],
+    ["parse-formula", "--", "-p"],
+    ["parse-formula", "--format", "lines", "--", "p o q"],
+    ["ptl-decide", "--", "p & q"],
+    ["ptl-decide", "p", "q"],
+    ["parse-formula", "p", "--bogus"],
+    ["enum-frames", "--worlds", "1", "--count", "-h"],
+] + [[name, "-h"] for name in COMMANDS]
+
+
+@pytest.fixture
+def fill(tmp_path):
+    """Writes the files an argv template names and returns its filler."""
     (tmp_path / "swap.tiles").write_text(SWAP_TILES)
     (tmp_path / "one.tiles").write_text(MONO_TILES)
     (tmp_path / "valley.frame").write_text("worlds 2\nvalley: 0\n")
     model, _ = quotient_countermodel(TileSet(("t1",), (Tile(0, 0, 0, 0),)),
                                      PeriodicTiling((1, 1), {(0, 0): 0}))
     (tmp_path / "quotient.frame").write_text(render_frame_file(model.frame, model.valuation))
-    args = [a.format(swap=tmp_path / "swap.tiles", valley=tmp_path / "valley.frame",
-                     missing=tmp_path / "missing", mono=tmp_path / "one.tiles",
-                     quotient=tmp_path / "quotient.frame")
-            for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "tilemodal.cli", *args],
+    names = dict(swap=tmp_path / "swap.tiles", valley=tmp_path / "valley.frame",
+                 missing=tmp_path / "missing", mono=tmp_path / "one.tiles",
+                 quotient=tmp_path / "quotient.frame")
+    return lambda argv: [a.format(**names) for a in argv]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_input_is_usage_error_without_traceback(fill, argv):
+    proc = subprocess.run([sys.executable, "-m", "tilemodal.cli", *fill(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS + GOOD_INPUTS + EDGE_INPUTS)
+def test_fast_parser_matches_full_parser(fill, capsys, argv):
+    argv = fill(argv)
+    fast = (main(argv), *capsys.readouterr())
+    assert (full_parser_main(argv), *capsys.readouterr()) == fast
+
+
+def test_well_formed_call_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["ptl-decide", "p | q", "--format", "lines"]) == 1
+    assert built == ["tilemodal ptl-decide"]
+    built.clear()
+    assert main(["ptl-decide", "p | q", "--bogus"]) == 2  # the full parser answers
+    assert len(built) > 1

@@ -2,7 +2,7 @@
 
 A parser either returns its value or raises ValueError; `cli.main` returns
 0, 1 or 2 and lets no exception escape, whatever the argv and whatever the
-files it names hold. Examples are derandomized and few, so the run is the
+files it names hold, and it prints and returns what the full parser would. Examples are derandomized and few, so the run is the
 same every time and short.
 """
 
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import full_parser_main
 from fixtures_quotient import quotient_countermodel
 from tilemodal.cli import main
 from tilemodal.frames import parse_frame_file, render_frame_file
@@ -159,7 +160,8 @@ def test_cli_exit_code_contract(command, files, capsys):
     def run(argv, frame_text, tiles_text):
         (files / "fuzz.frame").write_text(frame_text)
         (files / "fuzz.tiles").write_text(tiles_text)
-        assert main(argv) in (0, 1, 2), argv
-        capsys.readouterr()
+        fast = (main(argv), *capsys.readouterr())
+        assert fast[0] in (0, 1, 2), argv
+        assert (full_parser_main(argv), *capsys.readouterr()) == fast, argv
 
     run()

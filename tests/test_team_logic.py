@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import all_team_formulas, random_team_formula
+from conftest import all_team_formulas, random_formula, random_team_formula
 from tilemodal import formula as fm
 from tilemodal.frames import bits, mask_of, powerset_frame
 from tilemodal.semantics import sat_mask
@@ -92,7 +92,51 @@ def reference_ptl_decide(f) -> TeamValid | Counterteam:
     return TeamValid()
 
 
+# -- reference: the recursive printer and back-translation that the
+# explicit-stack versions replaced.
+
+_REF_PREC = {And: ("&", 3), SplitOr: ("|", 2), GlobalOr: ("\\|/", 1)}
+
+
+def _reference_render(f) -> tuple[str, int]:
+    if isinstance(f, Letter):
+        return f.name, 5
+    if isinstance(f, BoolNeg):
+        s, prec = _reference_render(f.sub)
+        return "~~" + (f"({s})" if prec < 4 else s), 4
+    op, prec = _REF_PREC[type(f)]
+    ls, lp = _reference_render(f.left)
+    rs, rp = _reference_render(f.right)
+    ls = f"({ls})" if lp < prec else ls
+    rs = f"({rs})" if rp <= prec else rs
+    return f"{ls} {op} {rs}", prec
+
+
+def reference_translate_back(g):
+    back = {fm.And: And, fm.Comp: SplitOr, fm.Or: GlobalOr}
+    if isinstance(g, fm.Letter):
+        return Letter(g.name)
+    if isinstance(g, fm.Neg):
+        sub = reference_translate_back(g.sub)
+        return BoolNeg(sub) if sub is not None else None
+    if type(g) not in back:
+        return None
+    left, right = reference_translate_back(g.left), reference_translate_back(g.right)
+    if left is None or right is None:
+        return None
+    return back[type(g)](left, right)
+
+
 class TestAgainstReference:
+    def test_render_and_translate_back(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            f = random_team_formula(rng, ("p", "q", "r"), rng.randint(1, 6))
+            assert render_team_formula(f) == _reference_render(f)[0]
+            assert translate_back(translate(f)) == reference_translate_back(translate(f))
+            g = random_formula(rng, rng.randint(1, 4), ("p", "q"))
+            assert translate_back(g) == reference_translate_back(g)
+
     def test_ptl_decide_verdicts_and_least_counterteams(self):
         rng = random.Random(7)
         for _ in range(400):
@@ -252,6 +296,14 @@ class TestTranslate:
         for _ in range(100):
             f = random_team_formula(rng)
             assert translate_back(translate(f)) == f
+
+    @pytest.mark.parametrize("text", ["~~" * 3000 + "p", " | ".join(["p"] * 3000),
+                                      "p & (" * 3000 + "q & r" + ")" * 3000],
+                             ids=["negations", "left-nested", "right-nested"])
+    def test_deep_nesting_round_trips(self, text):
+        f = parse_team_formula(text)
+        assert render_team_formula(f) == text
+        assert render_team_formula(translate_back(translate(f))) == text
 
     def test_translate_back_fails_off_image(self):
         assert translate_back(fm.Box(fm.Letter("p"))) is None
