@@ -29,8 +29,33 @@ class Formula:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {render(self)!r}>"
 
+    def __eq__(self, other) -> bool:
+        """Structural equality, walked from an explicit stack so that
+        nesting depth is not bounded by recursion."""
+        if not isinstance(other, Formula):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            f, g = todo.pop()
+            if f is g:
+                continue
+            if type(f) is not type(g) or (type(f) is Letter and f.name != g.name):
+                return False
+            todo += zip(_children(f), _children(g))
+        return True
 
-@dataclass(frozen=True, repr=False)
+    def __hash__(self) -> int:
+        """Hash of the node types and letter names in pre-order, which
+        determine the formula; built from an explicit stack."""
+        key, todo = [], [self]
+        while todo:
+            g = todo.pop()
+            key.append(g.name if type(g) is Letter else type(g))
+            todo += _children(g)
+        return hash(tuple(key))
+
+
+@dataclass(frozen=True, repr=False, eq=False)
 class Letter(Formula):
     name: str
 
@@ -39,18 +64,18 @@ class Letter(Formula):
             raise ValueError(f"invalid letter name: {self.name!r}")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Neg(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Comp(Formula):
     """Binary diamond: existential decomposition along the ternary relation."""
 
@@ -60,35 +85,35 @@ class Comp(Formula):
 
 # -- derived connectives ----------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class HookR(Formula):
     """``a @> b``: at x, every decomposition Rxyz with y sat a has z sat b."""
 
@@ -96,7 +121,7 @@ class HookR(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class HookL(Formula):
     """``b <@ a``: at x, every decomposition Rxyz with z sat a has y sat b."""
 
@@ -104,7 +129,7 @@ class HookL(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Box(Formula):
     sub: Formula
 

@@ -360,6 +360,14 @@ class TestEnumFrames:
         code, out = run(capsys, "enum-frames", "--worlds", "2", "--limit", "3")
         assert out.count("frame:") == 3
 
+    def test_first_frame_of_many_worlds_at_once(self, capsys):
+        # the lex-leader test must not build all 8! permutation maps first
+        start = time.perf_counter()
+        code, out = run(capsys, "enum-frames", "--worlds", "8", "--limit", "1",
+                        "--count", "--format", "lines")
+        assert code == 0 and out == "count=1\n"
+        assert time.perf_counter() - start < 1.0
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):

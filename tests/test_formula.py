@@ -198,6 +198,21 @@ class TestRoundTrip:
         assert dag.tree_size() == fm.node_count(desugar(f))
         assert render(dag.tree()) == render(desugar(f))
 
+    def test_deep_equality_and_hash(self):
+        text = "~" * 3000 + "p"
+        f, g = parse(text), parse(text)
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        for other in ("~" * 3000 + "q", "~" * 2999 + "p", "~" * 2999 + "[]p",
+                      "~" * 2999 + "(p | p)"):
+            assert f != parse(other)
+        chain = "p -> " * 3000 + "q"
+        assert parse(chain) == parse(chain)
+        assert hash(parse(chain)) == hash(parse(chain))
+        assert parse(chain) != parse("p -> " * 3000 + "p")
+        assert Or(p, q) != And(p, q) and Or(p, q) != Or(q, p)
+        assert Top() != Bottom() and p != "p"
+
 
 class TestLetterValidation:
     def test_reserved_words_rejected(self):

@@ -1,8 +1,9 @@
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
+from tilemodal import frames
 from tilemodal.frames import (
     AssocCounterexample,
     BinRel,
@@ -114,8 +115,6 @@ class TestSRelation:
         assert seen > 10
 
     def test_transitive_on_size4_stream_prefix(self):
-        from itertools import islice
-
         seen = 0
         for frame in islice(enumerate_frames(4), 400):
             if check_associative(frame) is None:
@@ -228,6 +227,59 @@ class TestEnumerateFrames:
                     (perm[x], perm[y], perm[z]) for x, y, z in frame.triples
                 ))
             assert any(img in canon for img in images)
+
+    def test_matches_the_code_filter(self):
+        for n in (1, 2):
+            for assoc in (False, True):
+                assert list(enumerate_frames(n, assoc)) == list(
+                    oracle_enumerate_frames(n, assoc))
+        for n, assoc, k in ((3, True, 40), (3, False, 400), (4, False, 400)):
+            assert list(islice(enumerate_frames(n, assoc), k)) == list(
+                islice(oracle_enumerate_frames(n, assoc), k))
+
+    def test_associative_leaves_are_the_lane_mask(self):
+        from test_acceptance import _bitparallel_assoc_and_s
+
+        assoc, _, lanes = _bitparallel_assoc_and_s(2)
+        codes = [code for code in range(lanes) if (assoc >> code) & 1]
+        assert len(codes) == 50
+        assert list(frames._codes(2, True)) == codes
+        assert list(frames._codes(2, False)) == list(range(lanes))
+
+
+def oracle_enumerate_frames(n: int, require_associative: bool = False):
+    """enumerate_frames as a filter over all 2^(n^3) relation codes, each
+    tested for associativity and for being least in its orbit under the
+    precomputed permutation maps: the reference the backtracker must match."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    index = {t: i for i, t in enumerate(triples)}
+    perm_maps = []
+    for perm in permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        perm_maps.append(
+            [index[(perm[x], perm[y], perm[z])] for (x, y, z) in triples]
+        )
+    for code in range(1 << len(triples)):
+        canonical = True
+        for pmap in perm_maps:
+            image = 0
+            rest = code
+            while rest:
+                low = rest & -rest
+                image |= 1 << pmap[low.bit_length() - 1]
+                rest ^= low
+            if image < code:
+                canonical = False
+                break
+        if not canonical:
+            continue
+        frame = Frame(n, frozenset(t for i, t in enumerate(triples) if (code >> i) & 1))
+        if require_associative and check_associative(frame) is not None:
+            continue
+        yield frame
 
 
 def _frame_from_code(n: int, code: int) -> Frame:
