@@ -74,6 +74,19 @@ def _emit(out: list[str], fmt: str, text_lines: list[str], kv_lines: list[str]):
     out.extend(kv_lines if fmt == "lines" else text_lines)
 
 
+def _valuation_parts(model: Model) -> list[str]:
+    """One "p:w,w" part per letter of the model, in letter order."""
+    return [f"{p}:{','.join(map(str, sorted(ws)))}"
+            for p, ws in sorted(model.valuation.items())]
+
+
+def _cell_names(w: tiling.TileSet, cells: dict[tuple[int, int], int],
+                width: int, height: int) -> str:
+    """The "c,r:name" listing of cells, column by column."""
+    return " ".join(f"{c},{r}:{w.names[cells[(c, r)]]}"
+                    for c in range(width) for r in range(height))
+
+
 #: Most nodes a desugared formula may have to be printed. Each [] copies its
 #: argument three times, so the tree can be exponentially larger than its Dag.
 DESUGAR_LIMIT = 10**7
@@ -150,7 +163,7 @@ def cmd_frame_valid(args, out) -> int:
     frame, _ = _load_frame(args.frame)
     f = _parse_formula(args.formula)
     verdict = frame_validity(frame, f, strategy=args.strategy, seed=args.seed,
-                             samples=args.samples, jobs=args.jobs)
+                             samples=args.samples)
     if isinstance(verdict, Valid):
         _emit(out, args.format, ["valid"], ["status=valid"])
         return 0
@@ -158,8 +171,7 @@ def cmd_frame_valid(args, out) -> int:
         _emit(out, args.format, [f"unknown: {verdict.reason}"],
               [f"status=unknown reason={verdict.reason.replace(' ', '_')}"])
         return 0
-    val = verdict.model.valuation
-    parts = [f"{p}:{','.join(map(str, sorted(ws)))}" for p, ws in sorted(val.items())]
+    parts = _valuation_parts(verdict.model)
     _emit(out, args.format,
           [f"refuted at world {verdict.world} under " + "; ".join(parts)],
           [f"status=refuted world={verdict.world} valuation={'|'.join(parts)}"])
@@ -175,8 +187,7 @@ def cmd_countermodel(args, out) -> int:
         return 0
     model, world = hit
     triples = " ".join(f"{x},{y},{z}" for x, y, z in sorted(model.frame.triples))
-    val = model.valuation
-    parts = [f"{p}:{','.join(map(str, sorted(ws)))}" for p, ws in sorted(val.items())]
+    parts = _valuation_parts(model)
     _emit(out, args.format,
           [f"refuted at world {world} in frame of size {model.frame.size}",
            f"triples: {triples}",
@@ -187,20 +198,24 @@ def cmd_countermodel(args, out) -> int:
     return 0
 
 
-def cmd_tile_solve(args, out) -> int:
-    w = _load_tiles(args.tiles)
+def _solved(w: tiling.TileSet, args, out) -> tiling.Grid | None:
+    """The rectangle of args solved, or None once out says why not."""
     try:
         grid = tiling.solve_rect(w, args.width, args.height)
     except tiling.SearchBudgetExceeded:
         _emit(out, args.format, ["budget exceeded"], ["status=budget_exceeded"])
-        return DOMAIN_ERROR
+        return None
     if grid is None:
         _emit(out, args.format, ["unsolvable"], ["status=unsolvable"])
+    return grid
+
+
+def cmd_tile_solve(args, out) -> int:
+    w = _load_tiles(args.tiles)
+    grid = _solved(w, args, out)
+    if grid is None:
         return DOMAIN_ERROR
-    names = " ".join(
-        f"{c},{r}:{w.names[grid.tile_at(c, r)]}"
-        for c in range(grid.width) for r in range(grid.height)
-    )
+    names = _cell_names(w, grid.cells, grid.width, grid.height)
     _emit(out, args.format,
           [tiling.render_ascii(w, grid).rstrip("\n")],
           [f"status=solved cells={names}"])
@@ -220,10 +235,7 @@ def cmd_tile_torus(args, out) -> int:
               ["status=none"])
         return DOMAIN_ERROR
     p, q = torus.periods
-    cells = " ".join(
-        f"{c},{r}:{w.names[torus.cells[(c, r)]]}"
-        for c in range(p) for r in range(q)
-    )
+    cells = _cell_names(w, torus.cells, p, q)
     _emit(out, args.format,
           [f"torus tiling with period ({p},{q})", f"cells: {cells}"],
           [f"status=found period={p},{q} cells={cells}"])
@@ -232,13 +244,8 @@ def cmd_tile_torus(args, out) -> int:
 
 def cmd_tile_render(args, out) -> int:
     w = _load_tiles(args.tiles)
-    try:
-        grid = tiling.solve_rect(w, args.width, args.height)
-    except tiling.SearchBudgetExceeded:
-        _emit(out, args.format, ["budget exceeded"], ["status=budget_exceeded"])
-        return DOMAIN_ERROR
+    grid = _solved(w, args, out)
     if grid is None:
-        _emit(out, args.format, ["unsolvable"], ["status=unsolvable"])
         return DOMAIN_ERROR
     if args.mode == "svg":
         svg = tiling.render_svg(w, grid)
@@ -271,10 +278,7 @@ def cmd_extract(args, out) -> int:
         _emit(out, args.format, [f"extraction failed: {e}"],
               [f"status=failed reason={str(e).replace(' ', '_')}"])
         return DOMAIN_ERROR
-    names = " ".join(
-        f"{c},{r}:{w.names[grid.tile_at(c, r)]}"
-        for c in range(grid.width) for r in range(grid.height)
-    )
+    names = _cell_names(w, grid.cells, grid.width, grid.height)
     _emit(out, args.format,
           [f"extracted verified {args.k}x{args.k} tiling",
            tiling.render_ascii(w, grid).rstrip("\n")],

@@ -16,7 +16,7 @@ needed because any locally valid witness admits continuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from tilemodal import formula as fm
 from tilemodal import reduction
@@ -91,40 +91,33 @@ class GridPoints:
 
 
 class _Checker:
-    """Shared satisfaction machinery for one model and tile set."""
+    """Shared satisfaction machinery for one model and tile set.
+
+    The structural letters, tile literals, parity products and body
+    conjuncts share one Dag, evaluated in one pass."""
 
     def __init__(self, model: Model, w: TileSet):
         self.model = model
-        self.w = w
-        self.ev = Evaluator(model)
-        self.srel = s_relation(model.frame)
-        self._ssucc = {x: self.srel.successors(x) for x in range(model.frame.size)}
+        srel = s_relation(model.frame)
+        self._ssucc = {x: srel.successors(x) for x in range(model.frame.size)}
         self.by_first = _by_first(model.frame)
-        self.letter = {
-            name: self.ev.mask(fm.Letter(name))
-            for name in reduction.STRUCTURAL_LETTERS
-        }
-        self.tile_masks = [
-            self.ev.mask(reduction.tile_literal(w, t)) for t in range(len(w))
-        ]
-        self.products = {
-            (a, b): self.ev.mask(
-                fm.Comp(fm.Letter(f"x_{a}"), fm.Letter(f"y_{b}"))
-            )
-            for a, b in reduction.PARITY_PAIRS
-        }
+        dag = fm.Dag()
+        letters = {name: dag.add(fm.Letter(name)) for name in reduction.STRUCTURAL_LETTERS}
+        tiles = [dag.add(reduction.tile_literal(w, t)) for t in range(len(w))]
+        products = {(a, b): dag.add(fm.Comp(fm.Letter(f"x_{a}"), fm.Letter(f"y_{b}")))
+                    for a, b in reduction.PARITY_PAIRS}
+        body = [(name, dag.add(f)) for name, f in reduction.conjuncts(w)]
+        sat = Evaluator(model.frame).masks(dag, model.masks)
+        self.letter = {name: sat[i] for name, i in letters.items()}
+        self.tile_masks = [sat[i] for i in tiles]
+        self.products = {pair: sat[i] for pair, i in products.items()}
+        self.body = [(name, sat[i]) for name, i in body]
 
     def sat(self, mask: int, world: int) -> bool:
         return (mask >> world) & 1 == 1
 
     def s_reaches(self, x: int, y: int) -> bool:
         return (self._ssucc[x] >> y) & 1 == 1
-
-    @cached_property
-    def body(self) -> list[tuple[str, int]]:
-        """Conjunct masks, built once: every stage checks the body, and
-        each check would otherwise rebuild and evaluate all conjuncts."""
-        return [(name, self.ev.mask(f)) for name, f in reduction.conjuncts(self.w)]
 
     def check_body(self, z: int) -> None:
         for name, mask in self.body:

@@ -177,16 +177,18 @@ def _assoc_failures(n: int, must: list[int], may: list[int]):
 
 
 def s_relation(frame: Frame) -> BinRel:
-    """Derived accessibility for the box: xSy if Rxay, Rxya, or Rx(ay)b."""
-    pairs: set[tuple[int, int]] = set()
+    """Derived accessibility for the box: xSy if Rxay, Rxya, or Rx(ay)b.
+
+    succ[x] gathers u and v of every Rxuv; third[z] is the v of every Rzuv,
+    so Rx(ay)b adds third[z] to succ[x] for each Rxzb."""
+    succ, third = [0] * frame.size, [0] * frame.size
     for x, u, v in frame.triples:
-        pairs.add((x, v))
-        pairs.add((x, u))
-    by_first = _by_first(frame)
+        succ[x] |= 1 << u | 1 << v
+        third[x] |= 1 << v
     for x, z, _b in frame.triples:
-        for _a, y in by_first.get(z, ()):
-            pairs.add((x, y))
-    return BinRel(frame.size, frozenset(pairs))
+        succ[x] |= third[z]
+    return BinRel(frame.size, frozenset(
+        (x, y) for x, m in enumerate(succ) for y in bits(m)))
 
 
 def powerset_worlds(k: int, mode: str = "union") -> list[frozenset[int]]:
@@ -358,11 +360,10 @@ class Model:
             masks[letter] = m
         self._masks = masks
 
-    @classmethod
-    def _from_masks(cls, frame: Frame, masks: dict[str, int]) -> "Model":
-        model = cls(frame, ())
-        model._masks = masks
-        return model
+    @property
+    def masks(self) -> Mapping[str, int]:
+        """Letter -> world bitmask, the form semantics.Evaluator reads."""
+        return self._masks
 
     def letter_mask(self, letter: str) -> int:
         return self._masks.get(letter, 0)

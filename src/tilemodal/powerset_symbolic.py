@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 
 from tilemodal import formula as fm
 from tilemodal import reduction
-from tilemodal.frames import Frame, Model, mask_of
+from tilemodal.frames import POWERSET_MODES as MODES, Frame, mask_of
 from tilemodal.semantics import Evaluator
 from tilemodal.tiling import PeriodicTiling, TileSet
-
-MODES = ("union", "disjoint_union", "union_nonempty")
 
 FIN = "fin"
 COFIN = "cofin"
@@ -330,8 +328,7 @@ def _satisfaction(w: TileSet, tau: PeriodicTiling, top: list[SymState], depth: i
     states = top + [_decode(c) for c in codes[len(top):]]
     valuation = {a: mask_of(i for i, s in enumerate(states) if eval_atom(s, a, tau, w))
                  for kind, a, _ in dag.ops if kind == fm.VAR}
-    model = Model._from_masks(Frame(len(codes), frozenset(triples)), valuation)
-    return states, Evaluator(model).masks(dag)
+    return states, Evaluator(Frame(len(codes), frozenset(triples))).masks(dag, valuation)
 
 
 @dataclass(frozen=True)

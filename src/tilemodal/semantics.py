@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
 from tilemodal import formula as fm
 from tilemodal.frames import (
@@ -24,28 +25,29 @@ from tilemodal.frames import _comp_index
 
 
 class Evaluator:
-    """Satisfaction-set evaluator for one model.
+    """Satisfaction-set evaluator for one frame, under any letter masks.
 
     With lanes > 1 the letter masks hold one valuation per lane, packed
     world-minor (bit lane * n + world), and so does every satisfaction set.
+    Letters missing from the masks denote the empty set.
 
     A formula is evaluated through its compiled Dag, one pass over the ops,
     so derived connectives get exactly the sets of their desugared core.
     """
 
-    def __init__(self, model: Model, lanes: int = 1):
-        self.model = model
-        self.full = (1 << (model.frame.size * lanes)) - 1
-        self._lane0 = self.full // ((1 << model.frame.size) - 1)  # bit 0 of each lane
-        self._comp_items = tuple(_comp_index(model.frame).items())
+    def __init__(self, frame: Frame, lanes: int = 1):
+        self.frame = frame
+        self.full = (1 << (frame.size * lanes)) - 1
+        self._lane0 = self.full // ((1 << frame.size) - 1)  # bit 0 of each lane
+        self._comp_items = tuple(_comp_index(frame).items())
 
-    def mask(self, f: fm.Formula | fm.Dag) -> int:
+    def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int]) -> int:
         """Satisfaction set of f, or of the last op of a compiled Dag."""
-        return self.masks(fm.to_dag(f))[-1]
+        return self.masks(fm.to_dag(f), letters)[-1]
 
-    def masks(self, dag: fm.Dag) -> list[int]:
+    def masks(self, dag: fm.Dag, letters: Mapping[str, int]) -> list[int]:
         """Satisfaction set of every op of the Dag, in op order."""
-        full, comp, letter, out = self.full, self._comp, self.model.letter_mask, []
+        full, comp, out = self.full, self._comp, []
         for kind, a, b in dag.ops:
             if kind == fm.DIA:
                 out.append(comp(out[a], out[b]))
@@ -54,8 +56,31 @@ class Evaluator:
             elif kind == fm.OR:
                 out.append(out[a] | out[b])
             else:
-                out.append(letter(a))
+                out.append(letters.get(a, 0))
         return out
+
+    def bounds(self, dag: fm.Dag, known: Mapping[str, int],
+               value: Mapping[str, int]) -> tuple[int, int]:
+        """(must, may) bracketing the last op's satisfaction set over every
+        completion of a partial valuation: the bits of known[p] are decided
+        and value[p] holds their values.
+
+        Every op gets a (must, may) pair; the diamond is monotone in both
+        arguments and negation swaps the complements, so the bounds are sound
+        on the desugared core, and exact once every letter is decided."""
+        full, comp, out = self.full, self._comp, []
+        for kind, a, b in dag.ops:
+            if kind == fm.VAR:
+                k, v = known.get(a, 0), value.get(a, 0)
+                out.append((v & k, v | (full & ~k)))
+            elif kind == fm.NOT:
+                must, may = out[a]
+                out.append((full & ~may, full & ~must))
+            else:
+                (lm, lM), (rm, rM) = out[a], out[b]
+                out.append((lm | rm, lM | rM) if kind == fm.OR
+                           else (comp(lm, rm), comp(lM, rM)))
+        return out[-1]
 
     def _comp(self, left_mask: int, right_mask: int) -> int:
         # hit marks bit 0 of each lane where y is in left and z in right;
@@ -70,7 +95,7 @@ class Evaluator:
 
 
 def sat_mask(model: Model, f: fm.Formula) -> int:
-    return Evaluator(model).mask(f)
+    return Evaluator(model.frame).mask(f, model.masks)
 
 
 def sat_set(model: Model, f: fm.Formula) -> frozenset[int]:
@@ -153,7 +178,7 @@ def _random_chunks(n: int, inventory: list[str], seed: int, samples: int):
 
 
 def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
-                   seed: int = 0, samples: int = 1000, jobs: int = 1) -> Verdict:
+                   seed: int = 0, samples: int = 1000) -> Verdict:
     """Check validity of f in the frame.
 
     Valuations are checked one per lane of a packed Evaluator (bit lane * n
@@ -165,7 +190,7 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
     an early refutation costs one small pass: it proves validity, returns the
     least refutation, or returns Unknown past the bit limit. The random
     strategy draws seeded samples in chunks of 16, 32, ... lanes and returns
-    the first refuting one, or Unknown. jobs is accepted for compatibility.
+    the first refuting one, or Unknown.
     """
     inventory, n, dag = _inventory(f), frame.size, fm.to_dag(f)
     if strategy == "exhaustive":
@@ -178,8 +203,8 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     for masks, lanes in chunks:
-        ev = Evaluator(Model._from_masks(frame, masks), lanes)
-        failing = ev.full & ~ev.mask(dag)
+        ev = Evaluator(frame, lanes)
+        failing = ev.full & ~ev.mask(dag, masks)
         if failing:
             lane, world = divmod((failing & -failing).bit_length() - 1, n)
             masks = {p: (m >> (lane * n)) & ((1 << n) - 1) for p, m in masks.items()}
@@ -199,59 +224,20 @@ class _Budget:
         return self.left >= 0
 
 
-class _IntervalBounds:
-    """Three-valued evaluation under a partial valuation.
-
-    Each letter carries a mask of decided bit positions and their values;
-    every op of the compiled formula gets a (must, may) world-mask pair
-    bracketing its satisfaction set over all completions of the assignment.
-    The diamond is monotone in both arguments and negation swaps the
-    complements, so the bounds are sound on the desugared core. Each bound
-    charges the budget the node count of the desugared tree.
-    """
-
-    def __init__(self, frame: Frame, dag: fm.Dag, budget: _Budget):
-        self.full, self._lane0 = (1 << frame.size) - 1, 1
-        self._comp_items = tuple(_comp_index(frame).items())
-        self.dag, self.nodes, self.budget = dag, dag.tree_size(), budget
-
-    def bounds(self, known: dict[str, int],
-               value: dict[str, int]) -> tuple[int, int] | None:
-        """(must, may) of the dag's last op, or None when the step budget
-        runs dry."""
-        if not self.budget.spend(self.nodes):
-            return None
-        full, comp, out = self.full, self._comp, []
-        for kind, a, b in self.dag.ops:
-            if kind == fm.VAR:
-                k, v = known.get(a, 0), value.get(a, 0)
-                out.append((v & k, v | (full & ~k)))
-            elif kind == fm.NOT:
-                must, may = out[a]
-                out.append((full & ~may, full & ~must))
-            else:
-                (lm, lM), (rm, rM) = out[a], out[b]
-                out.append((lm | rm, lM | rM) if kind == fm.OR
-                           else (comp(lm, rm), comp(lM, rM)))
-        return out[-1]
-
-    _comp = Evaluator._comp  # the one diamond kernel, on a single lane
-
-
-def _greedy_refute(frame: Frame, core: fm.Formula | fm.Dag, inventory: list[str],
+def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
                    budget: _Budget) -> dict[str, int] | None | str:
     """Backtracking search for a refuting valuation, one bit at a time.
 
     Bits are decided most significant first with 0 before 1, so the first
     hit is the lexicographically least refuting valuation index. A subtree
     is pruned when the formula is certainly true everywhere under every
-    completion, and a branch succeeds early (zero-filling the rest) when
-    some world certainly fails. Returns the letter masks, None when the
-    whole tree is exhausted, or "budget" when the steps run out.
+    completion (ev.bounds on one lane), and a branch succeeds early
+    (zero-filling the rest) when some world certainly fails. Each bound
+    charges the budget the node count of the desugared tree. Returns the
+    letter masks, None when the whole tree is exhausted, or "budget" when
+    the steps run out.
     """
-    n = frame.size
-    ivals = _IntervalBounds(frame, fm.to_dag(core), budget)
-    full = (1 << n) - 1
+    n, full, cost = ev.frame.size, ev.full, dag.tree_size()
     # pin the reserved constants letter: satisfaction is independent of it,
     # and deciding it keeps the bounds exact once all real letters are set
     known = dict.fromkeys(inventory, 0) | {fm.TOP_LETTER: full}
@@ -262,10 +248,9 @@ def _greedy_refute(frame: Frame, core: fm.Formula | fm.Dag, inventory: list[str]
     ]
 
     def descend(depth: int) -> dict[str, int] | None | str:
-        got = ivals.bounds(known, value)
-        if got is None:
+        if not budget.spend(cost):
             return "budget"
-        must, may = got
+        must, may = ev.bounds(dag, known, value)
         if must == full:
             return None  # certainly valid under every completion: prune
         if may != full:
@@ -311,6 +296,7 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for frame in enumerate_frames(n, require_associative=True):
+            ev = Evaluator(frame)  # shared by the probes, the backtracker and the check
             probes = [
                 {p: 0 for p in inventory},
                 {p: full for p in inventory},
@@ -325,16 +311,14 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
                 seen.add(key)
                 if not tracker.spend(cost):
                     return None
-                model = Model._from_masks(frame, dict(masks))
-                failing = full & ~Evaluator(model).mask(dag)
+                failing = full & ~ev.mask(dag, masks)
                 if failing:
                     return _found(frame, masks, failing)
-            got = _greedy_refute(frame, dag, inventory, tracker)
+            got = _greedy_refute(ev, dag, inventory, tracker)
             if got == "budget":
                 return None
             if got is not None:
-                model = Model._from_masks(frame, dict(got))
-                failing = full & ~Evaluator(model).mask(dag)
+                failing = full & ~ev.mask(dag, got)
                 assert failing, "backtracker returned a non-refuting valuation"
                 return _found(frame, got, failing)
     return None

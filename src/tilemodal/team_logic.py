@@ -339,12 +339,12 @@ def from_kripke(model: Model, formulas: tuple[TeamFormula, ...] = ()) -> tuple[
                         f"back fails at world {world} split {sorted(s1)}|{sorted(s2)}"
                     )
     equivalence = True
-    ev = Evaluator(model)
+    ev = Evaluator(frame)
     for tf in formulas:
         extra = team_letters(tf) - set(letters)
         if extra:
             raise ValueError(f"formula mentions unvalued letters {sorted(extra)}")
-        mask = ev.mask(translate(tf))
+        mask = ev.mask(translate(tf), model.masks)
         for world in range(1 << k):
             team = Team(letters, image(world))
             if team_sat(team, tf) != bool((mask >> world) & 1):

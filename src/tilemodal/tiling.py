@@ -117,16 +117,19 @@ def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
     """The one tile-placement backtracker: returns the first placement found
     (None if there is none) and the steps spent, counting on from ``spent``.
     With ``wrap`` the last column meets the first and the top row the bottom,
-    so a side of length 1 must match itself."""
+    so a side of length 1 must match itself. Cells are numbered col * height
+    + row; placed holds the tiles of the cells before the current one, so it
+    grows only as far as the budget lets the search go, whatever the sides."""
     tiles = w.tiles
     left_colours = {t.left for t in tiles}
     down_colours = {t.down for t in tiles}
     n = width * height
-    placed = [-1] * n  # cell col * height + row -> tile index
-    at = 0
-    while 0 <= at < n:
+    placed: list[int] = []
+    start = 0  # the first tile to try at the current cell
+    while len(placed) < n:
+        at = len(placed)
         col, row = divmod(at, height)
-        for i in range(placed[at] + 1, len(tiles)):
+        for i in range(start, len(tiles)):
             spent += 1
             if spent > budget:
                 raise SearchBudgetExceeded(f"budget {budget} exhausted")
@@ -147,14 +150,13 @@ def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
                     continue
             elif wrap and (tiles[placed[at - row]] if row else tile).down != tile.up:
                 continue
-            placed[at] = i
-            at += 1
+            placed.append(i)
+            start = 0
             break
         else:
-            placed[at] = -1
-            at -= 1
-    if at < 0:
-        return None, spent
+            if not placed:
+                return None, spent
+            start = placed.pop() + 1
     return {divmod(cell, height): i for cell, i in enumerate(placed)}, spent
 
 
@@ -186,7 +188,9 @@ class PeriodicTiling:
         p, q = self.periods
         if p < 1 or q < 1:
             raise ValueError("periods must be positive")
-        if set(self.cells) != {(c, r) for c in range(p) for r in range(q)}:
+        # counted first: the cover set is only built when it can be matched
+        if (len(self.cells) != p * q
+                or set(self.cells) != {(c, r) for c in range(p) for r in range(q)}):
             raise ValueError("cells must cover exactly the p x q torus")
 
     def tile_at(self, m: int, n: int) -> int:

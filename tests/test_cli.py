@@ -377,6 +377,9 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
 
+#: A side no search can reach the end of, and no list of cells can hold.
+HUGE = 10 ** 11
+
 BAD_INPUTS = [
     ["tile-torus", "--tiles", "{swap}", "--max-period", "9"],
     ["tile-solve", "--tiles", "{swap}", "--width", "0", "--height", "1"],
@@ -384,6 +387,8 @@ BAD_INPUTS = [
     ["verify-lemma6", "--tiles", "{swap}", "--period", "0,1"],
     ["verify-lemma6", "--tiles", "{swap}", "--period", "2,1", "--depth", "9"],
     ["verify-lemma6", "--tiles", "{swap}", "--cells", "0,0:a", "--period", "2,1"],
+    ["verify-lemma6", "--tiles", "{swap}", "--cells", "0,0:a",
+     "--period", f"{HUGE},{HUGE}"],
     ["tile-render", "--tiles", "{swap}", "--width", "1", "--height", "1",
      "--mode", "svg", "--out", "{missing}/grid.svg"],
     ["enum-frames", "--worlds", "0"],
@@ -485,3 +490,26 @@ def test_well_formed_call_builds_one_parser(monkeypatch, capsys):
     built.clear()
     assert main(["ptl-decide", "p | q", "--bogus"]) == 2  # the full parser answers
     assert len(built) > 1
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["tile-solve", "--width", str(HUGE), "--height", str(HUGE)], "status=unsolvable\n"),
+    (["tile-render", "--width", str(HUGE), "--height", str(HUGE)], "status=unsolvable\n"),
+    (["tile-solve", "--width", "1", "--height", str(HUGE)], "status=unsolvable\n"),
+])
+def test_huge_rectangle_answers_without_traceback(tmp_path, argv, out):
+    tiles = tmp_path / "two.tiles"
+    tiles.write_text("a 1 0 0 0\nb 2 1 0 0\n")  # stacks at most two high
+    proc = subprocess.run([sys.executable, "-m", "tilemodal.cli", *argv, "--tiles",
+                           str(tiles), "--format", "lines"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, "")
+
+
+def test_huge_torus_answers_without_traceback(tmp_path):
+    tiles = tmp_path / "flat.tiles"
+    tiles.write_text("t 1 0 0 0\n")  # cannot stack on itself
+    proc = subprocess.run([sys.executable, "-m", "tilemodal.cli", "verify-lemma6",
+                           "--tiles", str(tiles), "--period", f"{HUGE},{HUGE}"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"no torus tiling with period ({HUGE}, {HUGE})\n"

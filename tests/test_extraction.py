@@ -1,8 +1,10 @@
 import pytest
 
 from fixtures_quotient import quotient_countermodel, quotient_frame
+from tilemodal import formula as fm
 from tilemodal import reduction
 from tilemodal.extraction import (
+    _Checker,
     NoTile,
     NoWitness,
     PremiseFailure,
@@ -13,7 +15,7 @@ from tilemodal.extraction import (
     read_tiling,
 )
 from tilemodal.frames import Frame, Model, check_associative, powerset_frame
-from tilemodal.semantics import sat_set
+from tilemodal.semantics import Evaluator, sat_mask, sat_set
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet, verify_grid
 
 MONO = TileSet(("t1",), (Tile(0, 0, 0, 0),))
@@ -50,6 +52,27 @@ class TestQuotientFixture:
         torus3 = PeriodicTiling((3, 1), {(0, 0): 0, (1, 0): 1, (2, 0): 2})
         with pytest.raises(ValueError):
             quotient_countermodel(w3, torus3)
+
+
+class TestChecker:
+    @pytest.mark.parametrize("w", [MONO, SWAP], ids=["mono", "swap"])
+    def test_one_pass_masks_equal_sat_mask(self, monkeypatch, mono_model, swap_model, w):
+        model, _ = mono_model if w is MONO else swap_model
+        passes = []
+        masks = Evaluator.masks
+        monkeypatch.setattr(Evaluator, "masks",
+                            lambda ev, *args: passes.append(1) or masks(ev, *args))
+        chk = _Checker(model, w)
+        assert len(passes) == 1
+        assert chk.letter == {name: sat_mask(model, fm.Letter(name))
+                              for name in reduction.STRUCTURAL_LETTERS}
+        assert chk.tile_masks == [sat_mask(model, reduction.tile_literal(w, t))
+                                  for t in range(len(w))]
+        assert chk.products == {
+            (a, b): sat_mask(model, fm.Comp(fm.Letter(f"x_{a}"), fm.Letter(f"y_{b}")))
+            for a, b in reduction.PARITY_PAIRS}
+        assert chk.body == [(name, sat_mask(model, f))
+                            for name, f in reduction.conjuncts(w)]
 
 
 class TestAssocWitness:

@@ -3,6 +3,7 @@ from itertools import islice, permutations, product
 
 import pytest
 
+from fixtures_quotient import quotient_frame
 from tilemodal import frames
 from tilemodal.frames import (
     AssocCounterexample,
@@ -65,7 +66,31 @@ class TestCheckAssociative:
                 assert got == AssocCounterexample(*expected)
 
 
+def oracle_s_pairs(frame: Frame) -> frozenset[tuple[int, int]]:
+    """The S relation as a set of pairs through the by-first index: the
+    earlier definition, kept as the oracle for the successor masks."""
+    pairs: set[tuple[int, int]] = set()
+    for x, u, v in frame.triples:
+        pairs.add((x, v))
+        pairs.add((x, u))
+    by_first = frames._by_first(frame)
+    for x, z, _b in frame.triples:
+        for _a, y in by_first.get(z, ()):
+            pairs.add((x, y))
+    return frozenset(pairs)
+
+
 class TestSRelation:
+    def test_successor_masks_match_pair_oracle(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            frame = random_frame(rng, rng.randint(1, 5), rng.choice((0.05, 0.15, 0.4)))
+            assert s_relation(frame).pairs == oracle_s_pairs(frame)
+
+    def test_successor_masks_on_quotient_frame(self):
+        frame = quotient_frame()
+        assert s_relation(frame).pairs == oracle_s_pairs(frame)
+
     def test_powerset_one_generator(self):
         # worlds: 0 is the empty set, 1 the singleton; S is superset-or-equal
         rel = s_relation(powerset_frame(1, "union"))

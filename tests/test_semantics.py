@@ -30,7 +30,6 @@ from tilemodal.semantics import (
     MAX_LANES,
     Evaluator,
     _Budget,
-    _IntervalBounds,
     Refuted,
     Unknown,
     Valid,
@@ -192,14 +191,6 @@ class TestFrameValidity:
                                seed=1, samples=500)
         assert hit == again
 
-    def test_jobs_do_not_change_verdict(self):
-        frame = Frame(1, frozenset({(0, 0, 0)}))
-        wide = fm.disj([Letter(f"w{i:02d}") for i in range(13)])
-        lone = frame_validity(frame, wide, jobs=1)
-        pooled = frame_validity(frame, wide, jobs=4)
-        assert isinstance(lone, Refuted)
-        assert lone == pooled
-
     def test_constant_letter_not_counted_against_bit_limit(self):
         # 15 worlds and one real letter: 15 bits, although F brings in the
         # reserved letter behind the constants
@@ -221,7 +212,7 @@ def _least_refutation(frame: Frame, f: fm.Formula, valuations):
     valuation: the reference for the packed scan."""
     full = (1 << frame.size) - 1
     for masks in valuations:
-        failing = full & ~Evaluator(Model._from_masks(frame, dict(masks))).mask(f)
+        failing = full & ~Evaluator(frame).mask(f, masks)
         if failing:
             return masks, (failing & -failing).bit_length() - 1
     return None
@@ -385,7 +376,8 @@ class TestGreedyBacktracker:
             f = rng.choice(formulas)
             inventory = _inventory(f)
             core = fm.desugar(f)
-            got = _greedy_refute(frame, core, inventory, _Budget(10 ** 9))
+            got = _greedy_refute(Evaluator(frame), fm.to_dag(core), inventory,
+                                 _Budget(10 ** 9))
             assert got != "budget"
             # oracle: linear scan in valuation-index order
             expected = None
@@ -407,8 +399,8 @@ class TestGreedyBacktracker:
         from tilemodal.semantics import _Budget, _greedy_refute, _inventory
 
         frame = Frame(2, frozenset({(0, 0, 1)}))
-        f = fm.desugar(ASSOC_AXIOM)
-        got = _greedy_refute(frame, f, _inventory(ASSOC_AXIOM), _Budget(3))
+        f = fm.to_dag(fm.desugar(ASSOC_AXIOM))
+        got = _greedy_refute(Evaluator(frame), f, _inventory(ASSOC_AXIOM), _Budget(3))
         assert got == "budget"
 
 
@@ -431,6 +423,29 @@ class TestCountermodelSearch:
         model, world = first
         assert world not in sat_set(model, f)
 
+    def test_one_evaluator_per_frame(self, monkeypatch):
+        from tilemodal import semantics
+
+        frames_seen, built = [], []
+        enumerate_all = semantics.enumerate_frames
+
+        def counting_frames(*args, **kwargs):
+            for frame in enumerate_all(*args, **kwargs):
+                frames_seen.append(frame)
+                yield frame
+
+        class CountingEvaluator(Evaluator):
+            def __init__(self, frame, lanes=1):
+                built.append(frame)
+                super().__init__(frame, lanes)
+
+        monkeypatch.setattr(semantics, "enumerate_frames", counting_frames)
+        monkeypatch.setattr(semantics, "Evaluator", CountingEvaluator)
+        # valid on every associative frame, so every frame up to 2 worlds is visited
+        assert countermodel_search(ASSOC_AXIOM, max_worlds=2, budget=10 ** 9) is None
+        assert len(frames_seen) > 10
+        assert built == frames_seen
+
     def test_returned_frame_is_associative(self):
         from tilemodal.frames import check_associative
 
@@ -445,18 +460,18 @@ MONO = TileSet(("t1",), (Tile(0, 0, 0, 0),))
 SWAP = TileSet(("a", "b"), (Tile(0, 0, 1, 2), Tile(0, 0, 2, 1)))
 
 
-def _tree_mask(model: Model, f: fm.Formula) -> int:
+def _tree_mask(frame: Frame, masks: dict[str, int], f: fm.Formula) -> int:
     """Satisfaction set by one clause per connective, walking the tree, with
     a diamond read straight off the triples: the oracle for the op list."""
-    full = (1 << model.frame.size) - 1
+    full = (1 << frame.size) - 1
 
     def dia(left: int, right: int) -> int:
-        return sum({1 << x for x, y, z in model.frame.triples
+        return sum({1 << x for x, y, z in frame.triples
                     if (left >> y) & 1 and (right >> z) & 1})
 
     def ev(g: fm.Formula) -> int:
         if isinstance(g, Letter):
-            return model.letter_mask(g.name)
+            return masks.get(g.name, 0)
         if isinstance(g, Neg):
             return full & ~ev(g.sub)
         if isinstance(g, Or):
@@ -551,11 +566,10 @@ class TestOpList:
                           for _ in range(lanes)]
             packed = {l: sum(v[l] << (i * n) for i, v in enumerate(valuations))
                       for l in ("p", "q", "r")}
-            got = Evaluator(Model._from_masks(frame, packed), lanes).mask(f)
+            got = Evaluator(frame, lanes).mask(f, packed)
             for i, masks in enumerate(valuations):
-                model = Model._from_masks(frame, masks)
-                expect = _tree_mask(model, f)
-                assert Evaluator(model).mask(f) == expect, fm.render(f)
+                expect = _tree_mask(frame, masks, f)
+                assert Evaluator(frame).mask(f, masks) == expect, fm.render(f)
                 assert (got >> (i * n)) & ((1 << n) - 1) == expect, fm.render(f)
 
     def test_decided_bounds_are_the_mask(self):
@@ -566,9 +580,9 @@ class TestOpList:
             masks = {l: rng.getrandbits(frame.size) for l in ("p", "q", "r")}
             known = {l: (1 << frame.size) - 1 for l in fm.letters(f) | {fm.TOP_LETTER}}
             value = {l: masks.get(l, 0) for l in known}
-            ivals = _IntervalBounds(frame, fm.to_dag(f), _Budget(10 ** 9))
-            expect = _tree_mask(Model._from_masks(frame, masks), f)
-            assert ivals.bounds(known, value) == (expect, expect), fm.render(f)
+            expect = _tree_mask(frame, masks, f)
+            got = Evaluator(frame).bounds(fm.to_dag(f), known, value)
+            assert got == (expect, expect), fm.render(f)
 
     def test_partial_bounds_bracket_every_completion(self):
         rng = random.Random(45)
@@ -578,11 +592,10 @@ class TestOpList:
             n, full = frame.size, (1 << frame.size) - 1
             known = {"p": rng.getrandbits(n), "q": rng.getrandbits(n), fm.TOP_LETTER: full}
             value = {l: rng.getrandbits(n) & k for l, k in known.items()}
-            must, may = _IntervalBounds(frame, fm.to_dag(f), _Budget(10 ** 9)).bounds(
-                known, value)
+            must, may = Evaluator(frame).bounds(fm.to_dag(f), known, value)
             for fill in product(range(1 << n), repeat=2):
                 masks = {l: value[l] | (m & ~known[l]) for l, m in zip("pq", fill)}
-                mask = _tree_mask(Model._from_masks(frame, masks), f)
+                mask = _tree_mask(frame, masks, f)
                 assert must & ~mask == 0 and mask & ~may == 0, fm.render(f)
 
     def test_symbolic_evaluator_on_mono(self):
