@@ -29,7 +29,6 @@ from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 from tilemodal.semantics import (
     MAX_LANES,
     Evaluator,
-    _Budget,
     Refuted,
     Unknown,
     Valid,
