@@ -20,8 +20,7 @@ from functools import lru_cache
 
 from tilemodal import formula as fm
 from tilemodal import reduction
-from tilemodal.frames import Model, check_associative, s_relation
-from tilemodal.frames import _by_first
+from tilemodal.frames import Frame, Model, bits, check_associative, s_relation
 from tilemodal.semantics import Evaluator
 from tilemodal.tiling import Grid, TileSet, verify_grid
 
@@ -98,9 +97,7 @@ class _Checker:
 
     def __init__(self, model: Model, w: TileSet):
         self.model = model
-        srel = s_relation(model.frame)
-        self._ssucc = {x: srel.successors(x) for x in range(model.frame.size)}
-        self.by_first = _by_first(model.frame)
+        self._ssucc = s_relation(model.frame).succ
         dag = fm.Dag()
         letters = {name: dag.add(fm.Letter(name)) for name in reduction.STRUCTURAL_LETTERS}
         tiles = [dag.add(reduction.tile_literal(w, t)) for t in range(len(w))]
@@ -139,24 +136,30 @@ def assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
     Raises PremiseFailure if the premise pair does not hold, and NoWitness if
     no witness exists, which certifies the frame is not associative.
     """
-    R = model.frame.triples
+    R, index = model.frame.triples, model.frame.index
     if kind == "forward":
         if (a, pivot, y) not in R or (pivot, x, c) not in R:
             raise PremiseFailure("forward rewrite premise", (a, x, c, y, pivot))
-        found = sorted(b for (u, b) in _by_first(model.frame).get(a, ())
-                       if u == x and (b, c, y) in R)
-        if not found:
+        found = next((b for b in bits(index.get((c, y), 0))
+                      if index.get((x, b), 0) >> a & 1), None)
+        if found is None:
             raise NoWitness(f"no forward witness for {(a, x, c, y)}")
-        return found[0]
+        return found
     if kind == "backward":
         if (a, x, pivot) not in R or (pivot, c, y) not in R:
             raise PremiseFailure("backward rewrite premise", (a, x, c, y, pivot))
-        found = sorted(d for (d, v) in _by_first(model.frame).get(a, ())
-                       if v == y and (d, x, c) in R)
-        if not found:
+        found = next((d for d in bits(index.get((x, c), 0))
+                      if index.get((d, y), 0) >> a & 1), None)
+        if found is None:
             raise NoWitness(f"no backward witness for {(a, x, c, y)}")
-        return found[0]
+        return found
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _least_split(frame: Frame, x: int, left: int, right: int) -> tuple[int, int] | None:
+    """Least (y, z) with Rxyz, y in left and z in right, or None."""
+    return min(((y, z) for (y, z), xs in frame.index.items()
+                if xs >> x & 1 and left >> y & 1 and right >> z & 1), default=None)
 
 
 def extract_axes(model: Model, z: int, k: int, w: TileSet) -> Axes:
@@ -175,11 +178,7 @@ def extract_axes(model: Model, z: int, k: int, w: TileSet) -> Axes:
     ye, yo = chk.letter["y_e"], chk.letter["y_o"]
     xp_m, yp_m = chk.letter["x'"], chk.letter["y'"]
 
-    base = next(
-        (pair for pair in sorted(chk.by_first.get(z, ()))
-         if chk.sat(xe, pair[0]) and chk.sat(ye, pair[1])),
-        None,
-    )
+    base = _least_split(model.frame, z, xe, ye)
     if base is None:
         raise PremiseFailure("item 1: no seed decomposition", z)
     xs, ys = [base[0]], [base[1]]
@@ -194,18 +193,10 @@ def extract_axes(model: Model, z: int, k: int, w: TileSet) -> Axes:
         if not chk.sat(x_par, xs[i]) or not chk.sat(y_par, ys[i]):
             raise PremiseFailure("item 6/7: parity letters", i)
 
-        step_x = next(
-            (pair for pair in sorted(chk.by_first.get(xs[i], ()))
-             if chk.sat(xp_m, pair[0]) and chk.sat(x_next_par, pair[1])),
-            None,
-        )
+        step_x = _least_split(model.frame, xs[i], xp_m, x_next_par)
         if step_x is None:
             raise PremiseFailure("item 2: no x successor decomposition", i + 1)
-        step_y = next(
-            (pair for pair in sorted(chk.by_first.get(ys[i], ()))
-             if chk.sat(y_next_par, pair[0]) and chk.sat(yp_m, pair[1])),
-            None,
-        )
+        step_y = _least_split(model.frame, ys[i], y_next_par, yp_m)
         if step_y is None:
             raise PremiseFailure("item 3: no y successor decomposition", i + 1)
         xps.append(step_x[0])

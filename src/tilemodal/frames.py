@@ -9,8 +9,7 @@ plain sets of indices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 Triple = tuple[int, int, int]
@@ -35,71 +34,58 @@ def mask_of(worlds: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class Frame:
-    """A set of worlds 0..size-1 with a ternary accessibility relation."""
+    """A set of worlds 0..size-1 with a ternary accessibility relation.
+
+    index maps each (y, z) with some Rxyz to the bitmask of those x; it is
+    built once per Frame and left out of == and hash."""
 
     size: int
     triples: frozenset[Triple]
+    index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("frames need at least one world")
         object.__setattr__(self, "triples", frozenset(self.triples))
+        index: dict[tuple[int, int], int] = {}
         for t in self.triples:
             if len(t) != 3 or any(not (0 <= w < self.size) for w in t):
                 raise ValueError(f"triple {t} out of range for size {self.size}")
+            x, y, z = t
+            index[y, z] = index.get((y, z), 0) | 1 << x
+        object.__setattr__(self, "index", index)
 
     def has(self, x: int, y: int, z: int) -> bool:
         return (x, y, z) in self.triples
 
 
-@lru_cache(maxsize=256)
-def _comp_index(frame: Frame) -> dict[tuple[int, int], int]:
-    """(y, z) -> bitmask of x with Rxyz."""
-    idx: dict[tuple[int, int], int] = {}
-    for x, y, z in frame.triples:
-        idx[(y, z)] = idx.get((y, z), 0) | (1 << x)
-    return idx
-
-
-@lru_cache(maxsize=256)
-def _by_first(frame: Frame) -> dict[int, tuple[tuple[int, int], ...]]:
-    """x -> all (y, z) with Rxyz."""
-    idx: dict[int, list[tuple[int, int]]] = {}
-    for x, y, z in frame.triples:
-        idx.setdefault(x, []).append((y, z))
-    return {x: tuple(pairs) for x, pairs in idx.items()}
-
-
 @dataclass(frozen=True)
 class BinRel:
+    """A binary relation on worlds 0..size-1 as successor masks: bit y of
+    succ[x] is set when xRy."""
+
     size: int
-    pairs: frozenset[tuple[int, int]]
+    succ: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for x, y in self.pairs:
-            if not (0 <= x < self.size and 0 <= y < self.size):
-                raise ValueError(f"pair {(x, y)} out of range")
+        if len(self.succ) != self.size or any(m >> self.size for m in self.succ):
+            raise ValueError("successor masks out of range")
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((x, y) for x, m in enumerate(self.succ) for y in bits(m))
 
     def successors(self, x: int) -> int:
-        """Bitmask of y with (x, y) in the relation."""
-        m = 0
-        for a, b in self.pairs:
-            if a == x:
-                m |= 1 << b
-        return m
+        return self.succ[x]
 
     def find_intransitivity(self) -> tuple[int, int, int] | None:
         """Least (x, y, z) with xRy, yRz but not xRz, or None if transitive."""
-        succ = {x: self.successors(x) for x in range(self.size)}
-        worst = None
-        for x, y in self.pairs:
-            missing = succ.get(y, 0) & ~succ.get(x, 0)
-            for z in bits(missing):
-                cand = (x, y, z)
-                if worst is None or cand < worst:
-                    worst = cand
-        return worst
+        for x, mx in enumerate(self.succ):
+            for y in bits(mx):
+                missing = self.succ[y] & ~mx
+                if missing:
+                    return x, y, (missing & -missing).bit_length() - 1
+        return None
 
 
 @dataclass(frozen=True)
@@ -121,19 +107,26 @@ def check_associative(frame: Frame) -> AssocCounterexample | None:
     """None if the frame is associative, else the least failing quadruple.
 
     Associativity: for all x,a,b,c, there is y with Rxyc and Ryab exactly
-    when there is z with Rxaz and Rzbc.
+    when there is z with Rxaz and Rzbc. Every world of a failing quadruple
+    occurs in some triple, so the test runs on those worlds alone,
+    renumbered in ascending order: the least failure keeps its place.
     """
-    n = frame.size
+    used = 0
+    for (y, z), xs in frame.index.items():
+        used |= xs | 1 << y | 1 << z
+    worlds = list(bits(used))
+    at = {w: i for i, w in enumerate(worlds)}
+    n = len(worlds)
     cells = [0] * (n * n)
-    for x, y, z in frame.triples:
-        cells[y * n + z] |= 1 << x
+    for (y, z), xs in frame.index.items():
+        cells[at[y] * n + at[z]] = xs if n == frame.size else mask_of(at[x] for x in bits(xs))
     best = None
     for a, b, c, left, right in _assoc_failures(n, cells, cells):
         diff = left | right
         x = (diff & -diff).bit_length() - 1
-        if best is None or x < best.x:
+        if best is None or worlds[x] < best.x:
             direction = "left_to_right" if (left >> x) & 1 else "right_to_left"
-            best = AssocCounterexample(x, a, b, c, direction)
+            best = AssocCounterexample(worlds[x], worlds[a], worlds[b], worlds[c], direction)
     return best
 
 
@@ -187,8 +180,7 @@ def s_relation(frame: Frame) -> BinRel:
         third[x] |= 1 << v
     for x, z, _b in frame.triples:
         succ[x] |= third[z]
-    return BinRel(frame.size, frozenset(
-        (x, y) for x, m in enumerate(succ) for y in bits(m)))
+    return BinRel(frame.size, tuple(succ))
 
 
 def powerset_worlds(k: int, mode: str = "union") -> list[frozenset[int]]:

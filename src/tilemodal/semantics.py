@@ -21,7 +21,6 @@ from tilemodal.frames import (
     enumerate_frames,
     s_relation,
 )
-from tilemodal.frames import _comp_index
 
 
 class Evaluator:
@@ -39,7 +38,7 @@ class Evaluator:
         self.frame = frame
         self.full = (1 << (frame.size * lanes)) - 1
         self._lane0 = self.full // ((1 << frame.size) - 1)  # bit 0 of each lane
-        self._comp_items = tuple(_comp_index(frame).items())
+        self._comp_items = tuple(frame.index.items())
 
     def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int]) -> int:
         """Satisfaction set of f, or of the last op of a compiled Dag."""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fixtures_quotient import quotient_countermodel, quotient_frame
@@ -8,6 +10,7 @@ from tilemodal.extraction import (
     NoTile,
     NoWitness,
     PremiseFailure,
+    _least_split,
     assoc_witness,
     extract_axes,
     extract_grid,
@@ -107,6 +110,69 @@ class TestAssocWitness:
         # both 2 and 3 complete the rewrite; 2 is the least
         got = assoc_witness(model, "forward", a=0, x=3, c=4, y=2, pivot=1)
         assert got == 2
+
+
+def by_first(frame: Frame) -> dict[int, list[tuple[int, int]]]:
+    """x -> every (y, z) with Rxyz: the index the witness scans used to read."""
+    idx: dict[int, list[tuple[int, int]]] = {}
+    for x, y, z in frame.triples:
+        idx.setdefault(x, []).append((y, z))
+    return idx
+
+
+def oracle_witness(frame: Frame, by: dict, kind: str, a: int, x: int, c: int,
+                   y: int) -> int | None:
+    """The earlier sorted scan of assoc_witness, kept as its oracle."""
+    R = frame.triples
+    if kind == "forward":
+        found = sorted(b for (u, b) in by.get(a, ()) if u == x and (b, c, y) in R)
+    else:
+        found = sorted(d for (d, v) in by.get(a, ()) if v == y and (d, x, c) in R)
+    return found[0] if found else None
+
+
+def oracle_split(by: dict, x: int, left: int, right: int) -> tuple[int, int] | None:
+    """The earlier sorted scan of the axis steps, kept as their oracle."""
+    return next((pair for pair in sorted(by.get(x, ()))
+                 if left >> pair[0] & 1 and right >> pair[1] & 1), None)
+
+
+class TestIndexScansMatchSortedScans:
+    def test_assoc_witness_both_kinds(self):
+        frame = quotient_frame()
+        model, by, R = Model(frame, {}), by_first(frame), sorted(frame.triples)
+        rng = random.Random(5)
+        for _ in range(3000):
+            a, pivot, y = rng.choice(R)  # forward: R a pivot y and R pivot x c
+            x, c = rng.choice(by[pivot])
+            assert (assoc_witness(model, "forward", a, x, c, y, pivot)
+                    == oracle_witness(frame, by, "forward", a, x, c, y))
+            a, x, pivot = rng.choice(R)  # backward: R a x pivot and R pivot c y
+            c, y = rng.choice(by[pivot])
+            assert (assoc_witness(model, "backward", a, x, c, y, pivot)
+                    == oracle_witness(frame, by, "backward", a, x, c, y))
+
+    @pytest.mark.parametrize("w", [MONO, SWAP], ids=["mono", "swap"])
+    def test_axis_steps(self, mono_model, swap_model, w):
+        model, z = mono_model if w is MONO else swap_model
+        by, letter = by_first(model.frame), _Checker(model, w).letter
+        masks = [letter[name] for name in reduction.STRUCTURAL_LETTERS]
+        for x in range(model.frame.size):
+            for left in masks:
+                for right in masks:
+                    assert (_least_split(model.frame, x, left, right)
+                            == oracle_split(by, x, left, right))
+        axes = extract_axes(model, z, 6, w)
+        x0, y0 = oracle_split(by, z, letter["x_e"], letter["y_e"])
+        xs, ys = [x0], [y0]
+        for i in range(6):
+            odd = "o" if i % 2 == 0 else "e"
+            xp, x_next = oracle_split(by, xs[i], letter["x'"], letter["x_" + odd])
+            y_next, yp = oracle_split(by, ys[i], letter["y_" + odd], letter["y'"])
+            assert (xp, yp) == (axes.xprime(i + 1), axes.yprime(i + 1))
+            xs.append(x_next)
+            ys.append(y_next)
+        assert (tuple(xs), tuple(ys)) == (axes.x, axes.y)
 
 
 class TestExtractAxes:

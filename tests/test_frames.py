@@ -1,9 +1,13 @@
 import random
+import resource
+import subprocess
+import sys
 from itertools import islice, permutations, product
 
 import pytest
 
 from fixtures_quotient import quotient_frame
+from tilemodal import formula as fm
 from tilemodal import frames
 from tilemodal.frames import (
     AssocCounterexample,
@@ -20,6 +24,7 @@ from tilemodal.frames import (
     s_relation,
     semilattice_frame,
 )
+from tilemodal.semantics import Evaluator
 
 
 def oracle_associative(frame: Frame):
@@ -66,6 +71,71 @@ class TestCheckAssociative:
                 assert got == AssocCounterexample(*expected)
 
 
+def run_limited(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess with 1 GB of address space and 60 s."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return subprocess.run([sys.executable, "-m", "tilemodal.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit)
+
+
+class TestSparseLargeFrames:
+    """The check runs on the worlds that occur in some triple, however many
+    worlds the frame has."""
+
+    def test_one_triple_in_a_hundred_thousand_worlds(self, tmp_path):
+        path = tmp_path / "big.frame"
+        path.write_text("worlds 100000\n0 0 0\n")
+        proc = run_limited(["check-assoc", "--frame", str(path)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "associative\n", "")
+        tiles = tmp_path / "one.tiles"
+        tiles.write_text("t1 0 0 0 0\n")
+        proc = run_limited(["extract", "--frame", str(path), "--tiles", str(tiles),
+                            "--point", "0", "--k", "1"])
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout == "extraction failed: premise failed: body conjunct seed at 0\n"
+
+    def test_spread_frame_has_the_compact_counterexample(self, tmp_path):
+        rng = random.Random(8)
+        spread = (3, 999, 40000, 99999)  # ascending, so the order is kept
+        checked = 0
+        while checked < 3:
+            small = random_frame(rng, 4, 0.15)
+            expected = oracle_associative(small)
+            if expected is None:
+                continue
+            checked += 1
+            big = Frame(100000, frozenset(tuple(spread[w] for w in t)
+                                          for t in small.triples))
+            path = tmp_path / "spread.frame"
+            path.write_text(render_frame_file(big))
+            proc = run_limited(["check-assoc", "--frame", str(path), "--format", "lines"])
+            x, a, b, c = (spread[w] for w in expected[:4])
+            assert (proc.returncode, proc.stdout) == (1, (
+                f"status=counterexample x={x} a={a} b={b} c={c} "
+                f"direction={expected[4]}\n"))
+
+
+class TestRelationIndex:
+    def test_index_is_the_fold_of_the_triples(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            frame = random_frame(rng, rng.randint(1, 5), rng.choice((0.05, 0.2, 0.5)))
+            fold: dict[tuple[int, int], int] = {}
+            for x, y, z in frame.triples:
+                fold[y, z] = fold.get((y, z), 0) | 1 << x
+            assert frame.index == fold
+
+    def test_index_is_not_part_of_equality(self):
+        frame = quotient_frame()
+        Evaluator(frame).mask(fm.Comp(fm.Letter("p"), fm.Letter("q")), {"p": 3, "q": 5})
+        assert check_associative(frame) is None
+        fresh = Frame(frame.size, frame.triples)
+        assert fresh == frame and hash(fresh) == hash(frame)
+        assert fresh.index == frame.index
+
+
 def oracle_s_pairs(frame: Frame) -> frozenset[tuple[int, int]]:
     """The S relation as a set of pairs through the by-first index: the
     earlier definition, kept as the oracle for the successor masks."""
@@ -73,7 +143,9 @@ def oracle_s_pairs(frame: Frame) -> frozenset[tuple[int, int]]:
     for x, u, v in frame.triples:
         pairs.add((x, v))
         pairs.add((x, u))
-    by_first = frames._by_first(frame)
+    by_first: dict[int, list[tuple[int, int]]] = {}
+    for x, y, z in frame.triples:
+        by_first.setdefault(x, []).append((y, z))
     for x, z, _b in frame.triples:
         for _a, y in by_first.get(z, ()):
             pairs.add((x, y))
@@ -381,6 +453,7 @@ class TestModelAndFiles:
         assert frame2 == frame and val2 == {"p": set()}
 
     def test_binrel_intransitivity_witness(self):
-        rel = BinRel(3, frozenset({(0, 1), (1, 2)}))
+        rel = BinRel(3, (0b010, 0b100, 0))
+        assert rel.pairs == frozenset({(0, 1), (1, 2)})
         assert rel.find_intransitivity() == (0, 1, 2)
-        assert BinRel(3, frozenset({(0, 1)})).find_intransitivity() is None
+        assert BinRel(3, (0b010, 0, 0)).find_intransitivity() is None
