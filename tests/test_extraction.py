@@ -166,9 +166,9 @@ class TestIndexScansMatchSortedScans:
         x0, y0 = oracle_split(by, z, letter["x_e"], letter["y_e"])
         xs, ys = [x0], [y0]
         for i in range(6):
-            odd = "o" if i % 2 == 0 else "e"
-            xp, x_next = oracle_split(by, xs[i], letter["x'"], letter["x_" + odd])
-            y_next, yp = oracle_split(by, ys[i], letter["y_" + odd], letter["y'"])
+            parity = "o" if i % 2 == 0 else "e"  # of step i + 1
+            xp, x_next = oracle_split(by, xs[i], letter["x'"], letter["x_" + parity])
+            y_next, yp = oracle_split(by, ys[i], letter["y_" + parity], letter["y'"])
             assert (xp, yp) == (axes.xprime(i + 1), axes.yprime(i + 1))
             xs.append(x_next)
             ys.append(y_next)
