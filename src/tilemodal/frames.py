@@ -119,7 +119,7 @@ def check_associative(frame: Frame) -> AssocCounterexample | None:
     n = len(worlds)
     cells = [0] * (n * n)
     for (y, z), xs in frame.index.items():
-        cells[at[y] * n + at[z]] = xs if n == frame.size else mask_of(at[x] for x in bits(xs))
+        cells[at[y] * n + at[z]] = mask_of(at[x] for x in bits(xs))
     best = None
     for a, b, c, left, right in _assoc_failures(n, cells, cells):
         diff = left | right

@@ -110,7 +110,7 @@ def holds_box(model: Model, x: int, f: fm.Formula) -> bool:
     """
     srel = s_relation(model.frame)
     good = sat_mask(model, f)
-    return srel.successors(x) & ~good == 0
+    return srel.succ[x] & ~good == 0
 
 
 @dataclass(frozen=True)

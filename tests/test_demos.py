@@ -11,8 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_six_demos():
-    assert len(DEMOS) == 6
+def test_demos_found():
+    # an empty glob would leave test_demo_runs with no cases at all
+    assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
