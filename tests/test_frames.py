@@ -17,6 +17,7 @@ from tilemodal.frames import (
     SemilatticeLawError,
     check_associative,
     enumerate_frames,
+    mask_of,
     parse_frame_file,
     powerset_frame,
     powerset_worlds,
@@ -69,6 +70,131 @@ class TestCheckAssociative:
                 assert got is None
             else:
                 assert got == AssocCounterexample(*expected)
+
+
+
+# The cell kernel that frames._assoc_failures replaced, kept verbatim as its
+# oracle; it reads cells y*n+z where the kernel reads field z of row y.
+def _ref_assoc_failures(n: int, must: list[int], may: list[int]):
+    """Yield (a, b, c, left, right) for each (a, b, c), ascending, at which
+    associativity fails in every relation between must and may.
+
+    Cell y*n+z of must holds the x with Rxyz certainly present, the same
+    cell of may those possibly present (a superset). left holds the x with
+    Rx(ab)c certain and Rxa(bc) impossible, right the converse; with must ==
+    may the relation is fully known and this is the exact test.
+    """
+    for a in range(n):
+        an = a * n
+        for b in range(n):
+            ab_must, ab_may = must[an + b], may[an + b]
+            bc = b * n
+            for c in range(n):
+                lhs_must = lhs_may = rhs_must = rhs_may = 0
+                rest = ab_may
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    yc = (low.bit_length() - 1) * n + c
+                    lhs_may |= may[yc]
+                    if ab_must & low:
+                        lhs_must |= must[yc]
+                bc_must = must[bc + c]
+                rest = may[bc + c]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    az = an + low.bit_length() - 1
+                    rhs_may |= may[az]
+                    if bc_must & low:
+                        rhs_must |= must[az]
+                left = lhs_must & ~rhs_may
+                right = rhs_must & ~lhs_may
+                if left or right:
+                    yield a, b, c, left, right
+
+
+def _rows(n: int, cells: list[int]) -> list[int]:
+    return [sum(cells[y * n + z] << z * n for z in range(n)) for y in range(n)]
+
+
+def _cells(n: int, rows: list[int]) -> list[int]:
+    return [(rows[y] >> z * n) & ((1 << n) - 1) for y in range(n) for z in range(n)]
+
+
+def _ref_check(frame: Frame) -> AssocCounterexample | None:
+    """check_associative through the cell kernel on every world."""
+    n = frame.size
+    cells = [0] * (n * n)
+    for x, y, z in frame.triples:
+        cells[y * n + z] |= 1 << x
+    best = None
+    for a, b, c, left, right in _ref_assoc_failures(n, cells, cells):
+        diff = left | right
+        x = (diff & -diff).bit_length() - 1
+        if best is None or x < best.x:
+            direction = "left_to_right" if (left >> x) & 1 else "right_to_left"
+            best = AssocCounterexample(x, a, b, c, direction)
+    return best
+
+
+class TestRowKernel:
+    """The row kernel against the cell kernel it replaced."""
+
+    def test_every_yield_in_order(self):
+        rng = random.Random(12)
+        strict = 0
+        for _ in range(3200):
+            n = rng.randint(1, 6)
+            density = rng.choice((0.05, 0.2, 0.5))
+            must = [mask_of(x for x in range(n) if rng.random() < density)
+                    for _ in range(n * n)]
+            if rng.random() < 0.5:  # exact: one list, and two equal lists
+                rows = _rows(n, must)
+                got = list(frames._assoc_failures(n, rows, rows))
+                assert got == list(_ref_assoc_failures(n, must, must))
+                assert list(frames._assoc_failures(n, rows, _rows(n, must))) == got
+                continue
+            may = [m | mask_of(x for x in range(n) if rng.random() < density) for m in must]
+            cell = rng.randrange(n * n)
+            may[cell] |= 1 << rng.randrange(n)
+            strict += may != must
+            got = list(frames._assoc_failures(n, _rows(n, must), _rows(n, may)))
+            assert got == list(_ref_assoc_failures(n, must, may))
+        assert strict > 1000
+
+    def test_codes_under_the_cell_kernel(self, monkeypatch):
+        fast = {n: list(islice(frames._codes(n, True), 2000)) for n in (1, 2, 3)}
+        monkeypatch.setattr(frames, "_assoc_failures", lambda n, must, may:
+                            _ref_assoc_failures(n, _cells(n, must), _cells(n, may)))
+        for n in (1, 2, 3):
+            assert list(islice(frames._codes(n, True), 2000)) == fast[n]
+        assert [len(fast[n]) for n in (1, 2, 3)] == [2, 50, 2000]
+
+    def test_least_counterexample_on_spread_worlds(self):
+        rng = random.Random(13)
+        checked = 0
+        while checked < 200:
+            small = random_frame(rng, rng.randint(2, 5), rng.choice((0.05, 0.15, 0.3)))
+            expected = oracle_associative(small)
+            if expected is None:
+                continue
+            checked += 1
+            size = rng.randint(small.size, 300)
+            spread = sorted(rng.sample(range(size), small.size))
+            big = Frame(size, frozenset(tuple(spread[w] for w in t) for t in small.triples))
+            x, a, b, c = (spread[w] for w in expected[:4])
+            assert check_associative(big) == AssocCounterexample(x, a, b, c, expected[4])
+
+    def test_powerset_frames_of_64_worlds(self):
+        rng = random.Random(14)
+        for mode in ("union", "disjoint_union", "union_nonempty"):
+            frame = powerset_frame(6, mode)
+            assert check_associative(frame) is None
+            drop = rng.choice(sorted(frame.triples))
+            broken = Frame(frame.size, frame.triples - {drop})
+            got = check_associative(broken)
+            assert got is not None and got == _ref_check(broken), (mode, drop)
 
 
 def run_limited(argv: list[str]) -> subprocess.CompletedProcess:
@@ -445,6 +571,22 @@ class TestModelAndFiles:
     def test_empty_frame_rejected(self):
         with pytest.raises(ValueError):
             Frame(0, frozenset())
+
+    def test_construction_errors(self):
+        bad = {
+            (0, ()): "frames need at least one world",
+            (2, ((0, 1),)): "triple (0, 1) out of range for size 2",
+            (2, ((0, 1, 1, 0),)): "triple (0, 1, 1, 0) out of range for size 2",
+        }
+        for at in range(3):
+            for w in (-1, 2):
+                t = tuple(w if i == at else 1 for i in range(3))
+                bad[2, (t,)] = f"triple {t} out of range for size 2"
+        for (size, triples), message in bad.items():
+            with pytest.raises(ValueError) as exc:
+                Frame(size, frozenset(triples))
+            assert str(exc.value) == message
+        assert Frame(2, frozenset({(1, 0, 1)})).index == {(0, 1): 2}
 
     def test_empty_valuation_roundtrip(self):
         frame = Frame(2, frozenset({(0, 0, 1)}))

@@ -597,6 +597,55 @@ class TestOpList:
                 mask = _tree_mask(frame, masks, f)
                 assert must & ~mask == 0 and mask & ~may == 0, fm.render(f)
 
+    def test_on_the_lemma6_closure_frame(self, monkeypatch):
+        built = []
+
+        class Recording(Evaluator):
+            def __init__(self, frame, lanes=1):
+                built.append(frame)
+                super().__init__(frame, lanes)
+
+        monkeypatch.setattr(ps, "Evaluator", Recording)
+        ps.check_refutation(MONO, PeriodicTiling((1, 1), {(0, 0): 0}), 2, "union")
+        (frame,) = built
+        assert (frame.size, len(frame.triples)) == (146, 2549)
+        rng, n, full = random.Random(53), frame.size, (1 << frame.size) - 1
+        ev = Evaluator(frame)
+        for _ in range(25):
+            f = random_formula(rng, rng.randint(2, 4), ("p", "q", "r"))
+            masks = {l: rng.getrandbits(n) & rng.getrandbits(n) for l in ("p", "q", "r")}
+            dag, expect = fm.to_dag(f), _tree_mask(frame, masks, f)
+            assert ev.masks(dag, masks)[-1] == expect, fm.render(f)
+            known = {l: full for l in fm.letters(f) | {fm.TOP_LETTER}}
+            value = {l: masks.get(l, 0) for l in known}
+            assert ev.bounds(dag, known, value) == (expect, expect), fm.render(f)
+            known = {l: rng.getrandbits(n) for l in known}
+            must, may = ev.bounds(dag, known, {l: v & known[l] for l, v in value.items()})
+            assert must & ~expect == 0 and expect & ~may == 0, fm.render(f)
+
+    def test_sparse_left_masks_on_one_and_many_lanes(self):
+        """Letters that miss most worlds in every lane, so that the diamond
+        skips most y of the index."""
+        rng = random.Random(55)
+        skipped = 0
+        for _ in range(400):
+            n, lanes = rng.randint(3, 8), rng.choice((1, 1, 2, 5, 9))
+            frame = Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                                       if rng.random() < 0.25))
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r"))
+            valuations = [{l: rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                           for l in ("p", "q", "r")} for _ in range(lanes)]
+            packed = {l: sum(v[l] << (i * n) for i, v in enumerate(valuations))
+                      for l in ("p", "q", "r")}
+            ev = Evaluator(frame, lanes)
+            got = ev.masks(fm.to_dag(f), packed)[-1]
+            for i, masks in enumerate(valuations):
+                expect = _tree_mask(frame, masks, f)
+                assert (got >> (i * n)) & ((1 << n) - 1) == expect, fm.render(f)
+            lane0 = sum(1 << (i * n) for i in range(lanes))
+            skipped += any(not (packed["p"] >> y) & lane0 for y, _z in frame.index)
+        assert skipped > 300
+
     def test_symbolic_evaluator_on_mono(self):
         rng = random.Random(47)
         states = ps.universe(2, "union")
