@@ -33,8 +33,10 @@ print("counterteam for p | ~~p:", sorted(verdict.team.members))
 # Global (inquisitive) disjunction restores the tautology.
 print("p \\|/ ~~p:", ptl_decide(parse_team_formula("p \\|/ ~~p")))
 
-# The translation sends split disjunction to the diamond; satisfaction
-# coincides world by world over the powerset frame of all valuations.
+# A team formula is a modal formula, so translation is the identity: split
+# disjunction is the diamond, printed as `o` in the modal notation, and
+# satisfaction coincides world by world over the powerset frame of all
+# valuations.
 f = parse_team_formula("p | q & ~~p")
 model, state_map = to_kripke(f)
 mask = sat_mask(model, translate(f))

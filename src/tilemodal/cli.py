@@ -325,12 +325,8 @@ def cmd_verify_lemma6(args, out) -> int:
 
 
 def cmd_ptl_decide(args, out) -> int:
-    try:
-        f = team_logic.parse_team_formula(args.formula)
-    except team_logic.TeamSyntaxError as e:
-        raise CliError(str(e)) from None
-    try:
-        verdict = team_logic.ptl_decide(f)
+    try:  # a syntax error, a reserved letter name, or too many letters
+        verdict = team_logic.ptl_decide(team_logic.parse_team_formula(args.formula))
     except ValueError as e:
         raise CliError(str(e)) from None
     if isinstance(verdict, team_logic.TeamValid):

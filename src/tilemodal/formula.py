@@ -488,10 +488,13 @@ _BINARY = {token: (node, prec, assoc)
            for node, (token, prec, assoc) in _SYNTAX.items() if assoc}
 
 
-def render(f: Formula) -> str:
+def render(f: Formula, syntax: dict = _SYNTAX) -> str:
     """Minimal-parenthesis text; parse(render(f)) is structurally equal to f.
 
-    Written left to right from an explicit stack of pending text and
+    syntax gives (token, precedence, associativity) for each node type but
+    Letter: the modal table by default, or another notation's, such as team
+    logic's. A node's arity says whether its token stands alone, before its
+    argument, or between its two. Written left to right from an explicit stack of pending text and
     (node, least precedence printable bare) pairs, so nesting depth is not
     bounded by recursion."""
     out, todo = [], [(f, 0)]
@@ -501,22 +504,22 @@ def render(f: Formula) -> str:
             out.append(item)
             continue
         g, need = item
-        if isinstance(g, Letter):
+        if type(g) is Letter:
             out.append(g.name)
             continue
-        if type(g) not in _SYNTAX:
-            raise TypeError(f"not a Formula: {g!r}")
-        token, prec, assoc = _SYNTAX[type(g)]
+        if type(g) not in syntax:
+            raise TypeError(f"cannot render {g!r}")
+        token, prec, assoc = syntax[type(g)]
+        arity = _ARITY[type(g)]
         if prec < need:
             out.append("(")
             todo.append(")")
-        if prec == _PREC_ATOM:
-            out.append(token)
-        elif prec == _PREC_PREFIX:
-            out.append(token)
-            todo.append((g.sub, prec))
-        else:
+        if arity == 2:
             lneed = prec if assoc == "left" else prec + 1
             rneed = prec if assoc == "right" else prec + 1
             todo += ((g.right, rneed), f" {token} ", (g.left, lneed))
+        else:
+            out.append(token)
+            if arity:
+                todo.append((g.sub, prec))
     return "".join(out)

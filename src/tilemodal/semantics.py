@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from tilemodal import formula as fm
 from tilemodal.frames import (
@@ -49,17 +49,7 @@ class Evaluator:
 
     def masks(self, dag: fm.Dag, letters: Mapping[str, int]) -> list[int]:
         """Satisfaction set of every op of the Dag, in op order."""
-        full, comp, out = self.full, self._comp, []
-        for kind, a, b in dag.ops:
-            if kind == fm.DIA:
-                out.append(comp(out[a], out[b]))
-            elif kind == fm.NOT:
-                out.append(full & ~out[a])
-            elif kind == fm.OR:
-                out.append(out[a] | out[b])
-            else:
-                out.append(letters.get(a, 0))
-        return out
+        return dag_masks(dag, letters, self.full, self._comp)
 
     def bounds(self, dag: fm.Dag, known: Mapping[str, int],
                value: Mapping[str, int]) -> tuple[int, int]:
@@ -96,6 +86,24 @@ class Evaluator:
                 for z, xs in cells:
                     acc |= (hit & (right_mask >> z)) * xs
         return acc
+
+
+def dag_masks(dag: fm.Dag, letters: Mapping[str, int], full: int,
+              dia: Callable[[int, int], int]) -> list[int]:
+    """Bitmask of every op of the Dag, in op order: letters[p] for a letter
+    (0 if absent), the complement within full for negation, the union for
+    disjunction, and dia of the two argument masks for the diamond."""
+    out = []
+    for kind, a, b in dag.ops:
+        if kind == fm.DIA:
+            out.append(dia(out[a], out[b]))
+        elif kind == fm.NOT:
+            out.append(full & ~out[a])
+        elif kind == fm.OR:
+            out.append(out[a] | out[b])
+        else:
+            out.append(letters.get(a, 0))
+    return out
 
 
 def sat_mask(model: Model, f: fm.Formula) -> int:
@@ -322,14 +330,18 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
             if got == "budget":
                 return None
             if got is not None:
-                failing = full & ~ev.mask(dag, got)
-                assert failing, "backtracker returned a non-refuting valuation"
-                return _found(frame, got, failing)
+                return _found(frame, got, full & ~ev.mask(dag, got))
     return None
 
 
 def _found(frame: Frame, masks: dict[str, int], failing: int) -> tuple[Model, int]:
-    assert check_associative(frame) is None
+    """The model of a refuting valuation and its least failing world, once
+    some world is seen to fail and the frame to be associative; the checks
+    raise, so python -O keeps them."""
+    if not failing:
+        raise RuntimeError("countermodel search found a non-refuting valuation")
+    if check_associative(frame) is not None:
+        raise RuntimeError("countermodel search found a non-associative frame")
     witness = {p: set(bits(m)) for p, m in masks.items() if m}
     model = Model(frame, witness)
     return model, (failing & -failing).bit_length() - 1

@@ -1,14 +1,17 @@
 """Propositional team logic: syntax, team semantics over families of teams,
-the decision procedure, and the translations to and from powerset models.
+the decision procedure, and the correspondence with powerset models.
 
 A team is a set of classical valuations; split disjunction covers the team
 by two subteams, exactly the binary diamond over the powerset-union frame
-(principal valuations make the correspondence exact both ways). A formula is
-evaluated on the Dag of its translation, one pass over the ops, as families:
-bitmasks of the subteams that satisfy each op. A letter is a down-set,
-`~~`, `&` and `\\|/` are bitwise, and `|` is the union product (zeta transform,
-pointwise product, Moebius transform: Bjorklund, Husfeldt, Kaski and Koivisto,
-2007). Validity is one pass over all teams; 4-letter formulas take seconds.
+(principal valuations make the correspondence exact both ways). So team
+formulas are the modal formulas built from letters by `~`, `&`, `|` and `o`:
+Boolean negation is negation, global disjunction is disjunction, and split
+disjunction is the diamond; translation is the identity on them. A formula
+is evaluated on its Dag, one pass over the ops, as families: bitmasks of the
+subteams that satisfy each op. A letter is a down-set, `~~`, `&` and `\\|/`
+are bitwise, and `|` is the union product (zeta transform, pointwise
+product, Moebius transform: Bjorklund, Husfeldt, Kaski and Koivisto, 2007).
+Validity is one pass over all teams; 4-letter formulas take seconds.
 """
 
 from __future__ import annotations
@@ -21,54 +24,15 @@ from dataclasses import dataclass
 
 from tilemodal import formula as fm
 from tilemodal.frames import Model, bits, mask_of, powerset_frame
-from tilemodal.semantics import Evaluator
+from tilemodal.semantics import Evaluator, dag_masks
+
+#: The team connectives under their team names: split disjunction is the
+#: diamond, global disjunction is disjunction, Boolean negation is negation.
+Letter, And, SplitOr, GlobalOr, BoolNeg = fm.Letter, fm.And, fm.Comp, fm.Or, fm.Neg
 
 
-class TeamFormula:
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {render_team_formula(self)!r}>"
-
-
-@dataclass(frozen=True, repr=False)
-class Letter(TeamFormula):
-    name: str
-
-
-@dataclass(frozen=True, repr=False)
-class And(TeamFormula):
-    left: TeamFormula
-    right: TeamFormula
-
-
-@dataclass(frozen=True, repr=False)
-class SplitOr(TeamFormula):
-    """Local disjunction: the team splits as a union of two subteams."""
-
-    left: TeamFormula
-    right: TeamFormula
-
-
-@dataclass(frozen=True, repr=False)
-class GlobalOr(TeamFormula):
-    """Inquisitive disjunction: the whole team satisfies one disjunct."""
-
-    left: TeamFormula
-    right: TeamFormula
-
-
-@dataclass(frozen=True, repr=False)
-class BoolNeg(TeamFormula):
-    sub: TeamFormula
-
-
-def team_letters(f: TeamFormula) -> set[str]:
-    return _letters(fm.to_dag(translate(f)))
-
-
-def _letters(dag: fm.Dag) -> set[str]:
-    return {a for kind, a, _ in dag.ops if kind == fm.VAR}
+def team_letters(f: fm.Formula) -> set[str]:
+    return fm.letters(translate(f))
 
 
 @dataclass(frozen=True)
@@ -129,28 +93,20 @@ def _family(dag: fm.Dag, inventory: tuple[str, ...], rows: Sequence[int]) -> int
     """Family of the Dag's last op over the subteams of rows: bit S is set
     iff the team of the rows[i] with bit i set in S satisfies the op."""
     n = 1 << len(rows)
-    full, out = (1 << n) - 1, []
-    for kind, a, b in dag.ops:
-        if kind == fm.DIA:
-            out.append(_union_product(out[a], out[b], n))
-        elif kind == fm.NOT:
-            out.append(full & ~out[a])
-        elif kind == fm.OR:
-            out.append(out[a] | out[b])
-        else:
-            col = inventory.index(a)
-            out.append(downset(mask_of(i for i, r in enumerate(rows) if (r >> col) & 1)))
-    return out[-1]
+    downsets = {p: downset(mask_of(i for i, r in enumerate(rows) if (r >> col) & 1))
+                for col, p in enumerate(inventory)}
+    return dag_masks(dag, downsets, (1 << n) - 1,
+                     lambda f, g: _union_product(f, g, n))[-1]
 
 
-def team_sat(t: Team, f: TeamFormula) -> bool:
+def team_sat(t: Team, f: fm.Formula) -> bool:
     """Team satisfaction; the empty team satisfies every letter."""
-    dag = fm.to_dag(translate(f))
-    missing = _letters(dag) - set(t.inventory)
+    missing = team_letters(f) - set(t.inventory)
     if missing:
         raise ValueError(f"letters {sorted(missing)} not in inventory")
     # the whole team is the last subteam
-    return bool(_family(dag, t.inventory, sorted(t.members)) >> ((1 << len(t.members)) - 1))
+    return bool(_family(fm.to_dag(f), t.inventory, sorted(t.members))
+                >> ((1 << len(t.members)) - 1))
 
 
 @dataclass(frozen=True)
@@ -163,18 +119,17 @@ class Counterteam:
     team: Team
 
 
-def ptl_decide(f: TeamFormula) -> TeamValid | Counterteam:
+def ptl_decide(f: fm.Formula) -> TeamValid | Counterteam:
     """Validity by one family over all teams on the letters of f.
 
     The counterteam is the least failing team by cardinality, then by
     lexicographic bit pattern over the row indices.
     """
-    dag = fm.to_dag(translate(f))
-    inventory = tuple(sorted(_letters(dag)))
+    inventory = tuple(sorted(team_letters(f)))
     if len(inventory) > 4:
         raise ValueError("at most 4 letters are supported")
     rows = 1 << len(inventory)
-    missing = ((1 << (1 << rows)) - 1) & ~_family(dag, inventory, range(rows))
+    missing = ((1 << (1 << rows)) - 1) & ~_family(fm.to_dag(f), inventory, range(rows))
     if not missing:
         return TeamValid()
     layers = [1]  # layers[k]: the teams of k members among the rows so far
@@ -184,70 +139,42 @@ def ptl_decide(f: TeamFormula) -> TeamValid | Counterteam:
     return Counterteam(Team(inventory, frozenset(bits(least.bit_length() - 1))))
 
 
-#: Binary team connective -> modal connective of its translation.
-_TRANSLATION = {And: fm.And, SplitOr: fm.Comp, GlobalOr: fm.Or}
-_BACK = {modal: team for team, modal in _TRANSLATION.items()}
-
-
-def translate(f: TeamFormula) -> fm.Formula:
-    """Split disjunction to the diamond, global disjunction to disjunction,
-    Boolean negation to negation.
-
-    Built from explicit stacks, children before parents, so nesting depth
-    is not bounded by recursion."""
-    nodes, todo = [], [f]
+def _outside(f: fm.Formula) -> fm.Formula | None:
+    """The first node of f, in pre-order, that is not a team connective or
+    a letter; None when f is a team formula. Walked from an explicit stack,
+    so nesting depth is not bounded by recursion."""
+    todo = [f]
     while todo:
         g = todo.pop()
-        nodes.append(g)
-        if isinstance(g, BoolNeg):
+        if type(g) is BoolNeg:
             todo.append(g.sub)
-        elif type(g) in _TRANSLATION:
-            todo += (g.left, g.right)
-        elif not isinstance(g, Letter):
-            raise TypeError(f"not a TeamFormula: {g!r}")
-    done: list[fm.Formula] = []
-    for g in reversed(nodes):
-        if isinstance(g, Letter):
-            done.append(fm.Letter(g.name))
-        elif isinstance(g, BoolNeg):
-            done.append(fm.Neg(done.pop()))
-        else:
-            right = done.pop()
-            done.append(_TRANSLATION[type(g)](done.pop(), right))
-    return done[0]
+        elif type(g) in _TEAM_SYNTAX:
+            todo += (g.right, g.left)
+        elif type(g) is not Letter:
+            return g
+    return None
 
 
-def translate_back(g: fm.Formula) -> TeamFormula | None:
-    """Inverse of translate on its image; None on any other node.
-
-    Built from explicit stacks, children before parents, like translate."""
-    nodes, todo = [], [g]
-    while todo:
-        h = todo.pop()
-        nodes.append(h)
-        if isinstance(h, fm.Neg):
-            todo.append(h.sub)
-        elif type(h) in _BACK:
-            todo += (h.left, h.right)
-        elif not isinstance(h, fm.Letter):
-            return None
-    done: list[TeamFormula] = []
-    for h in reversed(nodes):
-        if isinstance(h, fm.Letter):
-            done.append(Letter(h.name))
-        elif isinstance(h, fm.Neg):
-            done.append(BoolNeg(done.pop()))
-        else:
-            right = done.pop()
-            done.append(_BACK[type(h)](done.pop(), right))
-    return done[0]
+def translate(f: fm.Formula) -> fm.Formula:
+    """The modal formula of a team formula: f itself, since the team
+    connectives are modal ones. TypeError when f is not a team formula."""
+    g = _outside(f)
+    if g is not None:
+        raise TypeError(f"not a team formula: {g!r}")
+    return f
 
 
-def to_kripke(f: TeamFormula) -> tuple[Model, dict[frozenset[int], int]]:
+def translate_back(g: fm.Formula) -> fm.Formula | None:
+    """Inverse of translate on its image, the team formulas; None on any
+    other formula."""
+    return g if _outside(g) is None else None
+
+
+def to_kripke(f: fm.Formula) -> tuple[Model, dict[frozenset[int], int]]:
     """Model over the powerset frame of all valuations on the letters of f.
 
     Worlds are teams; the valuation of each letter is the powerset of its
-    true valuations, so Kripke satisfaction of the translation agrees with
+    true valuations, so Kripke satisfaction of f agrees with
     team satisfaction at every world. The returned map sends a team (a
     frozenset of rows) to its world index.
     """
@@ -274,8 +201,8 @@ class PMorphismReport:
 
     forth: the image of every union triple is again a union triple.
     back: every split of an image team lifts to a split of the world.
-    equivalence: Kripke satisfaction of each supplied formula's translation
-    agrees with team satisfaction of its image, at every world.
+    equivalence: Kripke satisfaction of each supplied formula agrees with
+    team satisfaction of its image, at every world.
     """
 
     forth: bool
@@ -288,7 +215,7 @@ class PMorphismReport:
         return self.forth and self.back and self.equivalence
 
 
-def from_kripke(model: Model, formulas: tuple[TeamFormula, ...] = ()) -> tuple[
+def from_kripke(model: Model, formulas: tuple[fm.Formula, ...] = ()) -> tuple[
         dict[int, int], PMorphismReport]:
     """Collapse a principal-valuation powerset model onto teams.
 
@@ -344,7 +271,7 @@ def from_kripke(model: Model, formulas: tuple[TeamFormula, ...] = ()) -> tuple[
         extra = team_letters(tf) - set(letters)
         if extra:
             raise ValueError(f"formula mentions unvalued letters {sorted(extra)}")
-        mask = ev.mask(translate(tf), model.masks)
+        mask = ev.mask(tf, model.masks)
         for world in range(1 << k):
             team = Team(letters, image(world))
             if team_sat(team, tf) != bool((mask >> world) & 1):
@@ -358,15 +285,19 @@ def from_kripke(model: Model, formulas: tuple[TeamFormula, ...] = ()) -> tuple[
 
 # -- concrete syntax ----------------------------------------------------------
 #
-# Letters as in the modal grammar; `&` conjunction, `|` split disjunction,
-# `\|/` global disjunction, `~~` Boolean negation. Precedence loosest to
-# tightest: \|/, |, &, ~~; the binary connectives are left-associative.
+# Team formulas are modal formulas, written in their own notation: letters as
+# in the modal grammar; `&` conjunction, `|` split disjunction (the diamond),
+# `\|/` global disjunction (disjunction), `~~` Boolean negation (negation).
+# Precedence loosest to tightest: \|/, |, &, ~~; the binary connectives are
+# left-associative.
 
-_T_NEG = 4
+#: Printed form of each team connective, in fm.render's table shape.
+_TEAM_SYNTAX = {BoolNeg: ("~~", 4, None), And: ("&", 3, "left"),
+                SplitOr: ("|", 2, "left"), GlobalOr: ("\\|/", 1, "left")}
 
 #: Binary connective token -> (node type, precedence).
-_TEAM_BINARY = {"\\|/": (GlobalOr, 1), "|": (SplitOr, 2), "&": (And, 3)}
-_TEAM_TOKEN = {node: (token, prec) for token, (node, prec) in _TEAM_BINARY.items()}
+_TEAM_BINARY = {token: (node, prec)
+                for node, (token, prec, assoc) in _TEAM_SYNTAX.items() if assoc}
 
 #: Whitespace, a letter, or a connective or bracket, at one position.
 _TEAM_LEXEME = re.compile(rf"(\s+)|({fm.IDENT_RE.pattern})|\\\|/|~~|[&|()]")
@@ -391,13 +322,13 @@ def _team_tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-def parse_team_formula(text: str) -> TeamFormula:
+def parse_team_formula(text: str) -> fm.Formula:
     """Operator precedence over explicit stacks, so nesting depth is not
     bounded by recursion. Each open bracket saves the operands, operators
     and pending negations of the level around it."""
     toks = _team_tokenize(text)
     pos, negs = 0, 0
-    operands: list[TeamFormula] = []
+    operands: list[fm.Formula] = []
     operators: list[str] = []
     outer: list[tuple[list, list, int]] = []
     while True:  # at an operand
@@ -439,29 +370,6 @@ def parse_team_formula(text: str) -> TeamFormula:
             operands, operators, negs = outer.pop()
 
 
-def render_team_formula(f: TeamFormula) -> str:
-    """Minimal-parenthesis text; parse_team_formula inverts it.
-
-    Written left to right from an explicit stack of pending text and
-    (node, least precedence printable bare) pairs, so nesting depth is not
-    bounded by recursion."""
-    out, todo = [], [(f, 0)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        g, need = item
-        if isinstance(g, Letter):
-            out.append(g.name)
-            continue
-        token, prec = ("~~", _T_NEG) if isinstance(g, BoolNeg) else _TEAM_TOKEN[type(g)]
-        if prec < need:
-            out.append("(")
-            todo.append(")")
-        if isinstance(g, BoolNeg):
-            out.append(token)
-            todo.append((g.sub, prec))
-        else:  # left-associative: same-level right children need parens
-            todo += ((g.right, prec + 1), f" {token} ", (g.left, prec))
-    return "".join(out)
+def render_team_formula(f: fm.Formula) -> str:
+    """Minimal-parenthesis text; parse_team_formula inverts it."""
+    return fm.render(f, _TEAM_SYNTAX)

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import product
 
 from conftest import random_formula
@@ -451,6 +453,38 @@ class TestCountermodelSearch:
         hit = countermodel_search(Neg(p), max_worlds=2, budget=2000)
         assert hit is not None
         assert check_associative(hit[0].frame) is None
+
+    def test_reported_countermodels_are_checked_under_optimize(self):
+        # the checks are explicit, not asserts, so python -O keeps them: a
+        # non-associative frame (every frame, by the patched check) and a
+        # non-refuting valuation from the backtracker are both refused
+        proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_OPTIMIZE],
+                              capture_output=True, text=True)
+        assert proc.stdout.splitlines() == [
+            "optimize 1",
+            "countermodel search found a non-associative frame",
+            "countermodel search found a non-refuting valuation",
+        ], proc.stderr
+
+
+CHECKS_UNDER_OPTIMIZE = """
+import sys
+from tilemodal import formula as fm, semantics
+
+def search(f):
+    try:
+        semantics.countermodel_search(f, max_worlds=2, budget=2000)
+    except RuntimeError as e:
+        print(e)
+
+print("optimize", sys.flags.optimize)
+check_associative = semantics.check_associative
+semantics.check_associative = lambda frame: (0, 0, 0)
+search(fm.Neg(fm.Letter("p")))
+semantics.check_associative = check_associative
+semantics._greedy_refute = lambda *args: {}
+search(fm.Or(fm.Letter("p"), fm.Neg(fm.Letter("p"))))
+"""
 
 
 # -- the op-list evaluators against tree walks ---------------------------------

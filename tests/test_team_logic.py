@@ -305,6 +305,24 @@ class TestTranslate:
         assert render_team_formula(f) == text
         assert render_team_formula(translate_back(translate(f))) == text
 
+    @pytest.mark.parametrize("g", [fm.Box(p), fm.Top(), fm.HookR(p, q), fm.Implies(p, q)],
+                             ids=["box", "top", "hook", "implies"])
+    def test_fragment_boundary(self, g):
+        # team formulas are the modal formulas over letters, ~, &, | and o,
+        # and translate is the identity on them; any other node is refused,
+        # also deep inside a team formula, so it is never decided through
+        # the union product
+        f = SplitOr(p, BoolNeg(GlobalOr(q, And(p, q))))
+        assert translate(f) is f and translate_back(f) is f
+        for h in (g, SplitOr(p, BoolNeg(And(q, g)))):
+            with pytest.raises(TypeError):
+                translate(h)
+            with pytest.raises(TypeError):
+                ptl_decide(h)
+            with pytest.raises(TypeError):
+                team_sat(Team(("p", "q"), frozenset({1, 2})), h)
+            assert translate_back(h) is None
+
     def test_translate_back_fails_off_image(self):
         assert translate_back(fm.Box(fm.Letter("p"))) is None
         assert translate_back(fm.HookR(fm.Letter("p"), fm.Letter("q"))) is None
@@ -451,6 +469,8 @@ class TestTeamSyntax:
         ("(\\|/ p)", "syntax error at byte 1: expected a letter or '(', found '\\\\|/'"),
         ("é | p !", "syntax error at byte 0: unexpected character 'é'"),
         ("p | é", "syntax error at byte 4: unexpected character 'é'"),
+        ("p | T", "invalid letter name: 'T'"),
+        ("o", "invalid letter name: 'o'"),
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(ValueError) as info:
