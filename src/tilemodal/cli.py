@@ -4,8 +4,9 @@ One subcommand per workbench procedure. Exit codes: 0 on success, 1 on a
 domain failure (a refutation where validity was asked, a failed check, an
 unsolvable instance), 2 on usage or parse errors. Output is deterministic
 for a fixed argv and seed. frame-valid accepts --jobs for compatibility and
-ignores it: validity runs in one process, many valuations per pass. Only the
-named subcommand's parser is built; help and errors come from the full one.
+ignores it: validity runs in one process, many valuations per pass. A plain
+call is read straight from its row of COMMANDS and builds no parser; help,
+errors and anything unusual go to the full one.
 """
 
 from __future__ import annotations
@@ -431,11 +432,14 @@ COMMANDS = {
 }
 
 
+#: The option every subcommand takes, ahead of its own row of COMMANDS.
+FORMAT_OPTION = {"--format": dict(choices=("text", "lines"), default="text")}
+
+
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     handler, _, arguments = COMMANDS[name]
     parser.set_defaults(handler=handler)
-    parser.add_argument("--format", choices=("text", "lines"), default="text")
-    for flag, keywords in arguments.items():
+    for flag, keywords in {**FORMAT_OPTION, **arguments}.items():
         parser.add_argument(flag, **keywords)
     return parser
 
@@ -450,32 +454,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Fallback(Exception):
-    """The one-subcommand parser met input only the full parser may answer."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Fallback
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One subcommand's arguments in a standalone parser. Its -h/--help is a
-    plain flag, so that abbreviations resolve as in the full parser."""
-    parser = _CommandParser(prog=f"tilemodal {name}", add_help=False)
-    parser.add_argument("-h", "--help", action="store_true")
-    return _add_arguments(parser, name)
+def _read_args(name: str, words: list[str]) -> argparse.Namespace | None:
+    """The arguments of a plain call, read from the row of COMMANDS as the
+    full parser would read them; None for anything else (help, an error, an
+    abbreviation, --opt=value, --, a value starting with -)."""
+    handler, _, row = COMMANDS[name]
+    arguments = {**FORMAT_OPTION, **row}
+    positional = [flag for flag in row if not flag.startswith("-")]
+    given = {}
+    words = iter(words)
+    for word in words:
+        option = word.startswith("-")
+        flag = word if option else positional.pop(0) if positional else None
+        keywords = arguments.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(words, "-") if option else word
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    values = {}
+    for flag, keywords in arguments.items():
+        if flag not in given and (keywords.get("required") or not flag.startswith("-")):
+            return None
+        default = keywords.get("default", False if "action" in keywords else None)
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(handler=handler, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = None
-    if argv and argv[0] in COMMANDS:
-        try:
-            args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-            args = None if rest or args.help else args
-        except _Fallback:
-            pass
+    args = _read_args(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
     if args is None:
         try:
             args = build_parser().parse_args(argv)

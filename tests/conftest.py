@@ -56,7 +56,7 @@ def all_team_formulas(max_size: int, letters=("p", "q")):
 def full_parser_main(argv: list[str]) -> int:
     """cli.main by the full parser alone: every subcommand's parser is built,
     argv is parsed by it, and the handler runs. The reference for main's
-    one-subcommand parser."""
+    reading of a plain call straight from its row of COMMANDS."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:

@@ -9,7 +9,8 @@ from conftest import full_parser_main
 from fixtures_quotient import quotient_countermodel
 from tilemodal import formula as fm
 from tilemodal import reduction
-from tilemodal.cli import COMMANDS, DESUGAR_LIMIT, main
+from tilemodal.cli import (COMMANDS, DESUGAR_LIMIT, FORMAT_OPTION, _read_args,
+                           build_parser, main)
 from tilemodal.frames import render_frame_file
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 
@@ -429,7 +430,9 @@ GOOD_INPUTS = [
 ]
 
 #: Help, unknown or missing commands, ambiguous and abbreviated options,
-#: --opt=value, and -- before a positional.
+#: --opt=value, -- before a positional, values that start with - or are
+#: empty, repeated options and flags, integers int() reads in unusual
+#: spellings, an option short of its value, and a positional after options.
 EDGE_INPUTS = [
     [], ["-h"], ["frobnicate"], ["frobnicate", "-h"], ["--format", "lines"],
     ["tile-solve", "--tiles", "{swap}", "--width", "2", "--h", "1"],
@@ -443,6 +446,20 @@ EDGE_INPUTS = [
     ["ptl-decide", "p", "q"],
     ["parse-formula", "p", "--bogus"],
     ["enum-frames", "--worlds", "1", "--count", "-h"],
+    ["countermodel", "--formula", "F", "--max-worlds", "1", "--seed", "-3"],
+    ["parse-formula", "-"], ["ptl-decide", "-"],
+    ["model-check", "--frame", "{quotient}", "--formula", ""], ["parse-formula", ""],
+    ["tile-solve", "--tiles", "{swap}", "--width", "9", "--height", "1", "--width", "2"],
+    ["enum-frames", "--worlds", "1", "--count", "--count"],
+    ["tile-solve", "--tiles", "{swap}", "--width", " 3", "--height", "1"],
+    ["tile-solve", "--tiles", "{swap}", "--width", "1_0", "--height", "1"],
+    ["tile-torus", "--tiles", "{swap}", "--max-period", "04"],
+    ["tile-torus", "--tiles", "{swap}", "--max-period", "\u0663"],
+    ["countermodel", "--formula", "F", "--budget", "9" * 5000],
+    ["model-check", "--frame", "{quotient}", "--formula"],
+    ["model-check", "--frame", "{quotient}", "--formula", "--format"],
+    ["enum-frames", "--worlds", "1", "--count=1"],
+    ["ptl-decide", "--format", "lines", "p"],
 ] + [[name, "-h"] for name in COMMANDS]
 
 
@@ -476,7 +493,7 @@ def test_fast_parser_matches_full_parser(fill, capsys, argv):
     assert (full_parser_main(argv), *capsys.readouterr()) == fast
 
 
-def test_well_formed_call_builds_one_parser(monkeypatch, capsys):
+def test_well_formed_call_builds_no_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -486,10 +503,27 @@ def test_well_formed_call_builds_one_parser(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["ptl-decide", "p | q", "--format", "lines"]) == 1
-    assert built == ["tilemodal ptl-decide"]
-    built.clear()
+    assert built == []
     assert main(["ptl-decide", "p | q", "--bogus"]) == 2  # the full parser answers
     assert len(built) > 1
+
+
+@pytest.mark.parametrize("argv", GOOD_INPUTS)
+def test_reader_gives_the_full_parsers_namespace(fill, argv):
+    argv = fill(argv)
+    read = _read_args(argv[0], argv[1:])
+    assert read is not None  # the call took the fast path
+    full = vars(build_parser().parse_args(argv))
+    del full["command"]
+    assert vars(read) == full
+
+
+def test_rows_use_only_keywords_the_reader_knows():
+    known = {"type", "choices", "default", "required", "help", "action"}
+    for name, (_, _, row) in COMMANDS.items():
+        for flag, keywords in {**FORMAT_OPTION, **row}.items():
+            assert set(keywords) <= known, (name, flag)
+            assert keywords.get("action", "store_true") == "store_true", (name, flag)
 
 
 @pytest.mark.parametrize("argv, out", [

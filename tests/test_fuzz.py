@@ -22,7 +22,8 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
 SMALL_INTS = st.sampled_from(["1", "2", "3", "0"])
 #: Put in place of a flag's value one time in sixteen. Hypothesis starts
 #: from the first choice of each list, so the lists start with good values.
-JUNK = st.sampled_from(["x", "", "-1", "99", "--", "1.5"])
+JUNK = st.sampled_from(["x", "", "-1", "99", "--", "1.5", " 3", "1_0", "04", "-",
+                       "\u0663"])
 
 
 def _lines(tokens) -> st.SearchStrategy[str]:
