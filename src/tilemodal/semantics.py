@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Mapping
 
 from tilemodal import formula as fm
@@ -26,83 +27,89 @@ from tilemodal.frames import (
 class Evaluator:
     """Satisfaction-set evaluator for one frame, under any letter masks.
 
-    With lanes > 1 the letter masks hold one valuation per lane, packed
-    world-minor (bit lane * n + world), and so does every satisfaction set.
-    Letters missing from the masks denote the empty set.
-
-    A formula is evaluated through its compiled Dag, one pass over the ops,
-    so derived connectives get exactly the sets of their desugared core.
+    A pass holds one valuation per lane, packed world-minor (bit lane * n +
+    world) in the letter masks and every satisfaction set; a call may name
+    its lane count, else the Evaluator's own serves. Letters missing from
+    the masks denote the empty set. A formula is evaluated through its
+    compiled Dag, one dag_masks pass, so derived connectives get exactly the
+    sets of their desugared core.
     """
 
     def __init__(self, frame: Frame, lanes: int = 1):
-        self.frame = frame
+        self.frame, self.lanes = frame, lanes
         self.full = (1 << (frame.size * lanes)) - 1
-        self._lane0 = self.full // ((1 << frame.size) - 1)  # bit 0 of each lane
         rows: dict[int, list[tuple[int, int]]] = {}
         for (y, z), xs in frame.index.items():
             rows.setdefault(y, []).append((z, xs))
         self._rows = tuple(rows.items())  # (y, its (z, x-mask) cells) of Frame.index
 
-    def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int]) -> int:
+    def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int],
+             lanes: int | None = None) -> int:
         """Satisfaction set of f, or of the last op of a compiled Dag."""
-        return self.masks(fm.to_dag(f), letters)[-1]
+        return self.masks(fm.to_dag(f), letters, lanes)[-1]
 
-    def masks(self, dag: fm.Dag, letters: Mapping[str, int]) -> list[int]:
+    def masks(self, dag: fm.Dag, letters: Mapping[str, int],
+              lanes: int | None = None) -> list[int]:
         """Satisfaction set of every op of the Dag, in op order."""
-        return dag_masks(dag, letters, self.full, self._comp)
+        full = (1 << (self.frame.size * (lanes or self.lanes))) - 1
+        return dag_masks(dag, letters, full, self._dia(full))
 
     def bounds(self, dag: fm.Dag, known: Mapping[str, int],
                value: Mapping[str, int]) -> tuple[int, int]:
         """(must, may) bracketing the last op's satisfaction set over every
         completion of a partial valuation: the bits of known[p] are decided
-        and value[p] holds their values.
+        and value[p] holds their values; a letter absent from known is
+        undecided.
 
-        Every op gets a (must, may) pair; the diamond is monotone in both
-        arguments and negation swaps the complements, so the bounds are sound
+        One pass on twice the lanes, must in the low half and may in the
+        high: a letter is (v & k, v | ~k), disjunction and the diamond work
+        lane by lane, as the diamond is monotone in both arguments, and
+        negation complements and swaps the halves. So the bounds are sound
         on the desugared core, and exact once every letter is decided."""
-        full, comp, out = self.full, self._comp, []
-        for kind, a, b in dag.ops:
-            if kind == fm.VAR:
-                k, v = known.get(a, 0), value.get(a, 0)
-                out.append((v & k, v | (full & ~k)))
-            elif kind == fm.NOT:
-                must, may = out[a]
-                out.append((full & ~may, full & ~must))
-            else:
-                (lm, lM), (rm, rM) = out[a], out[b]
-                out.append((lm | rm, lM | rM) if kind == fm.OR
-                           else (comp(lm, rm), comp(lM, rM)))
-        return out[-1]
+        half, width, letters = self.full, self.frame.size * self.lanes, {}
+        for p, k in known.items():
+            must = value.get(p, 0) & k
+            letters[p] = must | (must | half & ~k) << width
+        full = (half << width) | half
+        both = dag_masks(dag, letters, full, self._dia(full), half << width, width)[-1]
+        return both & half, both >> width
 
-    def _comp(self, left_mask: int, right_mask: int) -> int:
-        # hit marks bit 0 of each lane where y is in left, tested once per y;
-        # hit & (right >> z) those where z is in right too, and xs < 2^n, so
-        # the product writes xs into those lanes without carries
-        acc = 0
-        lane0 = self._lane0
-        for y, cells in self._rows:
-            hit = (left_mask >> y) & lane0
-            if hit:
-                for z, xs in cells:
-                    acc |= (hit & (right_mask >> z)) * xs
-        return acc
+    def _dia(self, full: int) -> Callable[[int, int], int]:
+        """The diamond on the lanes of full: hit marks bit 0 of each lane
+        where y is in left, tested once per y; hit & (right >> z) those where
+        z is in right too, and xs < 2^n, so the product writes xs into those
+        lanes without carries."""
+        rows, lane0 = self._rows, full // ((1 << self.frame.size) - 1)
+
+        def dia(left_mask: int, right_mask: int) -> int:
+            acc = 0
+            for y, cells in rows:
+                hit = (left_mask >> y) & lane0
+                if hit:
+                    for z, xs in cells:
+                        acc |= (hit & (right_mask >> z)) * xs
+            return acc
+        return dia
 
 
 def dag_masks(dag: fm.Dag, letters: Mapping[str, int], full: int,
-              dia: Callable[[int, int], int]) -> list[int]:
+              dia: Callable[[int, int], int], absent: int = 0,
+              swap: int = 0) -> list[int]:
     """Bitmask of every op of the Dag, in op order: letters[p] for a letter
-    (0 if absent), the complement within full for negation, the union for
+    (absent if missing), the complement within full for negation, its low
+    and high swap bits exchanged when swap is set, the union for
     disjunction, and dia of the two argument masks for the diamond."""
     out = []
     for kind, a, b in dag.ops:
         if kind == fm.DIA:
             out.append(dia(out[a], out[b]))
         elif kind == fm.NOT:
-            out.append(full & ~out[a])
+            x = full & ~out[a]
+            out.append((x >> swap) | (x << swap) & full if swap else x)
         elif kind == fm.OR:
             out.append(out[a] | out[b])
         else:
-            out.append(letters.get(a, 0))
+            out.append(letters.get(a, absent))
     return out
 
 
@@ -184,18 +191,27 @@ def _random_chunks(n: int, inventory: list[str], seed: int, samples: int):
     while drawn < samples:
         lanes = min(lanes, samples - drawn, MAX_LANES)
         draws = [[rng.getrandbits(n) for _ in inventory] for _ in range(lanes)]
-        yield {p: int("".join(f"{v:0{n}b}" for v in reversed(col)), 2)
-               for p, col in zip(inventory, zip(*draws))}, lanes
+        yield {p: _pack(col, n) for p, col in zip(inventory, zip(*draws))}, lanes
         drawn, lanes = drawn + lanes, 2 * lanes
+
+
+def _pack(values, width: int) -> int:
+    """The sum of values[i] << (i * width), by merging neighbours pairwise."""
+    while len(values) > 1:
+        values = [a | b << width
+                  for a, b in zip_longest(values[::2], values[1::2], fillvalue=0)]
+        width *= 2
+    return values[0]
 
 
 def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
                    seed: int = 0, samples: int = 1000) -> Verdict:
     """Check validity of f in the frame.
 
-    Valuations are checked one per lane of a packed Evaluator (bit lane * n
-    + world), up to MAX_LANES per pass; the lowest failing bit of the first
-    failing chunk is the refutation: the least lane, then the least world.
+    Valuations are checked one per lane of the frame's one Evaluator (bit
+    lane * n + world), up to MAX_LANES per pass; the lowest failing bit of
+    the first failing chunk is the refutation: the least lane, then the
+    least world.
     The exhaustive strategy counts in binary over the world-by-letter grid
     (letter j, lexicographic, holds world w when bit j * n + w of the index
     is set) in aligned chunks that start at FIRST_LANES lanes and double, so
@@ -214,9 +230,9 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
         no_refutation = Unknown(f"no refutation in {samples} samples")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    ev = Evaluator(frame)
     for masks, lanes in chunks:
-        ev = Evaluator(frame, lanes)
-        failing = ev.full & ~ev.mask(dag, masks)
+        failing = ((1 << (n * lanes)) - 1) & ~ev.mask(dag, masks, lanes)
         if failing:
             lane, world = divmod((failing & -failing).bit_length() - 1, n)
             masks = {p: (m >> (lane * n)) & ((1 << n) - 1) for p, m in masks.items()}
@@ -298,7 +314,8 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
     when it runs to the end. The budget counts elementary evaluation steps
     (nodes of the desugared tree per valuation or per bound computed),
     though each is one pass over the compiled Dag's fewer ops; exhausting it
-    returns None, which carries no validity claim.
+    returns None, which carries no validity claim. A frame's distinct probes
+    share one pass, a lane each, read in order and charged one by one.
     """
     tracker = _Budget(budget)
     dag = fm.to_dag(f)
@@ -309,23 +326,18 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
         full = (1 << n) - 1
         for frame in enumerate_frames(n, require_associative=True):
             ev = Evaluator(frame)  # shared by the probes, the backtracker and the check
-            probes = [
-                {p: 0 for p in inventory},
-                {p: full for p in inventory},
-            ]
+            probes = [(0,) * len(inventory), (full,) * len(inventory)]
             for _ in range(14):
-                probes.append({p: rng.getrandbits(n) for p in inventory})
-            seen = set()
-            for masks in probes:
-                key = tuple(masks[p] for p in inventory)
-                if key in seen:
-                    continue
-                seen.add(key)
+                probes.append(tuple(rng.getrandbits(n) for _ in inventory))
+            probes = list(dict.fromkeys(probes))  # distinct, first occurrences in order
+            packed = {p: _pack(col, n) for p, col in zip(inventory, zip(*probes))}
+            sat = ev.mask(dag, packed, len(probes))
+            for probe in probes:
                 if not tracker.spend(cost):
                     return None
-                failing = full & ~ev.mask(dag, masks)
-                if failing:
-                    return _found(frame, masks, failing)
+                if full & ~sat:
+                    return _found(frame, dict(zip(inventory, probe)), full & ~sat)
+                sat >>= n
             got = _greedy_refute(ev, dag, inventory, tracker)
             if got == "budget":
                 return None

@@ -447,6 +447,42 @@ class TestCountermodelSearch:
         assert len(frames_seen) > 10
         assert built == frames_seen
 
+    def test_one_probe_pass_per_frame(self, monkeypatch):
+        from tilemodal import semantics
+
+        frames_seen, passes, inside = [], [], []
+        enumerate_all, dag_masks, greedy = (
+            semantics.enumerate_frames, semantics.dag_masks, semantics._greedy_refute)
+
+        def counting_frames(*args, **kwargs):
+            for frame in enumerate_all(*args, **kwargs):
+                frames_seen.append(frame)
+                yield frame
+
+        def counting_passes(*args, **kwargs):
+            if not inside:
+                passes.append(frames_seen[-1])
+            return dag_masks(*args, **kwargs)
+
+        def marked_greedy(*args):
+            inside.append(True)
+            try:
+                return greedy(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(semantics, "enumerate_frames", counting_frames)
+        monkeypatch.setattr(semantics, "dag_masks", counting_passes)
+        monkeypatch.setattr(semantics, "_greedy_refute", marked_greedy)
+        f = parse("(p o q) o (r | ~p) <-> p o (q o (r | ~p))")  # valid: no hit
+        assert countermodel_search(f, max_worlds=2, budget=10 ** 9) is None
+        assert len(frames_seen) > 10
+        assert passes == frames_seen
+        frames_seen.clear()
+        passes.clear()
+        model, world = countermodel_search(Neg(Comp(p, q)), max_worlds=2, budget=10 ** 9)
+        assert passes == frames_seen and model.frame == frames_seen[-1]
+
     def test_returned_frame_is_associative(self):
         from tilemodal.frames import check_associative
 
@@ -699,3 +735,152 @@ class TestOpList:
         for f, i in zip(formulas, roots):
             for k, s in enumerate(states):
                 assert sat[i] >> k & 1 == _tree_sat(s, f, memo), fm.render(f)
+
+    def test_letters_absent_from_known_are_undecided(self):
+        rng = random.Random(57)
+        for _ in range(150):
+            frame = _random_frame(rng)
+            f = random_formula(rng, rng.randint(0, 4), ("p", "q"))
+            n, full = frame.size, (1 << frame.size) - 1
+            ev, dag = Evaluator(frame), fm.to_dag(f)
+            assert ev.bounds(fm.to_dag(q), {"p": full}, {"p": full, "q": full}) == (0, full)
+            known = {"p": rng.getrandbits(n), fm.TOP_LETTER: full}
+            value = {"p": rng.getrandbits(n) & known["p"], "q": rng.getrandbits(n)}
+            undecided = {**known, "q": 0}
+            assert ev.bounds(dag, known, value) == ev.bounds(dag, undecided, value), fm.render(f)
+
+    def test_bounds_on_packed_lanes(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            frame, lanes = _random_frame(rng), rng.randint(2, 5)
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q"))
+            n, full = frame.size, (1 << frame.size) - 1
+            known = [{"p": rng.getrandbits(n), "q": full, fm.TOP_LETTER: full}
+                     for _ in range(lanes)]
+            value = [{l: rng.getrandbits(n) & k for l, k in lane.items()} for lane in known]
+            must, may = Evaluator(frame, lanes).bounds(
+                fm.to_dag(f), *({l: sum(lane[l] << (i * n) for i, lane in enumerate(side))
+                                 for l in ("p", "q", fm.TOP_LETTER)} for side in (known, value)))
+            for i, (k, v) in enumerate(zip(known, value)):
+                lane_must, lane_may = (must >> (i * n)) & full, (may >> (i * n)) & full
+                for fill in range(1 << n):
+                    masks = {"p": v["p"] | (fill & ~k["p"]), "q": v["q"]}
+                    mask = _tree_mask(frame, masks, f)
+                    assert lane_must & ~mask == 0 and mask & ~lane_may == 0, fm.render(f)
+                if k["p"] == full:
+                    assert lane_must == lane_may == _tree_mask(frame, v, f), fm.render(f)
+
+
+# -- the packed search against the one-valuation-per-pass search ---------------
+
+
+class _SequentialBounds(Evaluator):
+    """Bounds by a (must, may) pair per op, one lane, with the diamond read
+    cell by cell off Frame.index: the loop the two-lane pass replaced."""
+
+    def bounds(self, dag, known, value):
+        full, out = (1 << self.frame.size) - 1, []
+
+        def dia(left: int, right: int) -> int:
+            acc = 0
+            for (y, z), xs in self.frame.index.items():
+                if (left >> y) & 1 and (right >> z) & 1:
+                    acc |= xs
+            return acc
+
+        for kind, a, b in dag.ops:
+            if kind == fm.VAR:
+                k, v = known.get(a, 0), value.get(a, 0)
+                out.append((v & k, v | (full & ~k)))
+            elif kind == fm.NOT:
+                must, may = out[a]
+                out.append((full & ~may, full & ~must))
+            else:
+                (lm, lM), (rm, rM) = out[a], out[b]
+                out.append((lm | rm, lM | rM) if kind == fm.OR
+                           else (dia(lm, rm), dia(lM, rM)))
+        return out[-1]
+
+
+def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
+                       stops: list[str]):
+    """countermodel_search with one tree walk per probe, charging each probe
+    just before it, and the backtracker on _SequentialBounds. Appends to
+    stops "probes" when the budget runs out after some of a frame's probes
+    were charged, and "first probe" when before the first."""
+    from tilemodal.semantics import _Budget, _greedy_refute
+
+    tracker, dag, rng, inventory = _Budget(budget), fm.to_dag(f), random.Random(seed), _inventory(f)
+    for n in range(1, max_worlds + 1):
+        full = (1 << n) - 1
+        for frame in enumerate_frames(n, require_associative=True):
+            probes = [{p: 0 for p in inventory}, {p: full for p in inventory}]
+            for _ in range(14):
+                probes.append({p: rng.getrandbits(n) for p in inventory})
+            seen, charged = set(), 0
+            for masks in probes:
+                key = tuple(masks[p] for p in inventory)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if not tracker.spend(dag.tree_size()):
+                    stops.append("probes" if charged else "first probe")
+                    return None
+                charged += 1
+                failing = full & ~_tree_mask(frame, masks, f)
+                if failing:
+                    return _model_at(frame, masks, failing)
+            got = _greedy_refute(_SequentialBounds(frame), dag, inventory, tracker)
+            if got == "budget":
+                stops.append("backtracker")
+                return None
+            if got is not None:
+                return _model_at(frame, got, full & ~_tree_mask(frame, got, f))
+    stops.append("end")
+    return None
+
+
+def _model_at(frame: Frame, masks: dict[str, int], failing: int):
+    witness = {p: set(bits(m)) for p, m in masks.items() if m}
+    return Model(frame, witness), (failing & -failing).bit_length() - 1
+
+
+BUDGETS = (1, 10, 50, 500, 5000, 10 ** 7)
+
+
+class TestPackedSearchReplay:
+    """Packed probes and two-lane bounds against the sequential loops: equal
+    answers, equal witnesses, equal budget left."""
+
+    def test_countermodel_search(self):
+        rng, stops, hits = random.Random(63), [], 0
+        for _ in range(400):
+            letters = ("p", "q", "r")[:rng.randint(1, 3)]
+            f = random_formula(rng, rng.randint(1, 4), letters)
+            budget, seed = rng.choice(BUDGETS), rng.randrange(1000)
+            # every 3-world frame is visited only when the budget lasts
+            max_worlds = rng.randint(1, 2 if budget == BUDGETS[-1] else 3)
+            expect = _sequential_search(f, max_worlds, budget, seed, stops)
+            assert countermodel_search(f, max_worlds, budget, seed) == expect, fm.render(f)
+            hits += expect is not None
+        assert hits > 100
+        assert {"probes", "first probe", "backtracker", "end"} <= set(stops)
+        assert stops.count("probes") > 10
+
+    def test_greedy_refute(self):
+        from tilemodal.semantics import _Budget, _greedy_refute
+
+        rng, outcomes = random.Random(65), set()
+        for _ in range(300):
+            n, density = rng.randint(1, 3), rng.choice((0.15, 0.4))
+            frame = Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                                       if rng.random() < density))
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r")[:rng.randint(1, 3)])
+            dag, inventory, budget = fm.to_dag(f), _inventory(f), rng.choice(BUDGETS)
+            packed, sequential = _Budget(budget), _Budget(budget)
+            got = _greedy_refute(Evaluator(frame), dag, inventory, packed)
+            assert got == _greedy_refute(_SequentialBounds(frame), dag, inventory,
+                                         sequential), fm.render(f)
+            assert packed.left == sequential.left, fm.render(f)
+            outcomes.add("budget" if got == "budget" else type(got).__name__)
+        assert outcomes == {"budget", "NoneType", "dict"}
