@@ -5,11 +5,15 @@ everything else (conjunction, implication, biconditional, constants, the two
 hooks, and the box) is derived: :class:`Dag` compiles a formula into a
 hash-consed op list over the core, which every evaluator interprets, and
 :func:`desugar` reads that expansion back as a tree.
+
+The parser and the printer are driven by a notation's syntax table, so team
+logic's notation is read and written by the same code as the modal one.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 #: Reserved letter backing the T / F constants; excluded from user inventories.
@@ -312,24 +316,23 @@ def node_count(f: Formula) -> int:
 def letters(f: Formula) -> set[str]:
     """Letter names occurring in f, counting the reserved letter behind T/F."""
     out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Letter):
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is Letter:
             out.add(g.name)
-        elif isinstance(g, (Top, Bottom)):
+        elif type(g) in (Top, Bottom):
             out.add(TOP_LETTER)
-        elif isinstance(g, (Neg, Box)):
-            stack.append(g.sub)
-        else:
-            stack.append(g.left)
-            stack.append(g.right)
+        todo += _children(g)
     return out
 
 
 # -- concrete syntax ---------------------------------------------------------
 #
-# Precedence, loosest to tightest:
+# A notation is a syntax table: (token, precedence, associativity) for each
+# node type but Letter. render prints from it, and parser reads it back with
+# a tokenizer and parse tables derived from it. The modal notation, loosest
+# to tightest:
 #   <->  ->  @>/<@  |  &  o  prefix(~, [])
 # <-> and -> are right-associative, the hooks non-associative, and |, &, o
 # left-associative.
@@ -345,131 +348,17 @@ _PREC_ATOM = 8
 
 
 class FormulaSyntaxError(ValueError):
-    """Parse failure, carrying the byte offset and the acceptable tokens."""
+    """Parse failure, carrying the byte offset, the acceptable tokens, and
+    the offending token as printed (``end of input`` at the end)."""
 
     def __init__(self, text: str, pos: int, expected: set[str], found: str):
         self.offset = len(text[:pos].encode("utf-8"))
         self.expected = frozenset(expected)
-        self.found = found
+        self.found = repr(found) if found else "end of input"
         exp = ", ".join(sorted(self.expected))
         super().__init__(
-            f"syntax error at byte {self.offset}: expected {exp}, found {found}"
+            f"syntax error at byte {self.offset}: expected {exp}, found {self.found}"
         )
-
-
-#: One token after optional whitespace: a word (group 1) or a symbol (group 2).
-_TOKEN_RE = re.compile(r"\s*(?:(" + IDENT_RE.pattern + r")|(<->|->|@>|<@|\[\]|[~&|()]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, value, position) triples; kind is the token's category."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:  # trailing whitespace, or no token after it
-            i = n - len(text[i:].lstrip())
-            if i < n:
-                raise FormulaSyntaxError(text, i, {"a token"}, repr(text[i]))
-            break
-        word, sym = m.groups()
-        if word is not None:
-            toks.append((word if word in RESERVED_WORDS else "ident", word, m.start(1)))
-        else:
-            toks.append((sym, sym, m.start(2)))
-        i = m.end()
-    toks.append(("end", "", n))
-    return toks
-
-
-class _Parser:
-    """Operator-precedence parsing with explicit stacks: an open parenthesis
-    saves the operands, operators and prefix operators around it, so nesting
-    depth is not bounded by recursion."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.toks[self.pos][0]
-
-    def advance(self) -> tuple[str, str, int]:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> None:
-        if self.peek() != kind:
-            self.fail({kind})
-        self.advance()
-
-    def fail(self, expected: set[str]):
-        kind, value, pos = self.toks[self.pos]
-        found = "end of input" if kind == "end" else repr(value)
-        raise FormulaSyntaxError(self.text, pos, expected, found)
-
-    def parse(self) -> Formula:
-        outer: list[tuple[list, list, int]] = []
-        operands: list[Formula] = []
-        operators: list[str] = []
-        prefixes: list[type] = []  # of every open operand, innermost last
-        while True:  # at an operand
-            mark = len(prefixes)
-            while self.peek() in ("~", "[]"):
-                prefixes.append(Neg if self.advance()[0] == "~" else Box)
-            if self.peek() == "(":
-                self.advance()
-                outer.append((operands, operators, mark))
-                operands, operators = [], []
-                continue
-            f = self.atom()
-            while True:  # f ends an operand; a binary operator may follow
-                while len(prefixes) > mark:
-                    f = prefixes.pop()(f)
-                operands.append(f)
-                kind = self.peek()
-                if kind in _BINARY and self.shift(kind, operands, operators):
-                    break
-                _reduce(operands, operators, 0)
-                f = operands.pop()
-                if not outer:
-                    if kind != "end":
-                        self.fail({"end of input"})
-                    return f
-                self.expect(")")
-                operands, operators, mark = outer.pop()
-
-    def shift(self, kind: str, operands: list[Formula], operators: list[str]) -> bool:
-        """Reduce what binds tighter than the binary operator kind, then push
-        it; False, pushing nothing, when a hook follows a hook unbracketed."""
-        _, prec, assoc = _BINARY[kind]
-        _reduce(operands, operators, prec if assoc == "left" else prec + 1)
-        if assoc == "none" and operators and _BINARY[operators[-1]][1] == prec:
-            return False
-        operators.append(kind)
-        self.advance()
-        return True
-
-    def atom(self) -> Formula:
-        kind, value, _ = self.toks[self.pos]
-        if kind not in ("ident", "T", "F"):
-            self.fail({"a letter", "T", "F", "~", "[]", "("})
-        self.advance()
-        return Letter(value) if kind == "ident" else Top() if kind == "T" else Bottom()
-
-
-def _reduce(operands: list[Formula], operators: list[str], least: int) -> None:
-    """Apply the stacked operators binding at least as tightly as least."""
-    while operators and _BINARY[operators[-1]][1] >= least:
-        right = operands.pop()
-        operands[-1] = _BINARY[operators.pop()][0](operands[-1], right)
-
-
-def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; derived tokens give derived nodes."""
-    return _Parser(text).parse()
 
 
 #: Printed form of each node type: (token, precedence, associativity).
@@ -483,9 +372,99 @@ _SYNTAX = {
 }
 
 
-#: Binary operator token -> (node type, precedence, associativity).
-_BINARY = {token: (node, prec, assoc)
-           for node, (token, prec, assoc) in _SYNTAX.items() if assoc}
+def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
+    """The parse function of a notation, the inverse of render(-, syntax).
+
+    A token spelled like a letter is a keyword of the notation; the other
+    tokens and the brackets are symbols, matched longest first. A node type
+    without children gives a constant, one with a child a prefix, one with
+    two a binary operator. A failure raises error(text, pos, expected,
+    found): the character index, the acceptable tokens ("a token" when none
+    starts there), and the offending token, '' at the end of input."""
+    tokens = {token: node for node, (token, _, _) in syntax.items()}
+    words = {t for t in tokens if IDENT_RE.fullmatch(t)}
+    symbols = sorted(tokens.keys() - words | {"(", ")"}, key=len, reverse=True)
+    # after optional whitespace, a word, a symbol, a stray character, or the
+    # end: every position matches, so trailing whitespace is read once
+    token_re = re.compile(
+        rf"\s*(?:({IDENT_RE.pattern})|({'|'.join(map(re.escape, symbols))})|(\S)|\Z)")
+    constants = {t: node for t, node in tokens.items() if _ARITY[node] == 0}
+    prefixes = {t: node for t, node in tokens.items() if _ARITY[node] == 1}
+    binary = {t: (node, prec, assoc)
+              for node, (t, prec, assoc) in syntax.items() if _ARITY[node] == 2}
+    operand = {"a letter", "(", *constants, *prefixes}
+
+    def reduce(operands: list[Formula], operators: list[str], least: int) -> None:
+        """Apply the stacked operators binding at least as tightly as least."""
+        while operators and binary[operators[-1]][1] >= least:
+            right = operands.pop()
+            operands[-1] = binary[operators.pop()][0](operands[-1], right)
+
+    def parse(text: str) -> Formula:
+        """Operator precedence over explicit stacks: an open bracket saves
+        the operands, operators and pending prefixes of the level around it,
+        so nesting depth is not bounded by recursion."""
+        toks = []  # (kind, value, position); kind is the token, or "ident"
+        for m in token_re.finditer(text):
+            group = m.lastindex
+            if group is None:
+                break
+            value = m[group]
+            if group == 3:
+                raise error(text, m.start(3), {"a token"}, value)
+            toks.append((value if group == 2 or value in words else "ident",
+                         value, m.start(group)))
+        toks.append(("end", "", len(text)))
+        i, outer, pending = 0, [], []  # pending: prefixes of every open operand
+        operands: list[Formula] = []
+        operators: list[str] = []
+        while True:  # at an operand
+            mark = len(pending)
+            kind, value, at = toks[i]
+            i += 1
+            while kind in prefixes:
+                pending.append(prefixes[kind])
+                kind, value, at = toks[i]
+                i += 1
+            if kind == "(":
+                outer.append((operands, operators, mark))
+                operands, operators = [], []
+                continue
+            if kind == "ident":
+                f = Letter(value)
+            elif kind in constants:
+                f = constants[kind]()
+            else:
+                raise error(text, at, operand, value)
+            while True:  # f ends an operand; a binary operator may follow
+                while len(pending) > mark:
+                    f = pending.pop()(f)
+                operands.append(f)
+                kind, value, at = toks[i]
+                if kind in binary:
+                    _, prec, assoc = binary[kind]
+                    reduce(operands, operators, prec if assoc == "left" else prec + 1)
+                    # unbracketed, a non-associative operator cannot follow its like
+                    if assoc != "none" or not operators or binary[operators[-1]][1] != prec:
+                        operators.append(kind)
+                        i += 1
+                        break
+                reduce(operands, operators, 0)
+                f = operands.pop()
+                if not outer:
+                    if kind != "end":
+                        raise error(text, at, {"end of input"}, value)
+                    return f
+                if kind != ")":
+                    raise error(text, at, {")"}, value)
+                i += 1
+                operands, operators, mark = outer.pop()
+
+    return parse
+
+
+#: Parse the modal notation; derived tokens give derived nodes.
+parse = parser(_SYNTAX, FormulaSyntaxError)
 
 
 def render(f: Formula, syntax: dict = _SYNTAX) -> str:

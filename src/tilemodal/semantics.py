@@ -253,7 +253,7 @@ class _Budget:
 
 
 def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
-                   budget: _Budget) -> dict[str, int] | None | str:
+                   budget: _Budget, cost: int) -> dict[str, int] | None | str:
     """Backtracking search for a refuting valuation, one bit at a time.
 
     Bits are decided most significant first with 0 before 1, so the first
@@ -261,11 +261,11 @@ def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
     is pruned when the formula is certainly true everywhere under every
     completion (ev.bounds on one lane), and a branch succeeds early
     (zero-filling the rest) when some world certainly fails. Each bound
-    charges the budget the node count of the desugared tree. Returns the
-    letter masks, None when the whole tree is exhausted, or "budget" when
-    the steps run out.
+    charges the budget cost, the node count of the desugared tree. Returns
+    the letter masks, None when the whole tree is exhausted, or "budget"
+    when the steps run out.
     """
-    n, full, cost = ev.frame.size, ev.full, dag.tree_size()
+    n, full = ev.frame.size, ev.full
     # pin the reserved constants letter: satisfaction is independent of it,
     # and deciding it keeps the bounds exact once all real letters are set
     known = dict.fromkeys(inventory, 0) | {fm.TOP_LETTER: full}
@@ -325,6 +325,8 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for frame in enumerate_frames(n, require_associative=True):
+            if tracker.left < cost:  # not even the first probe: skip the pass
+                return None
             ev = Evaluator(frame)  # shared by the probes, the backtracker and the check
             probes = [(0,) * len(inventory), (full,) * len(inventory)]
             for _ in range(14):
@@ -338,7 +340,7 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
                 if full & ~sat:
                     return _found(frame, dict(zip(inventory, probe)), full & ~sat)
                 sat >>= n
-            got = _greedy_refute(ev, dag, inventory, tracker)
+            got = _greedy_refute(ev, dag, inventory, tracker, cost)
             if got == "budget":
                 return None
             if got is not None:

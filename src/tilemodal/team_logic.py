@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -285,89 +284,32 @@ def from_kripke(model: Model, formulas: tuple[fm.Formula, ...] = ()) -> tuple[
 
 # -- concrete syntax ----------------------------------------------------------
 #
-# Team formulas are modal formulas, written in their own notation: letters as
-# in the modal grammar; `&` conjunction, `|` split disjunction (the diamond),
-# `\|/` global disjunction (disjunction), `~~` Boolean negation (negation).
-# Precedence loosest to tightest: \|/, |, &, ~~; the binary connectives are
-# left-associative.
+# Team formulas are modal formulas, written in their own notation and read by
+# fm.parser from its table: letters as in the modal grammar; `&`
+# conjunction, `|` split disjunction (the diamond), `\|/` global disjunction
+# (disjunction), `~~` Boolean negation (negation). Precedence loosest to
+# tightest: \|/, |, &, ~~; the binary connectives are left-associative.
 
 #: Printed form of each team connective, in fm.render's table shape.
 _TEAM_SYNTAX = {BoolNeg: ("~~", 4, None), And: ("&", 3, "left"),
                 SplitOr: ("|", 2, "left"), GlobalOr: ("\\|/", 1, "left")}
 
-#: Binary connective token -> (node type, precedence).
-_TEAM_BINARY = {token: (node, prec)
-                for node, (token, prec, assoc) in _TEAM_SYNTAX.items() if assoc}
-
-#: Whitespace, a letter, or a connective or bracket, at one position.
-_TEAM_LEXEME = re.compile(rf"(\s+)|({fm.IDENT_RE.pattern})|\\\|/|~~|[&|()]")
-
 
 class TeamSyntaxError(ValueError):
-    def __init__(self, text: str, pos: int, message: str):
+    """Parse failure of the team notation at a byte offset; the message is
+    chosen by the tokens the parser expected there."""
+
+    def __init__(self, text: str, pos: int, expected: set[str], found: str):
         self.offset = len(text[:pos].encode("utf-8"))
+        message = (f"unexpected character {found!r}" if "a token" in expected
+                   else "trailing input" if "end of input" in expected
+                   else "expected ')'" if ")" in expected
+                   else f"expected a letter or '(', found {found!r}")
         super().__init__(f"syntax error at byte {self.offset}: {message}")
 
 
-def _team_tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks, i = [], 0
-    while i < len(text):
-        m = _TEAM_LEXEME.match(text, i)
-        if m is None:
-            raise TeamSyntaxError(text, i, f"unexpected character {text[i]!r}")
-        if not m.group(1):
-            toks.append(("ident" if m.group(2) else m.group(0), m.group(0), i))
-        i = m.end()
-    toks.append(("end", "", len(text)))
-    return toks
-
-
-def parse_team_formula(text: str) -> fm.Formula:
-    """Operator precedence over explicit stacks, so nesting depth is not
-    bounded by recursion. Each open bracket saves the operands, operators
-    and pending negations of the level around it."""
-    toks = _team_tokenize(text)
-    pos, negs = 0, 0
-    operands: list[fm.Formula] = []
-    operators: list[str] = []
-    outer: list[tuple[list, list, int]] = []
-    while True:  # at an operand
-        kind, value, at = toks[pos]
-        pos += 1
-        if kind == "~~":
-            negs += 1
-            continue
-        if kind == "(":
-            outer.append((operands, operators, negs))
-            operands, operators, negs = [], [], 0
-            continue
-        if kind != "ident":
-            raise TeamSyntaxError(text, at, f"expected a letter or '(', found {value!r}")
-        f = Letter(value)
-        while True:  # f ends an operand; a binary connective may follow
-            for _ in range(negs):
-                f = BoolNeg(f)
-            negs = 0
-            operands.append(f)
-            kind, _, at = toks[pos]
-            # apply the stacked connectives binding at least as tightly as kind
-            least = _TEAM_BINARY[kind][1] if kind in _TEAM_BINARY else 0
-            while operators and _TEAM_BINARY[operators[-1]][1] >= least:
-                right = operands.pop()
-                operands[-1] = _TEAM_BINARY[operators.pop()][0](operands[-1], right)
-            if least:
-                operators.append(kind)
-                pos += 1
-                break
-            f = operands.pop()
-            if not outer:
-                if kind != "end":
-                    raise TeamSyntaxError(text, at, "trailing input")
-                return f
-            if kind != ")":
-                raise TeamSyntaxError(text, at, "expected ')'")
-            pos += 1
-            operands, operators, negs = outer.pop()
+#: Parse the team notation: the inverse of render_team_formula.
+parse_team_formula = fm.parser(_TEAM_SYNTAX, TeamSyntaxError)
 
 
 def render_team_formula(f: fm.Formula) -> str:

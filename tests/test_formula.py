@@ -88,6 +88,29 @@ class TestParse:
             parse("p $ q")
         assert exc.value.offset == 2
 
+    OPERAND = "expected (, F, T, [], a letter, ~"
+
+    @pytest.mark.parametrize("text, message", [
+        ("p $ q", "syntax error at byte 2: expected a token, found '$'"),
+        ("p | ", f"syntax error at byte 4: {OPERAND}, found end of input"),
+        ("(p o q", "syntax error at byte 6: expected ), found end of input"),
+        ("(p o q q)", "syntax error at byte 7: expected ), found 'q'"),
+        ("p q", "syntax error at byte 2: expected end of input, found 'q'"),
+        ("p)", "syntax error at byte 1: expected end of input, found ')'"),
+        ("p @> q @> r", "syntax error at byte 7: expected end of input, found '@>'"),
+        ("(p @> q <@ r)", "syntax error at byte 8: expected ), found '<@'"),
+        ("[]", f"syntax error at byte 2: {OPERAND}, found end of input"),
+        ("o", f"syntax error at byte 0: {OPERAND}, found 'o'"),
+        ("p & é", "syntax error at byte 4: expected a token, found 'é'"),
+        # an ideographic space is whitespace of three bytes
+        ("p\u3000$", "syntax error at byte 4: expected a token, found '$'"),
+        ("\u3000(p q", "syntax error at byte 6: expected ), found 'q'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == message
+
 
 class TestRender:
     def test_composition(self):

@@ -1,4 +1,5 @@
-"""Fuzz tests of the input boundary: both file parsers and every subcommand.
+"""Fuzz tests of the input boundary: both file parsers, both formula
+parsers and every subcommand.
 
 A parser either returns its value or raises ValueError; `cli.main` returns
 0, 1 or 2 and lets no exception escape, whatever the argv and whatever the
@@ -6,14 +7,18 @@ files it names hold, and it prints and returns what the full parser would. Examp
 same every time and short.
 """
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import full_parser_main
 from fixtures_quotient import quotient_countermodel
+from tilemodal import formula as fm
 from tilemodal.cli import main
 from tilemodal.frames import parse_frame_file, render_frame_file
+from tilemodal.team_logic import parse_team_formula, render_team_formula
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet, parse_tileset_file
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -67,6 +72,41 @@ def test_tileset_parser_returns_or_raises_value_error(text):
         parse_tileset_file(text)
     except ValueError:
         pass
+
+
+#: Stray characters for the token soups: ASCII, a two-byte letter, a
+#: three-byte space, and the other notation's tokens.
+SOUP_JUNK = ["$", "[", "-", "\\", "\u00e9", "\u3000", "1", "'"]
+
+
+def _soup(tokens) -> st.SearchStrategy[str]:
+    return st.lists(st.sampled_from(tokens + SOUP_JUNK + [" ", " "]), max_size=14).map("".join)
+
+
+MODAL_SOUP = _soup(["p", "x'", "o", "T", "F", "~", "[]", "&", "|", "->", "<->", "@>",
+                    "<@", "(", ")", "~~", "\\|/"])
+TEAM_SOUP = _soup(["p", "q'", "o", "T", "~~", "~", "&", "|", "\\|/", "(", ")", "[]",
+                   "->"])
+
+
+@pytest.mark.parametrize("parse, render, text", [
+    (fm.parse, fm.render, FORMULA | MODAL_SOUP),
+    (parse_team_formula, render_team_formula, TEAM_FORMULA | TEAM_SOUP),
+], ids=["modal", "team"])
+def test_formula_parser_round_trips_or_raises_a_located_error(parse, render, text):
+    @given(text)
+    @settings(FUZZ, max_examples=300)
+    def run(text):
+        try:
+            f = parse(text)
+        except ValueError as e:
+            at = re.match(r"syntax error at byte (\d+): ", str(e))
+            assert (at and int(at[1]) <= len(text.encode("utf-8"))
+                    or str(e).startswith("invalid letter name")), (text, str(e))
+        else:
+            assert parse(render(f)) == f, text
+
+    run()
 
 
 @pytest.fixture(scope="module")

@@ -376,9 +376,9 @@ class TestGreedyBacktracker:
             ))
             f = rng.choice(formulas)
             inventory = _inventory(f)
-            core = fm.desugar(f)
-            got = _greedy_refute(Evaluator(frame), fm.to_dag(core), inventory,
-                                 _Budget(10 ** 9))
+            dag = fm.to_dag(fm.desugar(f))
+            got = _greedy_refute(Evaluator(frame), dag, inventory, _Budget(10 ** 9),
+                                 dag.tree_size())
             assert got != "budget"
             # oracle: linear scan in valuation-index order
             expected = None
@@ -401,7 +401,8 @@ class TestGreedyBacktracker:
 
         frame = Frame(2, frozenset({(0, 0, 1)}))
         f = fm.to_dag(fm.desugar(ASSOC_AXIOM))
-        got = _greedy_refute(Evaluator(frame), f, _inventory(ASSOC_AXIOM), _Budget(3))
+        got = _greedy_refute(Evaluator(frame), f, _inventory(ASSOC_AXIOM), _Budget(3),
+                             f.tree_size())
         assert got == "budget"
 
 
@@ -482,6 +483,23 @@ class TestCountermodelSearch:
         passes.clear()
         model, world = countermodel_search(Neg(Comp(p, q)), max_worlds=2, budget=10 ** 9)
         assert passes == frames_seen and model.frame == frames_seen[-1]
+
+    def test_no_pass_when_the_budget_cannot_pay_one_probe(self, monkeypatch):
+        from tilemodal import semantics
+
+        passes, dag_masks = [], semantics.dag_masks
+
+        def counting_passes(*args, **kwargs):
+            passes.append(True)
+            return dag_masks(*args, **kwargs)
+
+        monkeypatch.setattr(semantics, "dag_masks", counting_passes)
+        assert countermodel_search(parse("~(p o q)"), 2, 1) is None
+        assert passes == []
+        # a budget of exactly one probe still runs the first frame's pass
+        f = parse("~(p o q)")
+        countermodel_search(f, 2, fm.to_dag(f).tree_size())
+        assert len(passes) == 1
 
     def test_returned_frame_is_associative(self):
         from tilemodal.frames import check_associative
@@ -830,7 +848,8 @@ def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                 failing = full & ~_tree_mask(frame, masks, f)
                 if failing:
                     return _model_at(frame, masks, failing)
-            got = _greedy_refute(_SequentialBounds(frame), dag, inventory, tracker)
+            got = _greedy_refute(_SequentialBounds(frame), dag, inventory, tracker,
+                                 dag.tree_size())
             if got == "budget":
                 stops.append("backtracker")
                 return None
@@ -878,9 +897,10 @@ class TestPackedSearchReplay:
             f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r")[:rng.randint(1, 3)])
             dag, inventory, budget = fm.to_dag(f), _inventory(f), rng.choice(BUDGETS)
             packed, sequential = _Budget(budget), _Budget(budget)
-            got = _greedy_refute(Evaluator(frame), dag, inventory, packed)
+            cost = dag.tree_size()
+            got = _greedy_refute(Evaluator(frame), dag, inventory, packed, cost)
             assert got == _greedy_refute(_SequentialBounds(frame), dag, inventory,
-                                         sequential), fm.render(f)
+                                         sequential, cost), fm.render(f)
             assert packed.left == sequential.left, fm.render(f)
             outcomes.add("budget" if got == "budget" else type(got).__name__)
         assert outcomes == {"budget", "NoneType", "dict"}
