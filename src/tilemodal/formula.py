@@ -3,8 +3,9 @@
 Core connectives are negation, disjunction, and the binary diamond ``o``;
 everything else (conjunction, implication, biconditional, constants, the two
 hooks, and the box) is derived: :class:`Dag` compiles a formula into a
-hash-consed op list over the core, which every evaluator interprets, and
-:func:`desugar` reads that expansion back as a tree.
+hash-consed op list over the core and the constant T, which every evaluator
+interprets, and :func:`desugar` reads that expansion back as a core tree,
+T spelled as excluded middle over TOP_LETTER.
 
 The parser and the printer are driven by a notation's syntax table, so team
 logic's notation is read and written by the same code as the modal one.
@@ -16,7 +17,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
-#: Reserved letter backing the T / F constants; excluded from user inventories.
+#: The letter whose excluded middle spells T in desugared text.
 TOP_LETTER = "_top"
 
 #: Identifier names with a fixed meaning in the concrete syntax.
@@ -166,19 +167,19 @@ def desugar(f: Formula) -> Formula:
 
 # -- compiled form -------------------------------------------------------------
 
-#: Op kinds of a compiled formula: a letter, negation, disjunction, diamond.
-VAR, NOT, OR, DIA = "var", "not", "or", "dia"
+#: Op kinds of a compiled formula: letter, negation, disjunction, diamond, T.
+VAR, NOT, OR, DIA, TOP = "var", "not", "or", "dia", "top"
 
 
 class Dag:
     """The desugared core of formulas as a hash-consed op list.
 
-    ops[i] is (VAR, name, None), (NOT, a, None), (OR, a, b) or (DIA, a, b),
-    a and b indexing earlier ops, so one pass in index order evaluates every
-    op; equal subterms share one index (hash-consing: Filliatre and Conchon,
-    2006). Only here, with _ENCODE, are derived connectives encoded: hooks
-    as negative diamonds, the box as its three-conjunct hook definition, and
-    T as excluded middle over the reserved letter.
+    ops[i] is (VAR, name, None), (NOT, a, None), (OR, a, b), (DIA, a, b) or
+    (TOP, None, None), a and b indexing earlier ops, so one pass in index
+    order evaluates every op; equal subterms share one index (hash-consing:
+    Filliatre and Conchon, 2006). Only here, with _ENCODE, are derived
+    connectives encoded: hooks as negative diamonds, the box as its
+    three-conjunct hook definition, and F as the negation of T.
     """
 
     def __init__(self, f: Formula | None = None):
@@ -187,7 +188,7 @@ class Dag:
         if f is not None:
             self.add(f)
 
-    def _op(self, kind: str, a, b: int | None = None) -> int:
+    def _op(self, kind: str, a=None, b: int | None = None) -> int:
         op = (kind, a, b)
         i = self._index.setdefault(op, len(self.ops))
         if i == len(self.ops):
@@ -233,8 +234,7 @@ class Dag:
         return self._and(self._op(OR, self._not(a), b), self._op(OR, self._not(b), a))
 
     def _top(self) -> int:
-        p0 = self._op(VAR, TOP_LETTER)
-        return self._op(OR, p0, self._not(p0))
+        return self._op(TOP)
 
     def _hook_r(self, a: int, b: int) -> int:
         return self._not(self._op(DIA, a, self._not(b)))
@@ -248,10 +248,13 @@ class Dag:
         return self._and(self._and(once, self._hook_l(a, top)), self._hook_l(once, top))
 
     def tree(self) -> Formula:
-        """The core tree of the last op; equal subtrees are one object."""
+        """The core tree of the last op, T read as TOP_LETTER | ~TOP_LETTER;
+        the subtree of each op is one object."""
         nodes: list[Formula] = []
+        top = Letter(TOP_LETTER)
         for kind, a, b in self.ops:
-            nodes.append(Letter(a) if kind == VAR else Neg(nodes[a]) if kind == NOT
+            nodes.append(Letter(a) if kind == VAR else Or(top, Neg(top)) if kind == TOP
+                         else Neg(nodes[a]) if kind == NOT
                          else (Or if kind == OR else Comp)(nodes[a], nodes[b]))
         return nodes[-1]
 
@@ -259,7 +262,8 @@ class Dag:
         """node_count(self.tree()), without building the tree."""
         sizes: list[int] = []
         for kind, a, b in self.ops:
-            sizes.append(1 if kind == VAR else 1 + sizes[a] + (b is not None and sizes[b]))
+            sizes.append(1 if kind == VAR else 4 if kind == TOP
+                         else 1 + sizes[a] + (b is not None and sizes[b]))
         return sizes[-1]
 
 
@@ -314,7 +318,7 @@ def node_count(f: Formula) -> int:
 
 
 def letters(f: Formula) -> set[str]:
-    """Letter names occurring in f, counting the reserved letter behind T/F."""
+    """Letter names occurring in f, counting TOP_LETTER for T and F."""
     out: set[str] = set()
     todo = [f]
     while todo:

@@ -9,8 +9,6 @@ give structurally identical formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from tilemodal import formula as fm
 from tilemodal.formula import And, Box, Comp, HookL, HookR, Implies, Letter, Neg
 from tilemodal.tiling import TileSet, matches
@@ -23,19 +21,13 @@ STRUCTURAL_LETTERS = ("x_e", "x_o", "y_e", "y_o", "x'", "y'")
 PARITY_PAIRS = (("e", "e"), ("e", "o"), ("o", "e"), ("o", "o"))
 
 
-@dataclass(frozen=True)
-class LetterInventory:
-    """Tile letters (one per tile, in tile-list order) plus the structural six."""
-
-    tile_letters: tuple[str, ...]
-    structural: tuple[str, ...] = STRUCTURAL_LETTERS
-
-
-def letter_inventory(w: TileSet) -> LetterInventory:
+def letter_inventory(w: TileSet) -> tuple[str, ...]:
+    """The tile letters, in tile-list order; raises ValueError on a structural
+    letter or on TOP_LETTER, which desugared text spells T with."""
     for name in w.names:
         if name in STRUCTURAL_LETTERS or name == fm.TOP_LETTER:
             raise ValueError(f"tile name {name!r} collides with a structural letter")
-    return LetterInventory(tuple(w.names))
+    return w.names
 
 
 def tile_literal(w: TileSet, t: int) -> fm.Formula:

@@ -22,6 +22,7 @@ from tilemodal.frames import (
     enumerate_frames,
     s_relation,
 )
+from tilemodal.tiling import SearchBudgetExceeded
 
 
 class Evaluator:
@@ -62,10 +63,10 @@ class Evaluator:
         undecided.
 
         One pass on twice the lanes, must in the low half and may in the
-        high: a letter is (v & k, v | ~k), disjunction and the diamond work
-        lane by lane, as the diamond is monotone in both arguments, and
-        negation complements and swaps the halves. So the bounds are sound
-        on the desugared core, and exact once every letter is decided."""
+        high: a letter is (v & k, v | ~k), T is full, disjunction and the
+        diamond work lane by lane, as the diamond is monotone in both
+        arguments, and negation complements and swaps the halves. So the
+        bounds are sound, and exact once every letter of the Dag is decided."""
         half, width, letters = self.full, self.frame.size * self.lanes, {}
         for p, k in known.items():
             must = value.get(p, 0) & k
@@ -96,8 +97,8 @@ def dag_masks(dag: fm.Dag, letters: Mapping[str, int], full: int,
               dia: Callable[[int, int], int], absent: int = 0,
               swap: int = 0) -> list[int]:
     """Bitmask of every op of the Dag, in op order: letters[p] for a letter
-    (absent if missing), the complement within full for negation, its low
-    and high swap bits exchanged when swap is set, the union for
+    (absent if missing), full for T, the complement within full for negation
+    (low and high swap bits exchanged when swap is set), the union for
     disjunction, and dia of the two argument masks for the diamond."""
     out = []
     for kind, a, b in dag.ops:
@@ -108,6 +109,8 @@ def dag_masks(dag: fm.Dag, letters: Mapping[str, int], full: int,
             out.append((x >> swap) | (x << swap) & full if swap else x)
         elif kind == fm.OR:
             out.append(out[a] | out[b])
+        elif kind == fm.TOP:
+            out.append(full)
         else:
             out.append(letters.get(a, absent))
     return out
@@ -157,14 +160,10 @@ EXHAUSTIVE_BIT_LIMIT = 24
 FIRST_LANES, MAX_LANES = 1 << 6, 1 << 16
 
 
-def _inventory(f: fm.Formula) -> list[str]:
-    """Letters enumerated for validity, in lexicographic order.
-
-    The reserved letter behind T/F is skipped: excluded middle makes every
-    formula's value independent of it, and the least witness would assign it
-    the empty set anyway.
-    """
-    return sorted(fm.letters(f) - {fm.TOP_LETTER})
+def _inventory(f: fm.Formula | fm.Dag) -> list[str]:
+    """The letters of f's compiled Dag, in lexicographic order: the letters
+    a valuation assigns."""
+    return sorted(a for kind, a, _ in fm.to_dag(f).ops if kind == fm.VAR)
 
 
 def _exhaustive_chunks(n: int, inventory: list[str]):
@@ -220,7 +219,8 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
     strategy draws seeded samples in chunks of 16, 32, ... lanes and returns
     the first refuting one, or Unknown.
     """
-    inventory, n, dag = _inventory(f), frame.size, fm.to_dag(f)
+    n, dag = frame.size, fm.to_dag(f)
+    inventory = _inventory(dag)
     if strategy == "exhaustive":
         if n * len(inventory) > EXHAUSTIVE_BIT_LIMIT:
             return Unknown("exhaustive budget exceeded")
@@ -247,13 +247,15 @@ class _Budget:
     def __init__(self, steps: int):
         self.left = steps
 
-    def spend(self, steps: int) -> bool:
+    def spend(self, steps: int) -> None:
+        """Charge steps; raises SearchBudgetExceeded once they overdraw."""
         self.left -= steps
-        return self.left >= 0
+        if self.left < 0:
+            raise SearchBudgetExceeded("budget exhausted")
 
 
 def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
-                   budget: _Budget, cost: int) -> dict[str, int] | None | str:
+                   budget: _Budget, cost: int) -> dict[str, int] | None:
     """Backtracking search for a refuting valuation, one bit at a time.
 
     Bits are decided most significant first with 0 before 1, so the first
@@ -262,22 +264,18 @@ def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
     completion (ev.bounds on one lane), and a branch succeeds early
     (zero-filling the rest) when some world certainly fails. Each bound
     charges the budget cost, the node count of the desugared tree. Returns
-    the letter masks, None when the whole tree is exhausted, or "budget"
-    when the steps run out.
+    the letter masks of inventory, the Dag's letters, or None when no
+    valuation refutes; raises SearchBudgetExceeded when the steps run out.
     """
     n, full = ev.frame.size, ev.full
-    # pin the reserved constants letter: satisfaction is independent of it,
-    # and deciding it keeps the bounds exact once all real letters are set
-    known = dict.fromkeys(inventory, 0) | {fm.TOP_LETTER: full}
-    value = dict.fromkeys(inventory, 0) | {fm.TOP_LETTER: 0}
+    known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
     order = [
         (inventory[pos // n], (pos % n))
         for pos in range(len(inventory) * n - 1, -1, -1)
     ]
 
-    def descend(depth: int) -> dict[str, int] | None | str:
-        if not budget.spend(cost):
-            return "budget"
+    def descend(depth: int) -> dict[str, int] | None:
+        budget.spend(cost)
         must, may = ev.bounds(dag, known, value)
         if must == full:
             return None  # certainly valid under every completion: prune
@@ -288,18 +286,13 @@ def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
             return {p: value[p] for p in inventory}  # decided, a world fails
         letter, w = order[depth]
         known[letter] |= 1 << w
-        for bit in (0, 1):
-            if bit:
-                value[letter] |= 1 << w
+        got = descend(depth + 1)
+        if got is None:
+            value[letter] |= 1 << w
             got = descend(depth + 1)
-            if got is not None:
-                if bit:
-                    value[letter] &= ~(1 << w)
-                known[letter] &= ~(1 << w)
-                return got
-        value[letter] &= ~(1 << w)
+            value[letter] &= ~(1 << w)
         known[letter] &= ~(1 << w)
-        return None
+        return got
 
     return descend(0)
 
@@ -313,38 +306,39 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
     valuations, which prunes completions that cannot refute and is complete
     when it runs to the end. The budget counts elementary evaluation steps
     (nodes of the desugared tree per valuation or per bound computed),
-    though each is one pass over the compiled Dag's fewer ops; exhausting it
-    returns None, which carries no validity claim. A frame's distinct probes
-    share one pass, a lane each, read in order and charged one by one.
+    though each is one pass over the compiled Dag's fewer ops; once it is
+    spent the search returns None, which carries no validity claim. A
+    frame's distinct probes share one pass, a lane each, read in order and
+    charged one by one.
     """
     tracker = _Budget(budget)
     dag = fm.to_dag(f)
     cost = dag.tree_size()  # node_count(desugar(f)), the budget's unit
     rng = random.Random(seed)
-    inventory = _inventory(f)
-    for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
-        for frame in enumerate_frames(n, require_associative=True):
-            if tracker.left < cost:  # not even the first probe: skip the pass
-                return None
-            ev = Evaluator(frame)  # shared by the probes, the backtracker and the check
-            probes = [(0,) * len(inventory), (full,) * len(inventory)]
-            for _ in range(14):
-                probes.append(tuple(rng.getrandbits(n) for _ in inventory))
-            probes = list(dict.fromkeys(probes))  # distinct, first occurrences in order
-            packed = {p: _pack(col, n) for p, col in zip(inventory, zip(*probes))}
-            sat = ev.mask(dag, packed, len(probes))
-            for probe in probes:
-                if not tracker.spend(cost):
+    inventory = _inventory(dag)
+    try:
+        for n in range(1, max_worlds + 1):
+            full = (1 << n) - 1
+            for frame in enumerate_frames(n, require_associative=True):
+                if tracker.left < cost:  # not even the first probe: skip the pass
                     return None
-                if full & ~sat:
-                    return _found(frame, dict(zip(inventory, probe)), full & ~sat)
-                sat >>= n
-            got = _greedy_refute(ev, dag, inventory, tracker, cost)
-            if got == "budget":
-                return None
-            if got is not None:
-                return _found(frame, got, full & ~ev.mask(dag, got))
+                ev = Evaluator(frame)  # shared by the probes, the backtracker and the check
+                probes = [(0,) * len(inventory), (full,) * len(inventory)]
+                for _ in range(14):
+                    probes.append(tuple(rng.getrandbits(n) for _ in inventory))
+                probes = list(dict.fromkeys(probes))  # distinct, first occurrences in order
+                packed = {p: _pack(col, n) for p, col in zip(inventory, zip(*probes))}
+                sat = ev.mask(dag, packed, len(probes))
+                for probe in probes:
+                    tracker.spend(cost)
+                    if full & ~sat:
+                        return _found(frame, dict(zip(inventory, probe)), full & ~sat)
+                    sat >>= n
+                got = _greedy_refute(ev, dag, inventory, tracker, cost)
+                if got is not None:
+                    return _found(frame, got, full & ~ev.mask(dag, got))
+    except SearchBudgetExceeded:
+        pass  # the budget is spent: no answer either way
     return None
 
 

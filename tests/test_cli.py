@@ -170,6 +170,13 @@ class TestFrameValid:
                         "--formula", self.AXIOM, "--format", "lines")
         assert code == 1 and out.startswith("status=refuted world=")
 
+    def test_a_letter_named_top_is_enumerated(self, capsys, tmp_path):
+        path = tmp_path / "one.frame"
+        path.write_text("worlds 1\n")
+        code, out = run(capsys, "frame-valid", "--frame", str(path),
+                        "--formula", "~_top", "--format", "lines")
+        assert code == 1 and out == "status=refuted world=0 valuation=_top:0\n"
+
     def test_jobs_byte_identical(self, capsys, bad_frame_file):
         _, out1 = run(capsys, "frame-valid", "--frame", bad_frame_file,
                       "--formula", self.AXIOM, "--jobs", "1")

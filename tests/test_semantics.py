@@ -3,6 +3,8 @@ import subprocess
 import sys
 from itertools import product
 
+import pytest
+
 from conftest import random_formula
 from tilemodal import formula as fm
 from tilemodal import powerset_symbolic as ps
@@ -27,7 +29,7 @@ from tilemodal.frames import (
     powerset_frame,
     powerset_worlds,
 )
-from tilemodal.tiling import PeriodicTiling, Tile, TileSet
+from tilemodal.tiling import PeriodicTiling, SearchBudgetExceeded, Tile, TileSet
 from tilemodal.semantics import (
     MAX_LANES,
     Evaluator,
@@ -357,6 +359,19 @@ class TestOperatorLaws:
                 assert got == expect
 
 
+def _linear_scan(frame: Frame, f: fm.Formula, inventory: list[str]):
+    """(masks, least failing world) of the first valuation of the inventory
+    refuting f, in valuation-index order, or None: the oracle for the
+    backtracker, walking the tree."""
+    n, full = frame.size, (1 << frame.size) - 1
+    for v in range(1 << (n * len(inventory))):
+        masks = {l: (v >> (j * n)) & full for j, l in enumerate(inventory)}
+        failing = full & ~_tree_mask(frame, masks, f)
+        if failing:
+            return masks, (failing & -failing).bit_length() - 1
+    return None
+
+
 class TestGreedyBacktracker:
     def test_matches_linear_scan_least_witness(self):
         from tilemodal.semantics import _Budget, _greedy_refute, _inventory
@@ -379,31 +394,59 @@ class TestGreedyBacktracker:
             dag = fm.to_dag(fm.desugar(f))
             got = _greedy_refute(Evaluator(frame), dag, inventory, _Budget(10 ** 9),
                                  dag.tree_size())
-            assert got != "budget"
-            # oracle: linear scan in valuation-index order
-            expected = None
-            for v in range(1 << (n * len(inventory))):
-                masks = {
-                    l: (v >> (j * n)) & ((1 << n) - 1)
-                    for j, l in enumerate(inventory)
-                }
-                model = Model(frame, {l: set(bits(m)) for l, m in masks.items()})
-                if set(sat_set(model, f)) != set(range(n)):
-                    expected = masks
-                    break
-            if expected is None:
-                assert got is None
-            else:
-                assert got == expected
+            expected = _linear_scan(frame, f, inventory)
+            assert got == (expected and expected[0])
 
     def test_budget_exhaustion_reported(self):
         from tilemodal.semantics import _Budget, _greedy_refute, _inventory
 
         frame = Frame(2, frozenset({(0, 0, 1)}))
         f = fm.to_dag(fm.desugar(ASSOC_AXIOM))
-        got = _greedy_refute(Evaluator(frame), f, _inventory(ASSOC_AXIOM), _Budget(3),
-                             f.tree_size())
-        assert got == "budget"
+        with pytest.raises(SearchBudgetExceeded):
+            _greedy_refute(Evaluator(frame), f, _inventory(ASSOC_AXIOM), _Budget(3),
+                           f.tree_size())
+
+
+class TestTheLetterTop:
+    """T and F are constants; a letter named _top, which desugared text uses
+    to spell T, is enumerated and searched like any other letter."""
+
+    def test_frame_validity_refutes_not_top(self):
+        frame = Frame(1, frozenset())
+        verdict = frame_validity(frame, parse("~_top"))
+        assert verdict == Refuted(Model(frame, {"_top": {0}}), 0)
+
+    def test_countermodel_search_refutes_not_top(self):
+        hit = countermodel_search(parse("~_top"), 1, 10 ** 6)
+        assert hit is not None
+        model, world = hit
+        assert model.frame.size == 1 and world not in sat_set(model, parse("~_top"))
+
+    def test_constants_and_the_letter_against_the_linear_scan(self):
+        from tilemodal.semantics import _Budget, _greedy_refute
+
+        rng, seen = random.Random(67), set()
+        for _ in range(400):
+            n = rng.choice((1, 2))
+            frame = Frame(n, frozenset(
+                t for t in product(range(n), repeat=3) if rng.random() < 0.4
+            ))
+            f = random_formula(rng, rng.randint(1, 4), ("p", "_top"))
+            text = fm.render(f)
+            seen.update(token for token in ("T", "F", "[]", "_top") if token in text)
+            names, todo = set(), [f]
+            while todo:
+                g = todo.pop()
+                if isinstance(g, Letter):
+                    names.add(g.name)
+                todo += fm._children(g)
+            expected = _linear_scan(frame, f, sorted(names))
+            _assert_matches(frame_validity(frame, f), frame, expected)
+            dag = fm.to_dag(f)
+            got = _greedy_refute(Evaluator(frame), dag, _inventory(dag), _Budget(10 ** 9),
+                                 dag.tree_size())
+            assert got == (expected and expected[0]), text
+        assert seen == {"T", "F", "[]", "_top"}
 
 
 class TestCountermodelSearch:
@@ -636,7 +679,7 @@ class TestOpList:
     """Every evaluator of the compiled Dag against a tree walk."""
 
     def test_phi_shares_subterms(self):
-        for w, ops, nodes in ((MONO, 391, 1650), (SWAP, 479, 3180)):
+        for w, ops, nodes in ((MONO, 389, 1650), (SWAP, 477, 3180)):
             f = reduction.phi(w)
             dag = fm.to_dag(f)
             assert len(dag.ops) == ops
@@ -665,7 +708,7 @@ class TestOpList:
             frame = _random_frame(rng)
             f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r"))
             masks = {l: rng.getrandbits(frame.size) for l in ("p", "q", "r")}
-            known = {l: (1 << frame.size) - 1 for l in fm.letters(f) | {fm.TOP_LETTER}}
+            known = {l: (1 << frame.size) - 1 for l in _inventory(f)}
             value = {l: masks.get(l, 0) for l in known}
             expect = _tree_mask(frame, masks, f)
             got = Evaluator(frame).bounds(fm.to_dag(f), known, value)
@@ -677,7 +720,7 @@ class TestOpList:
             frame = _random_frame(rng)
             f = random_formula(rng, rng.randint(1, 4), ("p", "q"))
             n, full = frame.size, (1 << frame.size) - 1
-            known = {"p": rng.getrandbits(n), "q": rng.getrandbits(n), fm.TOP_LETTER: full}
+            known = {"p": rng.getrandbits(n), "q": rng.getrandbits(n)}
             value = {l: rng.getrandbits(n) & k for l, k in known.items()}
             must, may = Evaluator(frame).bounds(fm.to_dag(f), known, value)
             for fill in product(range(1 << n), repeat=2):
@@ -704,7 +747,7 @@ class TestOpList:
             masks = {l: rng.getrandbits(n) & rng.getrandbits(n) for l in ("p", "q", "r")}
             dag, expect = fm.to_dag(f), _tree_mask(frame, masks, f)
             assert ev.masks(dag, masks)[-1] == expect, fm.render(f)
-            known = {l: full for l in fm.letters(f) | {fm.TOP_LETTER}}
+            known = {l: full for l in _inventory(f)}
             value = {l: masks.get(l, 0) for l in known}
             assert ev.bounds(dag, known, value) == (expect, expect), fm.render(f)
             known = {l: rng.getrandbits(n) for l in known}
@@ -762,7 +805,7 @@ class TestOpList:
             n, full = frame.size, (1 << frame.size) - 1
             ev, dag = Evaluator(frame), fm.to_dag(f)
             assert ev.bounds(fm.to_dag(q), {"p": full}, {"p": full, "q": full}) == (0, full)
-            known = {"p": rng.getrandbits(n), fm.TOP_LETTER: full}
+            known = {"p": rng.getrandbits(n)}
             value = {"p": rng.getrandbits(n) & known["p"], "q": rng.getrandbits(n)}
             undecided = {**known, "q": 0}
             assert ev.bounds(dag, known, value) == ev.bounds(dag, undecided, value), fm.render(f)
@@ -773,12 +816,12 @@ class TestOpList:
             frame, lanes = _random_frame(rng), rng.randint(2, 5)
             f = random_formula(rng, rng.randint(1, 4), ("p", "q"))
             n, full = frame.size, (1 << frame.size) - 1
-            known = [{"p": rng.getrandbits(n), "q": full, fm.TOP_LETTER: full}
+            known = [{"p": rng.getrandbits(n), "q": full}
                      for _ in range(lanes)]
             value = [{l: rng.getrandbits(n) & k for l, k in lane.items()} for lane in known]
             must, may = Evaluator(frame, lanes).bounds(
                 fm.to_dag(f), *({l: sum(lane[l] << (i * n) for i, lane in enumerate(side))
-                                 for l in ("p", "q", fm.TOP_LETTER)} for side in (known, value)))
+                                 for l in ("p", "q")} for side in (known, value)))
             for i, (k, v) in enumerate(zip(known, value)):
                 lane_must, lane_may = (must >> (i * n)) & full, (may >> (i * n)) & full
                 for fill in range(1 << n):
@@ -810,6 +853,8 @@ class _SequentialBounds(Evaluator):
             if kind == fm.VAR:
                 k, v = known.get(a, 0), value.get(a, 0)
                 out.append((v & k, v | (full & ~k)))
+            elif kind == fm.TOP:
+                out.append((full, full))
             elif kind == fm.NOT:
                 must, may = out[a]
                 out.append((full & ~may, full & ~must))
@@ -841,16 +886,19 @@ def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                 if key in seen:
                     continue
                 seen.add(key)
-                if not tracker.spend(dag.tree_size()):
+                try:
+                    tracker.spend(dag.tree_size())
+                except SearchBudgetExceeded:
                     stops.append("probes" if charged else "first probe")
                     return None
                 charged += 1
                 failing = full & ~_tree_mask(frame, masks, f)
                 if failing:
                     return _model_at(frame, masks, failing)
-            got = _greedy_refute(_SequentialBounds(frame), dag, inventory, tracker,
-                                 dag.tree_size())
-            if got == "budget":
+            try:
+                got = _greedy_refute(_SequentialBounds(frame), dag, inventory, tracker,
+                                     dag.tree_size())
+            except SearchBudgetExceeded:
                 stops.append("backtracker")
                 return None
             if got is not None:
@@ -898,9 +946,15 @@ class TestPackedSearchReplay:
             dag, inventory, budget = fm.to_dag(f), _inventory(f), rng.choice(BUDGETS)
             packed, sequential = _Budget(budget), _Budget(budget)
             cost = dag.tree_size()
-            got = _greedy_refute(Evaluator(frame), dag, inventory, packed, cost)
-            assert got == _greedy_refute(_SequentialBounds(frame), dag, inventory,
-                                         sequential, cost), fm.render(f)
+            results = []
+            for ev, tracker in ((Evaluator(frame), packed),
+                                (_SequentialBounds(frame), sequential)):
+                try:
+                    results.append(_greedy_refute(ev, dag, inventory, tracker, cost))
+                except SearchBudgetExceeded:
+                    results.append(SearchBudgetExceeded)
+            got, expect = results
+            assert got == expect, fm.render(f)
             assert packed.left == sequential.left, fm.render(f)
-            outcomes.add("budget" if got == "budget" else type(got).__name__)
-        assert outcomes == {"budget", "NoneType", "dict"}
+            outcomes.add(got if got is SearchBudgetExceeded else type(got))
+        assert outcomes == {SearchBudgetExceeded, type(None), dict}
