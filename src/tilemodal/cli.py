@@ -120,7 +120,7 @@ def cmd_gen_phi(args, out) -> int:
     text = fm.render(_desugar(f) if args.desugar else f)
     lines, kv = [text], [f"formula={text}"]
     if args.stats:
-        stats = reduction.phi_stats(w)
+        stats = reduction.phi_stats(w, f)
         lines += [f"{k}: {v}" for k, v in sorted(stats.items())]
         kv += [f"{k}={v}" for k, v in sorted(stats.items())]
     _emit(out, args.format, lines, kv)

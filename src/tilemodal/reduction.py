@@ -115,11 +115,18 @@ def phi(w: TileSet) -> fm.Formula:
     return Neg(phi_body(w))
 
 
-def phi_stats(w: TileSet) -> dict[str, int]:
-    f = phi(w)
+def phi_stats(w: TileSet, f: fm.Formula | None = None) -> dict[str, int]:
+    """Size figures of phi(w), read off f when the caller has built it: the
+    conjuncts are the left spine of the body's left-folded conjunction,
+    whose first conjunct, the seed, is a product."""
+    if f is None:
+        f = phi(w)
+    body, count = f.sub, 1
+    while isinstance(body, And):
+        body, count = body.left, count + 1
     return {
         "nodes": fm.node_count(f),
         "letters": len(fm.letters(f) - {fm.TOP_LETTER}),
-        "conjuncts": len(conjuncts(w)),
+        "conjuncts": count,
         "tiles": len(w),
     }

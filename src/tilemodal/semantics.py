@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable, Mapping
 
@@ -38,7 +39,6 @@ class Evaluator:
 
     def __init__(self, frame: Frame, lanes: int = 1):
         self.frame, self.lanes = frame, lanes
-        self.full = (1 << (frame.size * lanes)) - 1
         rows: dict[int, list[tuple[int, int]]] = {}
         for (y, z), xs in frame.index.items():
             rows.setdefault(y, []).append((z, xs))
@@ -56,18 +56,19 @@ class Evaluator:
         return dag_masks(dag, letters, full, self._dia(full))
 
     def bounds(self, dag: fm.Dag, known: Mapping[str, int],
-               value: Mapping[str, int]) -> tuple[int, int]:
+               value: Mapping[str, int], lanes: int | None = None) -> tuple[int, int]:
         """(must, may) bracketing the last op's satisfaction set over every
-        completion of a partial valuation: the bits of known[p] are decided
-        and value[p] holds their values; a letter absent from known is
-        undecided.
+        completion of a partial valuation, lane by lane: the bits of known[p]
+        are decided and value[p] holds their values; a letter absent from
+        known is undecided. A call may name its lane count, as for masks.
 
         One pass on twice the lanes, must in the low half and may in the
         high: a letter is (v & k, v | ~k), T is full, disjunction and the
         diamond work lane by lane, as the diamond is monotone in both
         arguments, and negation complements and swaps the halves. So the
         bounds are sound, and exact once every letter of the Dag is decided."""
-        half, width, letters = self.full, self.frame.size * self.lanes, {}
+        width = self.frame.size * (lanes or self.lanes)
+        half, letters = (1 << width) - 1, {}
         for p, k in known.items():
             must = value.get(p, 0) & k
             letters[p] = must | (must | half & ~k) << width
@@ -254,6 +255,30 @@ class _Budget:
             raise SearchBudgetExceeded("budget exhausted")
 
 
+#: Decision levels below a node of the countermodel backtracker whose nodes
+#: share its bounds pass: 2^(SUBTREE_LEVELS + 1) - 1 lanes, one per node.
+SUBTREE_LEVELS = 6
+
+
+@lru_cache(maxsize=64)
+def _subtree_layout(n: int, levels: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(lanes, lane0, (decided, ones) per decision level) of a pass over a
+    node and the `levels` levels below it on n-world lanes. Lane i is the
+    node of heap index i: the root is 0 and the children of i are 2i+1 (bit
+    0) and 2i+2 (bit 1), so i+1 is a 1 followed by the path's bits. lane0 has
+    bit 0 of every lane; decided has it in the lanes at or below level k, and
+    ones in those whose path sets the level-k bit."""
+    lanes = (2 << levels) - 1
+    lane0 = sum(1 << (i * n) for i in range(lanes))
+    grid = []
+    for k in range(1, levels + 1):
+        below = (1 << k) - 1  # the first lane of level k
+        ones = sum(1 << (i * n) for i in range(below, lanes)
+                   if (i + 1) >> ((i + 1).bit_length() - 1 - k) & 1)
+        grid.append((lane0 >> (below * n) << (below * n), ones))
+    return lanes, lane0, tuple(grid)
+
+
 def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
                    budget: _Budget, cost: int) -> dict[str, int] | None:
     """Backtracking search for a refuting valuation, one bit at a time.
@@ -261,40 +286,63 @@ def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
     Bits are decided most significant first with 0 before 1, so the first
     hit is the lexicographically least refuting valuation index. A subtree
     is pruned when the formula is certainly true everywhere under every
-    completion (ev.bounds on one lane), and a branch succeeds early
-    (zero-filling the rest) when some world certainly fails. Each bound
-    charges the budget cost, the node count of the desugared tree. Returns
-    the letter masks of inventory, the Dag's letters, or None when no
-    valuation refutes; raises SearchBudgetExceeded when the steps run out.
+    completion (must is full), and a branch succeeds early (zero-filling the
+    rest) when some world certainly fails (may is not full). The bounds of
+    a node and of every node up to SUBTREE_LEVELS decision levels below it
+    come from one ev.bounds pass, a lane per node (_subtree_layout); a node
+    of the pass's last level starts the next pass for its children. Each
+    visited node charges the budget cost, the node count of the desugared
+    tree, before its lane is read, and a pass runs only once the first node
+    it serves is paid for. Returns the letter masks of inventory, the Dag's
+    letters, or None when no valuation refutes; raises SearchBudgetExceeded
+    when the steps run out.
     """
-    n, full = ev.frame.size, ev.full
+    n = ev.frame.size
+    full = (1 << n) - 1
     known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
     order = [
         (inventory[pos // n], (pos % n))
         for pos in range(len(inventory) * n - 1, -1, -1)
     ]
 
-    def descend(depth: int) -> dict[str, int] | None:
-        budget.spend(cost)
-        must, may = ev.bounds(dag, known, value)
-        if must == full:
+    def subtree(depth: int) -> tuple[int, int, int]:
+        """(levels, must, may) of the pass over the node at depth, whose
+        letters are known and value, and the levels below it."""
+        levels = min(SUBTREE_LEVELS, len(order) - depth)
+        lanes, lane0, grid = _subtree_layout(n, levels)
+        k = {p: m * lane0 for p, m in known.items()}
+        v = {p: m * lane0 for p, m in value.items()}
+        for (letter, w), (decided, ones) in zip(order[depth:], grid):
+            k[letter] |= decided << w
+            v[letter] |= ones << w
+        return (levels, *ev.bounds(dag, k, v, lanes))
+
+    def descend(depth: int, lane: int, levels: int, must: int, may: int):
+        """Search below the node at depth, paid for and read off lane of the
+        pass (must, may) that covers levels more levels below it."""
+        if (must >> (lane * n)) & full == full:
             return None  # certainly valid under every completion: prune
-        if may != full:
+        if (may >> (lane * n)) & full != full:
             # some world certainly fails: zero-fill the undecided rest
             return {p: value[p] for p in inventory}
         if depth == len(order):
             return {p: value[p] for p in inventory}  # decided, a world fails
         letter, w = order[depth]
+        budget.spend(cost)
+        if not levels:  # the pass's last level: the children need their own
+            (levels, must, may), lane = subtree(depth), 0
         known[letter] |= 1 << w
-        got = descend(depth + 1)
+        got = descend(depth + 1, 2 * lane + 1, levels - 1, must, may)
         if got is None:
+            budget.spend(cost)
             value[letter] |= 1 << w
-            got = descend(depth + 1)
+            got = descend(depth + 1, 2 * lane + 2, levels - 1, must, may)
             value[letter] &= ~(1 << w)
         known[letter] &= ~(1 << w)
         return got
 
-    return descend(0)
+    budget.spend(cost)
+    return descend(0, 0, *subtree(0))
 
 
 def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
@@ -309,7 +357,8 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
     though each is one pass over the compiled Dag's fewer ops; once it is
     spent the search returns None, which carries no validity claim. A
     frame's distinct probes share one pass, a lane each, read in order and
-    charged one by one.
+    charged one by one; so do the bounds of each backtracker node and the
+    SUBTREE_LEVELS levels below it, charged per node visited.
     """
     tracker = _Budget(budget)
     dag = fm.to_dag(f)

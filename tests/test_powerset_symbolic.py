@@ -426,6 +426,8 @@ class _RefEvaluator:
         if key not in self._memo:
             if kind == fm.VAR:
                 hit = eval_atom(s, a, self.tau, self.w)
+            elif kind == fm.TOP:
+                hit = True
             elif kind == fm.OR:
                 hit = self.holds(s, a) or self.holds(s, b)
             else:
@@ -491,6 +493,26 @@ class TestAgainstReference:
                     assert report == _ref_check_refutation(w, tau, depth, mode)
                     failed += not report.passed
         assert failed  # the corpus exercises witnesses, not only passes
+
+    def test_constants_in_the_bodies_of_a_dead_end_set(self, tmp_path, capsys):
+        """Tile b has no right match, so the gamma bodies hold F."""
+        from tilemodal.cli import main
+
+        dead_end = TileSet(("a", "b"), (Tile(0, 0, 0, 0), Tile(0, 0, 5, 6)))
+        tau = PeriodicTiling((1, 1), {(0, 0): 0})
+        assert any(kind == fm.TOP for name, f in reduction.conjuncts(dead_end)
+                   for kind, _, _ in fm.to_dag(fm.unbox(f) or f).ops)
+        for depth in (1, 2):
+            for mode in ps.MODES:
+                report = check_refutation(dead_end, tau, depth, mode)
+                assert report == _ref_check_refutation(dead_end, tau, depth, mode)
+                assert report.passed
+        path = tmp_path / "dead_end.tiles"
+        path.write_text("a 0 0 0 0\nb 0 0 5 6\n")
+        code = main(["verify-lemma6", "--tiles", str(path), "--period", "1,1",
+                     "--depth", "2", "--format", "lines"])
+        out = capsys.readouterr().out
+        assert code == 0 and out.count("status=pass") == 15, out
 
     def test_states_outside_the_window_are_rejected(self):
         with pytest.raises(ValueError):

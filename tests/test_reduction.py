@@ -153,6 +153,14 @@ class TestPhi:
         assert fm.TOP_LETTER in fm.letters(phi(dead_end))
         assert phi_stats(dead_end)["letters"] == phi_stats(MONO)["letters"] == 7
 
+    def test_stats_of_the_built_formula(self):
+        dead_end = TileSet(("a", "b"), (Tile(0, 0, 0, 0), Tile(0, 0, 5, 6)))
+        for w in (MONO, dead_end, TileSet(("t1", "t2"), (Tile(0, 0, 0, 0),) * 2)):
+            f = phi(w)
+            assert phi_stats(w, f) == phi_stats(w) == {
+                "nodes": fm.node_count(f), "letters": 6 + len(w),
+                "conjuncts": len(conjuncts(w)), "tiles": len(w)}
+
     def test_structural_name_collision_rejected(self):
         w = TileSet(("x_e",), (Tile(0, 0, 0, 0),))
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from tilemodal.frames import (
 from tilemodal.tiling import PeriodicTiling, SearchBudgetExceeded, Tile, TileSet
 from tilemodal.semantics import (
     MAX_LANES,
+    SUBTREE_LEVELS,
     Evaluator,
     Refuted,
     Unknown,
@@ -865,13 +866,45 @@ class _SequentialBounds(Evaluator):
         return out[-1]
 
 
+def _one_bound_per_node(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget,
+                        cost: int, visits: list[int] | None = None):
+    """The countermodel backtracker with one ev.bounds call per node, charged
+    just before it: bits most significant first, 0 before 1, prune on must
+    full, zero-fill on may not full. Appends each visited node's depth to
+    visits, if given. The reference for _greedy_refute's subtree passes."""
+    n, full = ev.frame.size, (1 << ev.frame.size) - 1
+    known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
+    order = [(inventory[pos // n], pos % n) for pos in range(len(inventory) * n - 1, -1, -1)]
+
+    def descend(depth: int):
+        budget.spend(cost)
+        if visits is not None:
+            visits.append(depth)
+        must, may = ev.bounds(dag, known, value)
+        if must == full:
+            return None
+        if may != full or depth == len(order):
+            return dict(value)
+        letter, w = order[depth]
+        known[letter] |= 1 << w
+        got = descend(depth + 1)
+        if got is None:
+            value[letter] |= 1 << w
+            got = descend(depth + 1)
+            value[letter] &= ~(1 << w)
+        known[letter] &= ~(1 << w)
+        return got
+
+    return descend(0)
+
+
 def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                        stops: list[str]):
     """countermodel_search with one tree walk per probe, charging each probe
-    just before it, and the backtracker on _SequentialBounds. Appends to
+    just before it, and _one_bound_per_node on _SequentialBounds. Appends to
     stops "probes" when the budget runs out after some of a frame's probes
     were charged, and "first probe" when before the first."""
-    from tilemodal.semantics import _Budget, _greedy_refute
+    from tilemodal.semantics import _Budget
 
     tracker, dag, rng, inventory = _Budget(budget), fm.to_dag(f), random.Random(seed), _inventory(f)
     for n in range(1, max_worlds + 1):
@@ -896,8 +929,8 @@ def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                 if failing:
                     return _model_at(frame, masks, failing)
             try:
-                got = _greedy_refute(_SequentialBounds(frame), dag, inventory, tracker,
-                                     dag.tree_size())
+                got = _one_bound_per_node(_SequentialBounds(frame), dag, inventory, tracker,
+                                          dag.tree_size())
             except SearchBudgetExceeded:
                 stops.append("backtracker")
                 return None
@@ -919,6 +952,20 @@ class TestPackedSearchReplay:
     """Packed probes and two-lane bounds against the sequential loops: equal
     answers, equal witnesses, equal budget left."""
 
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """One entry per dag_masks call."""
+        from tilemodal import semantics
+
+        calls, dag_masks = [], semantics.dag_masks
+
+        def counting_passes(*args, **kwargs):
+            calls.append(True)
+            return dag_masks(*args, **kwargs)
+
+        monkeypatch.setattr(semantics, "dag_masks", counting_passes)
+        return calls
+
     def test_countermodel_search(self):
         rng, stops, hits = random.Random(63), [], 0
         for _ in range(400):
@@ -935,26 +982,105 @@ class TestPackedSearchReplay:
         assert stops.count("probes") > 10
 
     def test_greedy_refute(self):
-        from tilemodal.semantics import _Budget, _greedy_refute
-
         rng, outcomes = random.Random(65), set()
         for _ in range(300):
             n, density = rng.randint(1, 3), rng.choice((0.15, 0.4))
             frame = Frame(n, frozenset(t for t in product(range(n), repeat=3)
                                        if rng.random() < density))
             f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r")[:rng.randint(1, 3)])
-            dag, inventory, budget = fm.to_dag(f), _inventory(f), rng.choice(BUDGETS)
-            packed, sequential = _Budget(budget), _Budget(budget)
-            cost = dag.tree_size()
-            results = []
-            for ev, tracker in ((Evaluator(frame), packed),
-                                (_SequentialBounds(frame), sequential)):
-                try:
-                    results.append(_greedy_refute(ev, dag, inventory, tracker, cost))
-                except SearchBudgetExceeded:
-                    results.append(SearchBudgetExceeded)
-            got, expect = results
-            assert got == expect, fm.render(f)
-            assert packed.left == sequential.left, fm.render(f)
-            outcomes.add(got if got is SearchBudgetExceeded else type(got))
+            outcomes.add(_replay_greedy(frame, fm.to_dag(f), rng.choice(BUDGETS)))
         assert outcomes == {SearchBudgetExceeded, type(None), dict}
+
+    def test_greedy_refute_past_one_pass(self):
+        """3 worlds and 3 to 5 letters: 9 to 15 decision bits, so the walk
+        crosses the frontier of the first pass and of the second."""
+        rng, outcomes, deepest = random.Random(69), set(), []
+        for _ in range(120):
+            n, letters = 3, ("p", "q", "r", "s", "t")[:rng.randint(3, 5)]
+            frame = Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                                       if rng.random() < rng.choice((0.15, 0.4))))
+            f = _searched_deep(rng, letters)
+            dag, visits = fm.to_dag(f), []
+            budget = rng.choice((100, 3000)) * dag.tree_size() + rng.randrange(dag.tree_size())
+            outcomes.add(_replay_greedy(frame, dag, budget, visits))
+            deepest.append(max(visits))
+        assert outcomes == {SearchBudgetExceeded, type(None), dict}
+        assert sum(d > 6 for d in deepest) > 20 and sum(d > 12 for d in deepest) > 5
+
+    def test_budget_runs_out_at_a_pass_and_inside_one(self, passes):
+        """Budgets that run out at the root, at the first node a pass serves
+        and inside a pass, on searches past one pass: equal budget left, and
+        a pass only for the nodes paid for."""
+        from tilemodal.semantics import _Budget, _greedy_refute
+
+        rng, cut = random.Random(71), {"root": 0, "first node": 0, "inside": 0}
+        while min(cut.values()) < 30:
+            frame = Frame(3, frozenset(t for t in product(range(3), repeat=3)
+                                       if rng.random() < 0.3))
+            f = _searched_deep(rng, ("p", "q", "r"))
+            dag, visits = fm.to_dag(f), []
+            cost, inventory = dag.tree_size(), _inventory(f)
+            _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
+                                _Budget(10 ** 9), cost, visits)
+            # node t is the first a pass serves when its parent is on a pass's last level
+            first = [t == 0 or visits[t - 1] % SUBTREE_LEVELS == 0 < visits[t - 1]
+                     and visits[t] == visits[t - 1] + 1 for t in range(len(visits))]
+            for t in sorted({0, len(visits) - 1, *rng.sample(range(len(visits)),
+                                                             min(8, len(visits)))}):
+                kind = "root" if t == 0 else "first node" if first[t] else "inside"
+                cut[kind] += 1
+                left = t * cost + rng.randrange(cost)  # pays nodes 0 .. t-1, not node t
+                packed, sequential = _Budget(left), _Budget(left)
+                passes.clear()
+                with pytest.raises(SearchBudgetExceeded):
+                    _greedy_refute(Evaluator(frame), dag, inventory, packed, cost)
+                with pytest.raises(SearchBudgetExceeded):
+                    _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
+                                        sequential, cost)
+                assert packed.left == sequential.left, fm.render(f)
+                assert len(passes) == sum(first[:t]), (fm.render(f), t)
+
+    def test_one_pass_for_six_decision_bits(self, passes):
+        from tilemodal.semantics import _Budget, _greedy_refute
+
+        # p | ~p is certainly true only once p is decided: the whole tree is visited
+        f = parse(" & ".join(f"({l} | ~{l})" for l in "abcdef"))
+        dag, visits = fm.to_dag(f), []
+        frame, cost = Frame(1, frozenset({(0, 0, 0)})), dag.tree_size()
+        assert _greedy_refute(Evaluator(frame), dag, _inventory(f), _Budget(10 ** 9),
+                              cost) is None
+        assert len(passes) == 1
+        _one_bound_per_node(_SequentialBounds(frame), dag, _inventory(f), _Budget(10 ** 9),
+                            cost, visits)
+        assert len(visits) == 2 ** (SUBTREE_LEVELS + 1) - 1
+
+
+def _searched_deep(rng: random.Random, letters: tuple[str, ...]) -> fm.Formula:
+    """A random formula conjoined with l | ~l for each letter l, which is
+    certainly true only once l is decided, so no branch is pruned above the
+    last decision level."""
+    return fm.conj([Or(Letter(l), Neg(Letter(l))) for l in letters]
+                   + [random_formula(rng, rng.randint(2, 5), letters)])
+
+
+def _replay_greedy(frame: Frame, dag: fm.Dag, budget: int, visits: list[int] | None = None):
+    """_greedy_refute on the frame's Evaluator against _one_bound_per_node
+    on _SequentialBounds: equal answers, witnesses and budget left. Returns
+    the answer's type, or SearchBudgetExceeded."""
+    from tilemodal.semantics import _Budget, _greedy_refute
+
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except SearchBudgetExceeded:
+            return SearchBudgetExceeded
+
+    inventory, cost = _inventory(dag), dag.tree_size()
+    packed, sequential = _Budget(budget), _Budget(budget)
+    got = outcome(_greedy_refute, Evaluator(frame), dag, inventory, packed, cost)
+    expect = outcome(_one_bound_per_node, _SequentialBounds(frame), dag, inventory,
+                     sequential, cost, visits)
+    text = fm.render(dag.tree())
+    assert got == expect, text
+    assert packed.left == sequential.left, text
+    return got if got is SearchBudgetExceeded else type(got)
