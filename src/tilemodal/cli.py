@@ -57,6 +57,17 @@ def _load_tiles(path: str) -> tiling.TileSet:
         raise CliError(f"{path}: {e}") from None
 
 
+def _load_phi_tiles(path: str) -> tiling.TileSet:
+    """A tile set to build phi's conjuncts from: no tile may be named by a
+    structural letter."""
+    w = _load_tiles(path)
+    try:
+        reduction.letter_inventory(w)
+    except ValueError as e:
+        raise CliError(str(e)) from None
+    return w
+
+
 def _load_frame(path: str) -> tuple[Frame, dict[str, set[int]]]:
     try:
         return parse_frame_file(_read(path))
@@ -112,11 +123,8 @@ def cmd_parse_formula(args, out) -> int:
 
 
 def cmd_gen_phi(args, out) -> int:
-    w = _load_tiles(args.tiles)
-    try:
-        f = reduction.phi(w)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    w = _load_phi_tiles(args.tiles)
+    f = reduction.phi(w)
     text = fm.render(_desugar(f) if args.desugar else f)
     lines, kv = [text], [f"formula={text}"]
     if args.stats:
@@ -270,7 +278,7 @@ def cmd_tile_render(args, out) -> int:
 def cmd_extract(args, out) -> int:
     frame, valuation = _load_frame(args.frame)
     model = Model(frame, valuation)
-    w = _load_tiles(args.tiles)
+    w = _load_phi_tiles(args.tiles)
     if not 0 <= args.point < frame.size:
         raise CliError(f"point {args.point} out of range")
     try:
@@ -292,7 +300,7 @@ _MODE_NAMES = {"union": "union", "disjoint": "disjoint_union",
 
 
 def cmd_verify_lemma6(args, out) -> int:
-    w = _load_tiles(args.tiles)
+    w = _load_phi_tiles(args.tiles)
     try:
         p_str, q_str = args.period.split(",")
         periods = (int(p_str), int(q_str))

@@ -9,8 +9,9 @@ representation depth and diamond quantification restricted to the
 decomposition shapes the conjuncts actually use. The universe closed under
 those decompositions is a finite frame, one world per state and one triple
 per decomposition, which the shared semantics.Evaluator checks for all
-conjuncts in one pass. A passing report certifies the bounded fragment
-only, and says so.
+conjuncts in one pass. The checker works on int state codes end to end: it
+builds SymState objects only for a failing conjunct's witness. A passing
+report certifies the bounded fragment only, and says so.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def contains(s: SymState, n: int) -> bool:
 #
 # A side's code holds bit i for element 2i (even side) or 2i + 1 (odd side),
 # i < _WIDTH, plus the _COFIN bit; a state's code is even | odd << _SHIFT.
-# Unions and overlaps are bit operations on codes, and decompositions are
-# generated on codes; SymState is the readable form at the module's edges.
+# Unions and overlaps are bit operations on codes. The universe, the
+# decompositions, the refutation valuation and the closure work on codes
+# only; SymState is the readable form of the public functions.
 
 _WIDTH = 5  # the window at depth 4
 _COFIN = 1 << _WIDTH
@@ -155,31 +157,25 @@ def sym_union(a: SymState, b: SymState, mode: str = "union") -> SymState | None:
 
 
 def eval_atom(s: SymState, letter: str, tau: PeriodicTiling, w: TileSet) -> bool:
-    """The refutation valuation: parity letters hold on one-sided states with
-    the matching removal parity, the primed letters on singletons of their
-    side, and a tile letter where both sides are cofinite and the tiling
-    assigns that tile to the pair of removal counts."""
-    if letter == "x_e":
-        return (s.odd.is_empty() and s.even.kind == COFIN
-                and len(s.even.elems) % 2 == 0)
-    if letter == "x_o":
-        return (s.odd.is_empty() and s.even.kind == COFIN
-                and len(s.even.elems) % 2 == 1)
-    if letter == "y_e":
-        return (s.even.is_empty() and s.odd.kind == COFIN
-                and len(s.odd.elems) % 2 == 0)
-    if letter == "y_o":
-        return (s.even.is_empty() and s.odd.kind == COFIN
-                and len(s.odd.elems) % 2 == 1)
-    if letter == "x'":
-        return s.odd.is_empty() and s.even.kind == FIN and len(s.even.elems) == 1
-    if letter == "y'":
-        return s.even.is_empty() and s.odd.kind == FIN and len(s.odd.elems) == 1
-    if letter in w.names:
-        if s.even.kind == COFIN and s.odd.kind == COFIN:
-            t = tau.tile_at(len(s.even.elems), len(s.odd.elems))
-            return t == w.names.index(letter)
-        return False
+    """The refutation valuation at a state; see _holds."""
+    return _holds(_encode(s), letter, tau, w)
+
+
+def _holds(code: int, letter: str, tau: PeriodicTiling, w: TileSet) -> bool:
+    """The refutation valuation on a code: parity letters hold on one-sided
+    states with the matching removal parity, the primed letters on singletons
+    of their side, and a tile letter where both sides are cofinite and the
+    tiling assigns that tile to the pair of removal counts."""
+    even, odd = code & _SIDE, code >> _SHIFT
+    if letter in reduction.STRUCTURAL_LETTERS:
+        own, other = (even, odd) if letter[0] == "x" else (odd, even)
+        if other:
+            return False
+        if letter.endswith("'"):
+            return not own & _COFIN and _depth(own) == 1
+        return bool(own & _COFIN) and _depth(own) % 2 == letter.endswith("o")
+    if letter in w.names and even & odd & _COFIN:
+        return tau.tile_at(_depth(even), _depth(odd)) == w.names.index(letter)
     return False
 
 
@@ -201,36 +197,18 @@ def universe(depth: int, mode: str = "union") -> list[SymState]:
         raise ValueError("depth must be between 0 and 4")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    sides_even = _side_universe(even_window(depth), depth)
-    sides_odd = _side_universe(odd_window(depth), depth)
-    out = []
-    for ev in sides_even:
-        for od in sides_odd:
-            if len(ev.elems) + len(od.elems) > depth:
-                continue
-            s = SymState(ev, od)
-            if mode == "union_nonempty" and s.is_empty():
-                continue
-            out.append(s)
-    out.sort(key=_state_key)
-    return out
+    return [_decode(c) for c in _universe(depth, mode)]
 
 
-def _side_universe(window: list[int], depth: int) -> list[SidePart]:
-    parts = []
-    for kind in (FIN, COFIN):
-        for r in range(min(len(window), depth) + 1):
-            for combo in itertools.combinations(window, r):
-                parts.append(SidePart(kind, frozenset(combo)))
-    return parts
-
-
-def _side_key(p: SidePart):
-    return (p.kind, len(p.elems), tuple(sorted(p.elems)))
-
-
-def _state_key(s: SymState):
-    return (s.depth(), _side_key(s.even), _side_key(s.odd))
+def _universe(depth: int, mode: str) -> list[int]:
+    """universe on codes, in its order: by depth, then by the even side, then
+    the odd, where a side orders cofinite first, then by the size of its set,
+    then by its elements, which is the order the sides are generated in."""
+    window = [1 << i for i in range(depth + 1)]
+    sides = [kind | sub for kind in (_COFIN, 0) for sub in _subsets(window, depth)]
+    codes = [even | odd << _SHIFT for even in sides for odd in sides]
+    return sorted((c for c in codes if _depth(c) <= depth
+                   and (c or mode != "union_nonempty")), key=_depth)
 
 
 def render_state(s: SymState) -> str:
@@ -303,16 +281,15 @@ def _subsets(bits: list[int], most: int):
             yield sum(combo)
 
 
-def _satisfaction(w: TileSet, tau: PeriodicTiling, top: list[SymState], depth: int,
-                  mode: str, dag: fm.Dag) -> tuple[list[SymState], list[int]]:
-    """The states top and every state their decompositions reach, in that
-    order, and the satisfaction set of each dag op over them as a mask (bit i
-    for states[i]) under the refutation valuation.
+def _satisfaction(w: TileSet, tau: PeriodicTiling, codes: list[int], depth: int,
+                  mode: str, dag: fm.Dag) -> list[int]:
+    """Extends the state codes with every state their decompositions reach,
+    in place, and returns the satisfaction set of each dag op over them as a
+    mask (bit i for codes[i]) under the refutation valuation.
 
     The states are the worlds of one finite frame, with a triple (s, a, b)
     for each decomposition pair (a, b) of each state s; the diamond reads
     those triples, so a box nested in the dag ranges over them only."""
-    codes = [_encode(s) for s in top]
     index = {c: i for i, c in enumerate(codes)}
 
     def world(code: int) -> int:
@@ -325,10 +302,9 @@ def _satisfaction(w: TileSet, tau: PeriodicTiling, top: list[SymState], depth: i
     while x < len(codes):
         triples.extend((x, world(a), world(b)) for a, b in _pairs(codes[x], depth, mode))
         x += 1
-    states = top + [_decode(c) for c in codes[len(top):]]
-    valuation = {a: mask_of(i for i, s in enumerate(states) if eval_atom(s, a, tau, w))
+    valuation = {a: mask_of(i for i, c in enumerate(codes) if _holds(c, a, tau, w))
                  for kind, a, _ in dag.ops if kind == fm.VAR}
-    return states, Evaluator(Frame(len(codes), frozenset(triples))).masks(dag, valuation)
+    return Evaluator(Frame(len(codes), frozenset(triples))).masks(dag, valuation)
 
 
 @dataclass(frozen=True)
@@ -399,18 +375,20 @@ def check_refutation(w: TileSet, tau: PeriodicTiling, depth: int,
     """
     if not 1 <= depth <= 4:
         raise ValueError("depth must be between 1 and 4")
-    top = universe(depth, mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    codes = _universe(depth, mode)
+    boxed, seed_at = (1 << len(codes)) - 1, codes.index(_encode(state_n()))
     dag, roots = fm.Dag(), []
     for name, f in reduction.conjuncts(w):
         sub = fm.unbox(f)
         roots.append((name, sub is not None, dag.add(f if sub is None else sub)))
-    states, sat = _satisfaction(w, tau, top, depth, mode, dag)
-    boxed, seed_at = (1 << len(top)) - 1, top.index(state_n())
+    sat = _satisfaction(w, tau, codes, depth, mode, dag)
     entries = []
     for name, is_boxed, i in roots:
         if is_boxed:
             failing = boxed & ~sat[i]
-            witness = states[(failing & -failing).bit_length() - 1] if failing else None
+            witness = _decode(codes[(failing & -failing).bit_length() - 1]) if failing else None
             entries.append(ConjunctReport(name, "fail" if failing else "pass",
                                           witness, _BOX_NOTE))
         else:

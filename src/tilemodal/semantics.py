@@ -30,44 +30,44 @@ class Evaluator:
     """Satisfaction-set evaluator for one frame, under any letter masks.
 
     A pass holds one valuation per lane, packed world-minor (bit lane * n +
-    world) in the letter masks and every satisfaction set; a call may name
-    its lane count, else the Evaluator's own serves. Letters missing from
+    world) in the letter masks and every satisfaction set; each call names
+    its lane count, one by default. Letters missing from
     the masks denote the empty set. A formula is evaluated through its
     compiled Dag, one dag_masks pass, so derived connectives get exactly the
     sets of their desugared core.
     """
 
-    def __init__(self, frame: Frame, lanes: int = 1):
-        self.frame, self.lanes = frame, lanes
+    def __init__(self, frame: Frame):
+        self.frame = frame
         rows: dict[int, list[tuple[int, int]]] = {}
         for (y, z), xs in frame.index.items():
             rows.setdefault(y, []).append((z, xs))
         self._rows = tuple(rows.items())  # (y, its (z, x-mask) cells) of Frame.index
 
     def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int],
-             lanes: int | None = None) -> int:
+             lanes: int = 1) -> int:
         """Satisfaction set of f, or of the last op of a compiled Dag."""
         return self.masks(fm.to_dag(f), letters, lanes)[-1]
 
     def masks(self, dag: fm.Dag, letters: Mapping[str, int],
-              lanes: int | None = None) -> list[int]:
+              lanes: int = 1) -> list[int]:
         """Satisfaction set of every op of the Dag, in op order."""
-        full = (1 << (self.frame.size * (lanes or self.lanes))) - 1
+        full = (1 << (self.frame.size * lanes)) - 1
         return dag_masks(dag, letters, full, self._dia(full))
 
     def bounds(self, dag: fm.Dag, known: Mapping[str, int],
-               value: Mapping[str, int], lanes: int | None = None) -> tuple[int, int]:
+               value: Mapping[str, int], lanes: int = 1) -> tuple[int, int]:
         """(must, may) bracketing the last op's satisfaction set over every
         completion of a partial valuation, lane by lane: the bits of known[p]
         are decided and value[p] holds their values; a letter absent from
-        known is undecided. A call may name its lane count, as for masks.
+        known is undecided. A call names its lane count, as for masks.
 
         One pass on twice the lanes, must in the low half and may in the
         high: a letter is (v & k, v | ~k), T is full, disjunction and the
         diamond work lane by lane, as the diamond is monotone in both
         arguments, and negation complements and swaps the halves. So the
         bounds are sound, and exact once every letter of the Dag is decided."""
-        width = self.frame.size * (lanes or self.lanes)
+        width = self.frame.size * lanes
         half, letters = (1 << width) - 1, {}
         for p, k in known.items():
             must = value.get(p, 0) & k

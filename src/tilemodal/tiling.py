@@ -92,14 +92,23 @@ def verify_grid(w: TileSet, g: Grid) -> Mismatch | None:
     """None if every shared edge matches, else the least failing cell."""
     if not g.complete():
         raise ValueError("grid is incomplete")
-    for col in range(g.width):
-        for row in range(g.height):
-            here = w.tiles[g.tile_at(col, row)]
-            if col + 1 < g.width:
-                if here.right != w.tiles[g.tile_at(col + 1, row)].left:
+    return _mismatch(w, g.cells, g.width, g.height, False)
+
+
+def _mismatch(w: TileSet, cells: dict[tuple[int, int], int], width: int,
+              height: int, wrap: bool) -> Mismatch | None:
+    """The one adjacency walk: the least cell, column by column, whose right
+    or up edge fails to match, the right edge first. With ``wrap`` the last
+    column meets the first and the top row the bottom."""
+    tiles = w.tiles
+    for col in range(width):
+        for row in range(height):
+            here = tiles[cells[(col, row)]]
+            if wrap or col + 1 < width:
+                if here.right != tiles[cells[((col + 1) % width, row)]].left:
                     return Mismatch(col, row, "horizontal")
-            if row + 1 < g.height:
-                if here.up != w.tiles[g.tile_at(col, row + 1)].down:
+            if wrap or row + 1 < height:
+                if here.up != tiles[cells[(col, (row + 1) % height)]].down:
                     return Mismatch(col, row, "vertical")
     return None
 
@@ -200,17 +209,7 @@ class PeriodicTiling:
 
 def torus_adjacency_ok(w: TileSet, t: PeriodicTiling) -> Mismatch | None:
     """Check all torus adjacencies including the wraparound edges."""
-    p, q = t.periods
-    for col in range(p):
-        for row in range(q):
-            here = w.tiles[t.cells[(col, row)]]
-            right = w.tiles[t.cells[((col + 1) % p, row)]]
-            above = w.tiles[t.cells[(col, (row + 1) % q)]]
-            if here.right != right.left:
-                return Mismatch(col, row, "horizontal")
-            if here.up != above.down:
-                return Mismatch(col, row, "vertical")
-    return None
+    return _mismatch(w, t.cells, *t.periods, True)
 
 
 def unroll(t: PeriodicTiling, width: int, height: int) -> Grid:

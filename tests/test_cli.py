@@ -417,6 +417,8 @@ BAD_INPUTS = [
     ["ptl-decide", "(" * 3000 + "p" + ")" * 3001],
     ["ptl-decide", "~~(" * 3000 + "p &"],
     ["ptl-decide", "p | T"],
+    ["extract", "--frame", "{point}", "--tiles", "{clash}", "--point", "0", "--k", "1"],
+    ["verify-lemma6", "--tiles", "{clash}", "--period", "1,1", "--depth", "1"],
 ]
 
 #: One well-formed, quick argv per subcommand.
@@ -476,12 +478,15 @@ def fill(tmp_path):
     (tmp_path / "swap.tiles").write_text(SWAP_TILES)
     (tmp_path / "one.tiles").write_text(MONO_TILES)
     (tmp_path / "valley.frame").write_text("worlds 2\nvalley: 0\n")
+    (tmp_path / "clash.tiles").write_text("x_e 0 0 0 0\n")  # a structural letter
+    (tmp_path / "point.frame").write_text("worlds 1\n0 0 0\n")
     model, _ = quotient_countermodel(TileSet(("t1",), (Tile(0, 0, 0, 0),)),
                                      PeriodicTiling((1, 1), {(0, 0): 0}))
     (tmp_path / "quotient.frame").write_text(render_frame_file(model.frame, model.valuation))
     names = dict(swap=tmp_path / "swap.tiles", valley=tmp_path / "valley.frame",
                  missing=tmp_path / "missing", mono=tmp_path / "one.tiles",
-                 quotient=tmp_path / "quotient.frame")
+                 quotient=tmp_path / "quotient.frame", clash=tmp_path / "clash.tiles",
+                 point=tmp_path / "point.frame")
     return lambda argv: [a.format(**names) for a in argv]
 
 

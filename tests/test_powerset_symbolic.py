@@ -174,8 +174,9 @@ class TestUniverse:
         states = universe(2, "union")
         dag = fm.Dag()
         prod = dag.add(fm.parse("x_e o y_e"))
-        closure, sat = ps._satisfaction(MONO, MONO_TAU, states, 2, "union", dag)
-        assert closure[:len(states)] == states
+        codes = list(map(ps._encode, states))
+        sat = ps._satisfaction(MONO, MONO_TAU, codes, 2, "union", dag)
+        assert list(map(ps._decode, codes[:len(states)])) == states
         for k, s in enumerate(states):
             if sat[prod] >> k & 1:
                 assert s.even.kind == "cofin" and s.odd.kind == "cofin"
@@ -208,6 +209,10 @@ class TestCheckRefutation:
         assert len(lines) == 15
         assert lines[0] == "conjunct=seed status=pass state=-"
         assert all(line.startswith("conjunct=") for line in lines)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            check_refutation(MONO, MONO_TAU, 2, "disjoint")
 
     def test_report_text_mentions_bounded_scope(self):
         report = check_refutation(MONO, MONO_TAU, 2, "union")
@@ -306,11 +311,70 @@ def _subsets(items: frozenset[int]):
         yield frozenset(x for i, x in enumerate(items) if (mask >> i) & 1)
 
 
-# -- reference: the SymState decomposition rules and the lazy evaluator --------
+# -- reference: the SymState universe, rules, valuation and lazy evaluator -----
 #
-# The checker generates decompositions on int codes and evaluates all
-# conjuncts over one finite frame; these are the rules and the evaluator it
+# The checker builds its universe, generates decompositions and reads the
+# refutation valuation on int codes, and evaluates all conjuncts over one
+# finite frame; these are the SymState versions and the evaluator it
 # replaced, kept here to compare against.
+
+def _ref_universe(depth: int, mode: str) -> list[SymState]:
+    sides_even = _ref_side_universe(ps.even_window(depth), depth)
+    sides_odd = _ref_side_universe(ps.odd_window(depth), depth)
+    out = []
+    for ev in sides_even:
+        for od in sides_odd:
+            if len(ev.elems) + len(od.elems) > depth:
+                continue
+            s = SymState(ev, od)
+            if mode == "union_nonempty" and s.is_empty():
+                continue
+            out.append(s)
+    out.sort(key=_ref_state_key)
+    return out
+
+
+def _ref_side_universe(window: list[int], depth: int) -> list[SidePart]:
+    parts = []
+    for kind in ("fin", "cofin"):
+        for r in range(min(len(window), depth) + 1):
+            for combo in itertools.combinations(window, r):
+                parts.append(SidePart(kind, frozenset(combo)))
+    return parts
+
+
+def _ref_side_key(p: SidePart):
+    return (p.kind, len(p.elems), tuple(sorted(p.elems)))
+
+
+def _ref_state_key(s: SymState):
+    return (s.depth(), _ref_side_key(s.even), _ref_side_key(s.odd))
+
+
+def _ref_eval_atom(s: SymState, letter: str, tau: PeriodicTiling, w: TileSet) -> bool:
+    if letter == "x_e":
+        return (s.odd.is_empty() and s.even.kind == "cofin"
+                and len(s.even.elems) % 2 == 0)
+    if letter == "x_o":
+        return (s.odd.is_empty() and s.even.kind == "cofin"
+                and len(s.even.elems) % 2 == 1)
+    if letter == "y_e":
+        return (s.even.is_empty() and s.odd.kind == "cofin"
+                and len(s.odd.elems) % 2 == 0)
+    if letter == "y_o":
+        return (s.even.is_empty() and s.odd.kind == "cofin"
+                and len(s.odd.elems) % 2 == 1)
+    if letter == "x'":
+        return s.odd.is_empty() and s.even.kind == "fin" and len(s.even.elems) == 1
+    if letter == "y'":
+        return s.even.is_empty() and s.odd.kind == "fin" and len(s.odd.elems) == 1
+    if letter in w.names:
+        if s.even.kind == "cofin" and s.odd.kind == "cofin":
+            t = tau.tile_at(len(s.even.elems), len(s.odd.elems))
+            return t == w.names.index(letter)
+        return False
+    return False
+
 
 def _ref_side_union(a: SidePart, b: SidePart) -> SidePart:
     if a.kind == "fin" and b.kind == "fin":
@@ -425,7 +489,7 @@ class _RefEvaluator:
         key = (s, i)
         if key not in self._memo:
             if kind == fm.VAR:
-                hit = eval_atom(s, a, self.tau, self.w)
+                hit = _ref_eval_atom(s, a, self.tau, self.w)
             elif kind == fm.TOP:
                 hit = True
             elif kind == fm.OR:
@@ -445,7 +509,7 @@ def _ref_check_refutation(w, tau, depth, mode) -> ps.Report:
         sub = fm.unbox(f)
         if sub is not None:
             i = ev.dag.add(sub)
-            witness = next((s for s in universe(depth, mode) if not ev.holds(s, i)), None)
+            witness = next((s for s in _ref_universe(depth, mode) if not ev.holds(s, i)), None)
             entries.append(ps.ConjunctReport(
                 name, "pass" if witness is None else "fail", witness, ps._BOX_NOTE))
         else:
@@ -457,6 +521,20 @@ def _ref_check_refutation(w, tau, depth, mode) -> ps.Report:
 
 
 class TestAgainstReference:
+    @pytest.mark.parametrize("depth", range(5))
+    def test_universe(self, depth):
+        for mode in ps.MODES:
+            assert universe(depth, mode) == _ref_universe(depth, mode)
+
+    def test_valuation_at_every_universe_state(self):
+        letters = reduction.STRUCTURAL_LETTERS + ("a", "b", "c")
+        for tau in (SWAP_TAU, PeriodicTiling((2, 2), {(0, 0): 0, (1, 0): 1,
+                                                       (0, 1): 1, (1, 1): 0})):
+            for s in universe(4, "union"):
+                for letter in letters:
+                    assert eval_atom(s, letter, tau, SWAP) == _ref_eval_atom(
+                        s, letter, tau, SWAP), (render_state(s), letter)
+
     @pytest.mark.parametrize("depth", range(5))
     def test_decompositions_at_every_universe_state(self, depth):
         for mode in ps.MODES:
@@ -519,3 +597,5 @@ class TestAgainstReference:
             decompositions(singleton(10), 2)
         with pytest.raises(ValueError):
             sym_union(singleton(11), state_n())
+        with pytest.raises(ValueError):
+            eval_atom(singleton(10), "x'", MONO_TAU, MONO)

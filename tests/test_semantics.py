@@ -481,9 +481,9 @@ class TestCountermodelSearch:
                 yield frame
 
         class CountingEvaluator(Evaluator):
-            def __init__(self, frame, lanes=1):
+            def __init__(self, frame):
                 built.append(frame)
-                super().__init__(frame, lanes)
+                super().__init__(frame)
 
         monkeypatch.setattr(semantics, "enumerate_frames", counting_frames)
         monkeypatch.setattr(semantics, "Evaluator", CountingEvaluator)
@@ -697,7 +697,7 @@ class TestOpList:
                           for _ in range(lanes)]
             packed = {l: sum(v[l] << (i * n) for i, v in enumerate(valuations))
                       for l in ("p", "q", "r")}
-            got = Evaluator(frame, lanes).mask(f, packed)
+            got = Evaluator(frame).mask(f, packed, lanes)
             for i, masks in enumerate(valuations):
                 expect = _tree_mask(frame, masks, f)
                 assert Evaluator(frame).mask(f, masks) == expect, fm.render(f)
@@ -733,9 +733,9 @@ class TestOpList:
         built = []
 
         class Recording(Evaluator):
-            def __init__(self, frame, lanes=1):
+            def __init__(self, frame):
                 built.append(frame)
-                super().__init__(frame, lanes)
+                super().__init__(frame)
 
         monkeypatch.setattr(ps, "Evaluator", Recording)
         ps.check_refutation(MONO, PeriodicTiling((1, 1), {(0, 0): 0}), 2, "union")
@@ -769,8 +769,7 @@ class TestOpList:
                            for l in ("p", "q", "r")} for _ in range(lanes)]
             packed = {l: sum(v[l] << (i * n) for i, v in enumerate(valuations))
                       for l in ("p", "q", "r")}
-            ev = Evaluator(frame, lanes)
-            got = ev.masks(fm.to_dag(f), packed)[-1]
+            got = Evaluator(frame).masks(fm.to_dag(f), packed, lanes)[-1]
             for i, masks in enumerate(valuations):
                 expect = _tree_mask(frame, masks, f)
                 assert (got >> (i * n)) & ((1 << n) - 1) == expect, fm.render(f)
@@ -790,9 +789,10 @@ class TestOpList:
                 formulas.append(f)
         dag = fm.Dag()
         roots = [dag.add(f) for f in formulas]
-        closure, sat = ps._satisfaction(
-            MONO, PeriodicTiling((1, 1), {(0, 0): 0}), states, 2, "union", dag)
-        assert closure[:len(states)] == states
+        codes = list(map(ps._encode, states))
+        sat = ps._satisfaction(
+            MONO, PeriodicTiling((1, 1), {(0, 0): 0}), codes, 2, "union", dag)
+        assert list(map(ps._decode, codes[:len(states)])) == states
         memo: dict = {}
         for f, i in zip(formulas, roots):
             for k, s in enumerate(states):
@@ -820,9 +820,9 @@ class TestOpList:
             known = [{"p": rng.getrandbits(n), "q": full}
                      for _ in range(lanes)]
             value = [{l: rng.getrandbits(n) & k for l, k in lane.items()} for lane in known]
-            must, may = Evaluator(frame, lanes).bounds(
+            must, may = Evaluator(frame).bounds(
                 fm.to_dag(f), *({l: sum(lane[l] << (i * n) for i, lane in enumerate(side))
-                                 for l in ("p", "q")} for side in (known, value)))
+                                 for l in ("p", "q")} for side in (known, value)), lanes)
             for i, (k, v) in enumerate(zip(known, value)):
                 lane_must, lane_may = (must >> (i * n)) & full, (may >> (i * n)) & full
                 for fill in range(1 << n):
