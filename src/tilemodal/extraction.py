@@ -157,9 +157,13 @@ def assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
 
 
 def _least_split(frame: Frame, x: int, left: int, right: int) -> tuple[int, int] | None:
-    """Least (y, z) with Rxyz, y in left and z in right, or None."""
-    return min(((y, z) for (y, z), xs in frame.index.items()
-                if xs >> x & 1 and left >> y & 1 and right >> z & 1), default=None)
+    """Least (y, z) with Rxyz, y in left and z in right, or None: the rows
+    of the y in left, ascending, are read until one has such a z."""
+    for y in bits(left):
+        zs = [z for z, xs in frame.rows.get(y, {}).items() if xs >> x & 1 and right >> z & 1]
+        if zs:
+            return y, min(zs)
+    return None
 
 
 def extract_axes(model: Model, z: int, k: int, w: TileSet) -> Axes:

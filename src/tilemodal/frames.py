@@ -36,12 +36,16 @@ def mask_of(worlds: Iterable[int]) -> int:
 class Frame:
     """A set of worlds 0..size-1 with a ternary accessibility relation.
 
-    index maps each (y, z) with some Rxyz to the bitmask of those x; it is
-    built once per Frame and left out of == and hash."""
+    The relation index is built once per Frame, in three groupings, and left
+    out of ==, hash and repr: index maps each (y, z) with some Rxyz to the
+    bitmask of those x; rows maps each such y to its cells, z -> x-mask, and
+    cols each such z to its cells, y -> x-mask."""
 
     size: int
     triples: frozenset[Triple]
     index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    rows: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
+    cols: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -55,7 +59,14 @@ class Frame:
                 raise ValueError(f"triple {t} out of range for size {size}")
             x, y, z = t
             index[y, z] = get((y, z), 0) | 1 << x
+        rows: dict[int, dict[int, int]] = {}
+        cols: dict[int, dict[int, int]] = {}
+        for (y, z), xs in index.items():
+            rows.setdefault(y, {})[z] = xs
+            cols.setdefault(z, {})[y] = xs
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     def has(self, x: int, y: int, z: int) -> bool:
         return (x, y, z) in self.triples
@@ -110,18 +121,24 @@ def check_associative(frame: Frame) -> AssocCounterexample | None:
 
     Associativity: for all x,a,b,c, there is y with Rxyc and Ryab exactly
     when there is z with Rxaz and Rzbc. Every world of a failing quadruple
-    occurs in some triple, so the test runs on those worlds alone,
-    renumbered in ascending order: the least failure keeps its place.
+    occurs in some triple, so the test runs on those worlds alone: when
+    every world is used, the kernel rows come straight from the index;
+    otherwise the used worlds are renumbered in ascending order, and the
+    least failure keeps its place.
     """
     used = 0
     for (y, z), xs in frame.index.items():
         used |= xs | 1 << y | 1 << z
-    worlds = list(bits(used))
-    at = {w: i for i, w in enumerate(worlds)}
+    worlds = range(frame.size) if used == (1 << frame.size) - 1 else list(bits(used))
     n = len(worlds)
     rows = [0] * n
-    for (y, z), xs in frame.index.items():
-        rows[at[y]] |= mask_of(at[x] for x in bits(xs)) << at[z] * n
+    if n == frame.size:
+        for (y, z), xs in frame.index.items():
+            rows[y] |= xs << z * n
+    else:
+        at = {w: i for i, w in enumerate(worlds)}
+        for (y, z), xs in frame.index.items():
+            rows[at[y]] |= mask_of(at[x] for x in bits(xs)) << at[z] * n
     best = None
     for a, b, c, left, right in _assoc_failures(n, rows, rows):
         diff = left | right
@@ -415,10 +432,10 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
     triples: set[Triple] = set()
     valuation: dict[str, set[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.partition("#")[0]
         parts = line.split()
+        if not parts:
+            continue
         if parts[0] == "worlds":
             if size is not None:
                 raise ValueError(f"line {lineno}: duplicate worlds line")
@@ -429,7 +446,7 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
         if size is None:
             raise ValueError(f"line {lineno}: expected 'worlds N' first")
         if parts[0].partition(":")[0] == "val":
-            head, colon, tail = line[3:].partition(":")
+            head, colon, tail = line.strip()[3:].partition(":")
             letter = head.strip()
             if not letter:
                 raise ValueError(f"line {lineno}: missing letter name")
@@ -439,7 +456,11 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
             continue
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'x y z'")
-        triples.add(tuple(_ints(parts, lineno)))
+        x, y, z = parts
+        try:
+            triples.add((int(x), int(y), int(z)))
+        except ValueError:
+            _ints(parts, lineno)  # raises, naming the line
     if size is None:
         raise ValueError("missing 'worlds N' line")
     frame = Frame(size, frozenset(triples))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from tilemodal import formula as fm
 from tilemodal import reduction
-from tilemodal.frames import POWERSET_MODES as MODES, Frame, mask_of
+from tilemodal.frames import POWERSET_MODES as MODES, Frame
 from tilemodal.semantics import Evaluator
 from tilemodal.tiling import PeriodicTiling, TileSet
 
@@ -289,21 +289,27 @@ def _satisfaction(w: TileSet, tau: PeriodicTiling, codes: list[int], depth: int,
 
     The states are the worlds of one finite frame, with a triple (s, a, b)
     for each decomposition pair (a, b) of each state s; the diamond reads
-    those triples, so a box nested in the dag ranges over them only."""
+    those triples, so a box nested in the dag ranges over them only. The
+    closure appends each code the first time a pair reaches it, and the
+    valuation is read in one pass over the closed codes."""
     index = {c: i for i, c in enumerate(codes)}
-
-    def world(code: int) -> int:
-        i = index.setdefault(code, len(codes))
-        if i == len(codes):
-            codes.append(code)
-        return i
-
     triples, x = [], 0
     while x < len(codes):
-        triples.extend((x, world(a), world(b)) for a, b in _pairs(codes[x], depth, mode))
+        for a, b in _pairs(codes[x], depth, mode):
+            if a not in index:
+                index[a] = len(codes)
+                codes.append(a)
+            if b not in index:
+                index[b] = len(codes)
+                codes.append(b)
+            triples.append((x, index[a], index[b]))
         x += 1
-    valuation = {a: mask_of(i for i, c in enumerate(codes) if _holds(c, a, tau, w))
-                 for kind, a, _ in dag.ops if kind == fm.VAR}
+    letters = [a for kind, a, _ in dag.ops if kind == fm.VAR]
+    valuation = dict.fromkeys(letters, 0)
+    for i, c in enumerate(codes):
+        for a in letters:
+            if _holds(c, a, tau, w):
+                valuation[a] |= 1 << i
     return Evaluator(Frame(len(codes), frozenset(triples))).masks(dag, valuation)
 
 

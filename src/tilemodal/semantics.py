@@ -34,15 +34,12 @@ class Evaluator:
     its lane count, one by default. Letters missing from
     the masks denote the empty set. A formula is evaluated through its
     compiled Dag, one dag_masks pass, so derived connectives get exactly the
-    sets of their desugared core.
+    sets of their desugared core. The diamond reads the frame's rows and
+    cols, so building an Evaluator builds nothing.
     """
 
     def __init__(self, frame: Frame):
         self.frame = frame
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (y, z), xs in frame.index.items():
-            rows.setdefault(y, []).append((z, xs))
-        self._rows = tuple(rows.items())  # (y, its (z, x-mask) cells) of Frame.index
 
     def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int],
              lanes: int = 1) -> int:
@@ -77,19 +74,27 @@ class Evaluator:
         return both & half, both >> width
 
     def _dia(self, full: int) -> Callable[[int, int], int]:
-        """The diamond on the lanes of full: hit marks bit 0 of each lane
-        where y is in left, tested once per y; hit & (right >> z) those where
-        z is in right too, and xs < 2^n, so the product writes xs into those
-        lanes without carries."""
-        rows, lane0 = self._rows, full // ((1 << self.frame.size) - 1)
+        """The diamond on the lanes of full. It walks the argument with
+        fewer set bits, the left through Frame.rows or the right through
+        Frame.cols: for each world a of the walked argument's grouping, hit
+        marks bit 0 of each lane where a is in it, tested once per a; hit &
+        (other >> b) those where the cell's other world b is in the other
+        argument too, and xs < 2^n, so the product writes xs into those lanes
+        without carries."""
+        rows, cols = self.frame.rows, self.frame.cols
+        lane0 = full // ((1 << self.frame.size) - 1)
 
         def dia(left_mask: int, right_mask: int) -> int:
+            if left_mask.bit_count() <= right_mask.bit_count():
+                walk, other, groups = left_mask, right_mask, rows
+            else:
+                walk, other, groups = right_mask, left_mask, cols
             acc = 0
-            for y, cells in rows:
-                hit = (left_mask >> y) & lane0
+            for a, cells in groups.items():
+                hit = (walk >> a) & lane0
                 if hit:
-                    for z, xs in cells:
-                        acc |= (hit & (right_mask >> z)) * xs
+                    for b, xs in cells.items():
+                        acc |= (hit & (other >> b)) * xs
             return acc
         return dia
 

@@ -253,13 +253,27 @@ class TestRelationIndex:
                 fold[y, z] = fold.get((y, z), 0) | 1 << x
             assert frame.index == fold
 
+    def test_rows_and_cols_hold_the_cells_of_the_index(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            frame = random_frame(rng, rng.randint(1, 5), rng.choice((0.05, 0.2, 0.5)))
+            by_rows = [((y, z), xs) for y, cells in frame.rows.items()
+                       for z, xs in cells.items()]
+            by_cols = [((y, z), xs) for z, cells in frame.cols.items()
+                       for y, xs in cells.items()]
+            for cells in (by_rows, by_cols):
+                assert len(cells) == len(frame.index) and dict(cells) == frame.index
+            assert all(frame.rows.values()) and all(frame.cols.values())
+
     def test_index_is_not_part_of_equality(self):
         frame = quotient_frame()
         Evaluator(frame).mask(fm.Comp(fm.Letter("p"), fm.Letter("q")), {"p": 3, "q": 5})
         assert check_associative(frame) is None
         fresh = Frame(frame.size, frame.triples)
         assert fresh == frame and hash(fresh) == hash(frame)
-        assert fresh.index == frame.index
+        assert (fresh.index, fresh.rows, fresh.cols) == (frame.index, frame.rows, frame.cols)
+        assert repr(Frame(2, frozenset({(1, 0, 1)}))) == (
+            "Frame(size=2, triples=frozenset({(1, 0, 1)}))")
 
 
 def oracle_s_pairs(frame: Frame) -> frozenset[tuple[int, int]]:
@@ -550,7 +564,10 @@ class TestModelAndFiles:
             "worlds 2\nval p 1\n": "line 2: expected 'val LETTER: WORLDS'",
             "worlds 2\nval p q: 1\n": "line 2: expected 'val LETTER: WORLDS'",
             "worlds 2\nval p: one\n": "line 2: expected integers",
-            "worlds 2\n\n0 x 1\n": "line 3: expected integers",
+            "worlds 2\n\n0 x 1\n": "line 3: expected integers, got '0 x 1'",
+            "worlds 2\n0 0\n": "line 2: expected 'x y z'",
+            "worlds 2\n0 0 1 1\n": "line 2: expected 'x y z'",
+            "worlds 2\n0 0 2\n": "out of range",
         }
         for text, message in bad.items():
             with pytest.raises(ValueError, match=message):

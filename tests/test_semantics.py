@@ -26,6 +26,7 @@ from tilemodal.frames import (
     Model,
     bits,
     enumerate_frames,
+    mask_of,
     powerset_frame,
     powerset_worlds,
 )
@@ -38,6 +39,7 @@ from tilemodal.semantics import (
     Unknown,
     Valid,
     _inventory,
+    _pack,
     countermodel_search,
     frame_validity,
     holds_box,
@@ -776,6 +778,35 @@ class TestOpList:
             lane0 = sum(1 << (i * n) for i in range(lanes))
             skipped += any(not (packed["p"] >> y) & lane0 for y, _z in frame.index)
         assert skipped > 300
+
+    def test_both_walks_of_the_diamond(self):
+        """The diamond walks its argument with fewer set bits, the left
+        through Frame.rows or the right through Frame.cols; on frames whose
+        rows and cols differ, each walk against the tree walk's diamond, with
+        the left argument sparse and the right dense and the reverse."""
+        rng = random.Random(57)
+        walks = {"rows": 0, "cols": 0}
+        for _ in range(120):
+            n = rng.randint(3, 8)
+            frame = Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                                       if rng.random() < rng.choice((0.1, 0.3, 0.6))))
+            if frame.triples == {(x, z, y) for x, y, z in frame.triples}:
+                continue  # rows and cols alike
+            for lanes in (1, 3, 64):
+                sparse = [mask_of(rng.sample(range(n), rng.randint(0, n // 3)))
+                          for _ in range(lanes)]
+                dense = [mask_of(rng.sample(range(n), rng.randint(n - n // 3, n)))
+                         for _ in range(lanes)]
+                for left, right in ((sparse, dense), (dense, sparse)):
+                    packed = {"p": _pack(left, n), "q": _pack(right, n)}
+                    walk = "rows" if left is sparse else "cols"
+                    assert (packed["p"].bit_count() < packed["q"].bit_count()) == (walk == "rows")
+                    got = Evaluator(frame).mask(Comp(p, q), packed, lanes)
+                    for i, (l, r) in enumerate(zip(left, right)):
+                        expect = _tree_mask(frame, {"p": l, "q": r}, Comp(p, q))
+                        assert (got >> (i * n)) & ((1 << n) - 1) == expect, (walk, lanes)
+                    walks[walk] += 1
+        assert min(walks.values()) > 300
 
     def test_symbolic_evaluator_on_mono(self):
         rng = random.Random(47)
