@@ -136,20 +136,21 @@ def assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
     Raises PremiseFailure if the premise pair does not hold, and NoWitness if
     no witness exists, which certifies the frame is not associative.
     """
-    R, index = model.frame.triples, model.frame.index
+    R, rows = model.frame.triples, model.frame.rows
     if kind == "forward":
         if (a, pivot, y) not in R or (pivot, x, c) not in R:
             raise PremiseFailure("forward rewrite premise", (a, x, c, y, pivot))
-        found = next((b for b in bits(index.get((c, y), 0))
-                      if index.get((x, b), 0) >> a & 1), None)
+        row_x = rows.get(x, {})
+        found = next((b for b in bits(rows.get(c, {}).get(y, 0))
+                      if row_x.get(b, 0) >> a & 1), None)
         if found is None:
             raise NoWitness(f"no forward witness for {(a, x, c, y)}")
         return found
     if kind == "backward":
         if (a, x, pivot) not in R or (pivot, c, y) not in R:
             raise PremiseFailure("backward rewrite premise", (a, x, c, y, pivot))
-        found = next((d for d in bits(index.get((x, c), 0))
-                      if index.get((d, y), 0) >> a & 1), None)
+        found = next((d for d in bits(rows.get(x, {}).get(c, 0))
+                      if rows.get(d, {}).get(y, 0) >> a & 1), None)
         if found is None:
             raise NoWitness(f"no backward witness for {(a, x, c, y)}")
         return found

@@ -36,14 +36,13 @@ def mask_of(worlds: Iterable[int]) -> int:
 class Frame:
     """A set of worlds 0..size-1 with a ternary accessibility relation.
 
-    The relation index is built once per Frame, in three groupings, and left
-    out of ==, hash and repr: index maps each (y, z) with some Rxyz to the
-    bitmask of those x; rows maps each such y to its cells, z -> x-mask, and
-    cols each such z to its cells, y -> x-mask."""
+    The relation index is built once per Frame, in two groupings, and left
+    out of ==, hash and repr: rows maps each y with some Rxyz to its cells,
+    z -> the bitmask of those x, and cols each such z to its cells, y ->
+    x-mask. rows[y][z] is the x-mask of the pair (y, z)."""
 
     size: int
     triples: frozenset[Triple]
-    index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
     rows: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
     cols: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
 
@@ -51,20 +50,19 @@ class Frame:
         if self.size < 1:
             raise ValueError("frames need at least one world")
         object.__setattr__(self, "triples", frozenset(self.triples))
-        index: dict[tuple[int, int], int] = {}
-        get, size = index.get, self.size
+        rows: dict[int, dict[int, int]] = {}
+        size = self.size
         for t in self.triples:
             # 0 <= t[0], t[1], t[2] < size
             if len(t) != 3 or not 0 <= t[0] < size > t[1] >= 0 <= t[2] < size:
                 raise ValueError(f"triple {t} out of range for size {size}")
             x, y, z = t
-            index[y, z] = get((y, z), 0) | 1 << x
-        rows: dict[int, dict[int, int]] = {}
+            row = rows.setdefault(y, {})
+            row[z] = row.get(z, 0) | 1 << x
         cols: dict[int, dict[int, int]] = {}
-        for (y, z), xs in index.items():
-            rows.setdefault(y, {})[z] = xs
-            cols.setdefault(z, {})[y] = xs
-        object.__setattr__(self, "index", index)
+        for y, row in rows.items():
+            for z, xs in row.items():
+                cols.setdefault(z, {})[y] = xs
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 
@@ -122,23 +120,31 @@ def check_associative(frame: Frame) -> AssocCounterexample | None:
     Associativity: for all x,a,b,c, there is y with Rxyc and Ryab exactly
     when there is z with Rxaz and Rzbc. Every world of a failing quadruple
     occurs in some triple, so the test runs on those worlds alone: when
-    every world is used, the kernel rows come straight from the index;
-    otherwise the used worlds are renumbered in ascending order, and the
-    least failure keeps its place.
+    every world is used, kernel row y is Frame.rows[y] with cell z shifted
+    to field z; otherwise the used worlds are renumbered in ascending order,
+    and the least failure keeps its place.
     """
     used = 0
-    for (y, z), xs in frame.index.items():
-        used |= xs | 1 << y | 1 << z
+    for y, cells in frame.rows.items():
+        used |= 1 << y
+        for z, xs in cells.items():
+            used |= xs | 1 << z
     worlds = range(frame.size) if used == (1 << frame.size) - 1 else list(bits(used))
     n = len(worlds)
     rows = [0] * n
     if n == frame.size:
-        for (y, z), xs in frame.index.items():
-            rows[y] |= xs << z * n
+        for y, cells in frame.rows.items():
+            row = 0
+            for z, xs in cells.items():
+                row |= xs << z * n
+            rows[y] = row
     else:
         at = {w: i for i, w in enumerate(worlds)}
-        for (y, z), xs in frame.index.items():
-            rows[at[y]] |= mask_of(at[x] for x in bits(xs)) << at[z] * n
+        for y, cells in frame.rows.items():
+            row = 0
+            for z, xs in cells.items():
+                row |= mask_of(at[x] for x in bits(xs)) << at[z] * n
+            rows[at[y]] = row
     best = None
     for a, b, c, left, right in _assoc_failures(n, rows, rows):
         diff = left | right

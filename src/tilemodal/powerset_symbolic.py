@@ -78,23 +78,10 @@ def state_n() -> SymState:
     return SymState(cofin(), cofin())
 
 
-def state_evens() -> SymState:
-    return SymState(cofin(), fin())
-
-
-def state_odds() -> SymState:
-    return SymState(fin(), cofin())
-
-
 def singleton(n: int) -> SymState:
     if n % 2 == 0:
         return SymState(fin({n}), fin())
     return SymState(fin(), fin({n}))
-
-
-def contains(s: SymState, n: int) -> bool:
-    side = s.even if n % 2 == 0 else s.odd
-    return (n in side.elems) if side.kind == FIN else (n not in side.elems)
 
 
 # -- int codes ------------------------------------------------------------------
@@ -134,59 +121,38 @@ def _depth(code: int) -> int:
     return (code & _ELEMS).bit_count()
 
 
-def _side_union(a: int, b: int) -> tuple[int, bool]:
-    """The union of two side codes, and whether the sides overlap."""
-    if not (a | b) & _COFIN:
-        return a | b, bool(a & b)
-    if a & b & _COFIN:
-        return a & b, True
-    removed, members = (a, b) if a & _COFIN else (b, a)
-    return removed & ~members, bool(members & ~removed)
-
-
-def sym_union(a: SymState, b: SymState, mode: str = "union") -> SymState | None:
-    """Canonical union of two states; None in disjoint mode when they overlap."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    ca, cb = _encode(a), _encode(b)
-    even, clash_even = _side_union(ca & _SIDE, cb & _SIDE)
-    odd, clash_odd = _side_union(ca >> _SHIFT, cb >> _SHIFT)
-    if mode == "disjoint_union" and (clash_even or clash_odd):
-        return None
-    return _decode(even | odd << _SHIFT)
+#: The letters of one side: removal parity even, odd, and the singleton.
+_X_LETTERS = ("x_e", "x_o", "x'")
+_Y_LETTERS = ("y_e", "y_o", "y'")
 
 
 def eval_atom(s: SymState, letter: str, tau: PeriodicTiling, w: TileSet) -> bool:
-    """The refutation valuation at a state; see _holds."""
-    return _holds(_encode(s), letter, tau, w)
+    """The refutation valuation at a state; see _classifier."""
+    return _classifier(tau, w)(_encode(s)) == letter
 
 
-def _holds(code: int, letter: str, tau: PeriodicTiling, w: TileSet) -> bool:
-    """The refutation valuation on a code: parity letters hold on one-sided
-    states with the matching removal parity, the primed letters on singletons
-    of their side, and a tile letter where both sides are cofinite and the
-    tiling assigns that tile to the pair of removal counts."""
-    even, odd = code & _SIDE, code >> _SHIFT
-    if letter in reduction.STRUCTURAL_LETTERS:
-        own, other = (even, odd) if letter[0] == "x" else (odd, even)
-        if other:
-            return False
-        if letter.endswith("'"):
-            return not own & _COFIN and _depth(own) == 1
-        return bool(own & _COFIN) and _depth(own) % 2 == letter.endswith("o")
-    if letter in w.names and even & odd & _COFIN:
-        return tau.tile_at(_depth(even), _depth(odd)) == w.names.index(letter)
-    return False
+def _classifier(tau: PeriodicTiling, w: TileSet):
+    """The refutation valuation as a function from a code to the one letter
+    true there, or None. An x-letter needs an empty odd side and a y-letter
+    an empty even side: the parity letters hold on a cofinite side with the
+    matching removal parity, the primed letters on a singleton. A tile
+    letter needs two cofinite sides, and holds where the tiling assigns its
+    tile to the pair of removal counts. The three cases exclude each other,
+    so at most one letter holds at any state."""
+    tiles = {t: name for t, name in enumerate(w.names)
+             if name not in reduction.STRUCTURAL_LETTERS}
 
-
-def even_window(depth: int) -> list[int]:
-    """One more window element than the depth, so maximum-depth states always
-    keep a peelable element on each cofinite side."""
-    return [2 * i for i in range(depth + 1)]
-
-
-def odd_window(depth: int) -> list[int]:
-    return [2 * i + 1 for i in range(depth + 1)]
+    def letter(code: int) -> str | None:
+        even, odd = code & _SIDE, code >> _SHIFT
+        if even and odd:
+            if even & odd & _COFIN:
+                return tiles.get(tau.tile_at(_depth(even), _depth(odd)))
+            return None
+        own, names = (even, _X_LETTERS) if even else (odd, _Y_LETTERS)
+        if own & _COFIN:
+            return names[_depth(own) & 1]
+        return names[2] if _depth(own) == 1 else None
+    return letter
 
 
 def universe(depth: int, mode: str = "union") -> list[SymState]:
@@ -247,30 +213,40 @@ def _pairs(s: int, depth: int, mode: str) -> list[tuple[int, int]]:
     limit = depth + 1
     even, odd = s & _SIDE, s >> _SHIFT
     out = [] if nonempty and not (even and odd) else [(even, odd << _SHIFT)]
+    add = out.append
     # peelable: the members of a finite side, the window elements a
-    # cofinite side keeps; in ascending order of the element
+    # cofinite side keeps; in ascending order of the element, so at each
+    # window position the even element before the odd one
     peel_even = window & ~even if even & _COFIN else even
     peel_odd = window & ~odd if odd & _COFIN else odd
-    for i in range(_WIDTH):
-        for shift, peel in ((0, peel_even), (_SHIFT, peel_odd)):
-            if peel >> i & 1:
-                sing = 1 << i + shift
+    both = peel_even | peel_odd
+    while both:
+        low = both & -both
+        both ^= low
+        for sing in (low & peel_even, (low & peel_odd) << _SHIFT):
+            if sing:
                 rest = s ^ sing
-                if _depth(rest) <= limit and not (nonempty and rest == 0):
-                    out += [(sing, rest), (rest, sing)]
+                if _depth(rest) <= limit and (rest or not nonempty):
+                    add((sing, rest))
+                    add((rest, sing))
                 if not disjoint:
-                    out += [(sing, s), (s, sing)]
+                    add((sing, s))
+                    add((s, sing))
     if not disjoint:
         # same-side splits of a cofinite side into two larger removals whose
-        # intersection is the original removal; the other side rides along
+        # intersection is the original removal; the other side rides along.
+        # The right part ranges over the subsets disjoint from the left,
+        # which keeps the order of the subsets of the free elements.
         room = limit - _depth(s)
         for shift in (0, _SHIFT):
             side = s >> shift & _SIDE
             if side & _COFIN:
-                free = [1 << i + shift for i in range(depth + 1) if not side >> i & 1]
-                for a in _subsets(free, room):
-                    for b in _subsets([f for f in free if not a & f], room):
-                        out.append((s | a, s | b))
+                grown = [s | a for a in _subsets(
+                    [1 << i + shift for i in range(depth + 1) if not side >> i & 1], room)]
+                for a in grown:
+                    for b in grown:
+                        if a & b == s:
+                            add((a, b))
     return list(dict.fromkeys(out))
 
 
@@ -291,7 +267,8 @@ def _satisfaction(w: TileSet, tau: PeriodicTiling, codes: list[int], depth: int,
     for each decomposition pair (a, b) of each state s; the diamond reads
     those triples, so a box nested in the dag ranges over them only. The
     closure appends each code the first time a pair reaches it, and the
-    valuation is read in one pass over the closed codes."""
+    valuation is read in one pass over the closed codes, one _classifier
+    call per code."""
     index = {c: i for i, c in enumerate(codes)}
     triples, x = [], 0
     while x < len(codes):
@@ -304,12 +281,12 @@ def _satisfaction(w: TileSet, tau: PeriodicTiling, codes: list[int], depth: int,
                 codes.append(b)
             triples.append((x, index[a], index[b]))
         x += 1
-    letters = [a for kind, a, _ in dag.ops if kind == fm.VAR]
-    valuation = dict.fromkeys(letters, 0)
+    valuation = {a: 0 for kind, a, _ in dag.ops if kind == fm.VAR}
+    letter = _classifier(tau, w)
     for i, c in enumerate(codes):
-        for a in letters:
-            if _holds(c, a, tau, w):
-                valuation[a] |= 1 << i
+        a = letter(c)
+        if a in valuation:
+            valuation[a] |= 1 << i
     return Evaluator(Frame(len(codes), frozenset(triples))).masks(dag, valuation)
 
 

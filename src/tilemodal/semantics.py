@@ -75,8 +75,10 @@ class Evaluator:
 
     def _dia(self, full: int) -> Callable[[int, int], int]:
         """The diamond on the lanes of full. It walks the argument with
-        fewer set bits, the left through Frame.rows or the right through
-        Frame.cols: for each world a of the walked argument's grouping, hit
+        fewer set bits through the frame's grouping of the index by that
+        argument, the left through Frame.rows (y -> {z: x-mask}) or the
+        right through Frame.cols (z -> {y: x-mask}), both built by the Frame:
+        for each world a of the walked argument's grouping, hit
         marks bit 0 of each lane where a is in it, tested once per a; hit &
         (other >> b) those where the cell's other world b is in the other
         argument too, and xs < 2^n, so the product writes xs into those lanes

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from tilemodal.extraction import (
     extract_tiling,
     read_tiling,
 )
-from tilemodal.frames import Frame, Model, check_associative, powerset_frame
+from tilemodal.frames import Frame, Model, bits, check_associative, powerset_frame
 from tilemodal.semantics import Evaluator, sat_mask, sat_set
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet, verify_grid
 
@@ -173,6 +174,80 @@ class TestIndexScansMatchSortedScans:
             xs.append(x_next)
             ys.append(y_next)
         assert (tuple(xs), tuple(ys)) == (axes.x, axes.y)
+
+
+def index_assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
+                        pivot: int) -> int:
+    """assoc_witness as it read the (y, z) -> x-mask index, before the frame
+    kept that index only grouped by y and by z: the oracle for the reading
+    of Frame.rows."""
+    R, index = model.frame.triples, {}
+    for u, v, w in R:
+        index[v, w] = index.get((v, w), 0) | 1 << u
+    if kind == "forward":
+        if (a, pivot, y) not in R or (pivot, x, c) not in R:
+            raise PremiseFailure("forward rewrite premise", (a, x, c, y, pivot))
+        found = next((b for b in bits(index.get((c, y), 0))
+                      if index.get((x, b), 0) >> a & 1), None)
+        if found is None:
+            raise NoWitness(f"no forward witness for {(a, x, c, y)}")
+        return found
+    if kind == "backward":
+        if (a, x, pivot) not in R or (pivot, c, y) not in R:
+            raise PremiseFailure("backward rewrite premise", (a, x, c, y, pivot))
+        found = next((d for d in bits(index.get((x, c), 0))
+                      if index.get((d, y), 0) >> a & 1), None)
+        if found is None:
+            raise NoWitness(f"no backward witness for {(a, x, c, y)}")
+        return found
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _outcome(fn, *args):
+    try:
+        return "witness", fn(*args)
+    except (PremiseFailure, NoWitness) as e:
+        return type(e).__name__, str(e), getattr(e, "index", None)
+
+
+class TestRowsReadingMatchesIndexReading:
+    def test_assoc_witness_forward_and_backward(self):
+        """On random frames, associative or not: premises drawn from the
+        triples (witness or NoWitness) and at random (mostly
+        PremiseFailure), both kinds, against the index reading."""
+        rng = random.Random(23)
+        seen: dict = {}
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            frame = Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                                       if rng.random() < rng.choice((0.1, 0.3, 0.6))))
+            if not frame.triples:
+                continue
+            model, R = Model(frame, {}), sorted(frame.triples)
+            for _ in range(20):
+                kind = rng.choice(("forward", "backward"))
+                if rng.random() < 0.8:
+                    if kind == "forward":  # R a pivot y and R pivot x c
+                        a, pivot, y = rng.choice(R)
+                        x, c = rng.randrange(n), rng.randrange(n)
+                        row = [t for t in R if t[0] == pivot]
+                        if row:
+                            _, x, c = rng.choice(row)
+                    else:  # R a x pivot and R pivot c y
+                        a, x, pivot = rng.choice(R)
+                        c, y = rng.randrange(n), rng.randrange(n)
+                        row = [t for t in R if t[0] == pivot]
+                        if row:
+                            _, c, y = rng.choice(row)
+                else:
+                    a, x, c, y, pivot = (rng.randrange(n) for _ in range(5))
+                args = (model, kind, a, x, c, y, pivot)
+                got = _outcome(assoc_witness, *args)
+                assert got == _outcome(index_assoc_witness, *args), args
+                seen[kind, got[0]] = seen.get((kind, got[0]), 0) + 1
+        for kind in ("forward", "backward"):
+            for what in ("witness", "PremiseFailure", "NoWitness"):
+                assert seen.get((kind, what), 0) >= 20, seen
 
 
 class TestExtractAxes:

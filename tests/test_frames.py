@@ -243,26 +243,62 @@ class TestSparseLargeFrames:
                 f"direction={expected[4]}\n"))
 
 
+def fold_cells(frame: Frame) -> dict[tuple[int, int], int]:
+    """(y, z) -> the bitmask of the x with Rxyz, folded from the triples."""
+    fold: dict[tuple[int, int], int] = {}
+    for x, y, z in frame.triples:
+        fold[y, z] = fold.get((y, z), 0) | 1 << x
+    return fold
+
+
+def index_check_associative(frame: Frame) -> AssocCounterexample | None:
+    """check_associative as it read the (y, z) -> x-mask index, before the
+    frame kept that index only grouped by y and by z: the oracle for the
+    reading of Frame.rows."""
+    index = fold_cells(frame)
+    used = 0
+    for (y, z), xs in index.items():
+        used |= xs | 1 << y | 1 << z
+    worlds = range(frame.size) if used == (1 << frame.size) - 1 else list(frames.bits(used))
+    n = len(worlds)
+    rows = [0] * n
+    if n == frame.size:
+        for (y, z), xs in index.items():
+            rows[y] |= xs << z * n
+    else:
+        at = {w: i for i, w in enumerate(worlds)}
+        for (y, z), xs in index.items():
+            rows[at[y]] |= mask_of(at[x] for x in frames.bits(xs)) << at[z] * n
+    best = None
+    for a, b, c, left, right in frames._assoc_failures(n, rows, rows):
+        diff = left | right
+        x = (diff & -diff).bit_length() - 1
+        if best is None or worlds[x] < best.x:
+            direction = "left_to_right" if (left >> x) & 1 else "right_to_left"
+            best = AssocCounterexample(worlds[x], worlds[a], worlds[b], worlds[c], direction)
+    return best
+
+
 class TestRelationIndex:
     def test_index_is_the_fold_of_the_triples(self):
         rng = random.Random(11)
         for _ in range(500):
             frame = random_frame(rng, rng.randint(1, 5), rng.choice((0.05, 0.2, 0.5)))
-            fold: dict[tuple[int, int], int] = {}
-            for x, y, z in frame.triples:
-                fold[y, z] = fold.get((y, z), 0) | 1 << x
-            assert frame.index == fold
+            by_rows = {(y, z): xs for y, cells in frame.rows.items()
+                       for z, xs in cells.items()}
+            assert by_rows == fold_cells(frame)
 
     def test_rows_and_cols_hold_the_cells_of_the_index(self):
         rng = random.Random(13)
         for _ in range(500):
             frame = random_frame(rng, rng.randint(1, 5), rng.choice((0.05, 0.2, 0.5)))
+            fold = fold_cells(frame)
             by_rows = [((y, z), xs) for y, cells in frame.rows.items()
                        for z, xs in cells.items()]
             by_cols = [((y, z), xs) for z, cells in frame.cols.items()
                        for y, xs in cells.items()]
             for cells in (by_rows, by_cols):
-                assert len(cells) == len(frame.index) and dict(cells) == frame.index
+                assert len(cells) == len(fold) and dict(cells) == fold
             assert all(frame.rows.values()) and all(frame.cols.values())
 
     def test_index_is_not_part_of_equality(self):
@@ -271,9 +307,34 @@ class TestRelationIndex:
         assert check_associative(frame) is None
         fresh = Frame(frame.size, frame.triples)
         assert fresh == frame and hash(fresh) == hash(frame)
-        assert (fresh.index, fresh.rows, fresh.cols) == (frame.index, frame.rows, frame.cols)
+        assert (fresh.rows, fresh.cols) == (frame.rows, frame.cols)
         assert repr(Frame(2, frozenset({(1, 0, 1)}))) == (
             "Frame(size=2, triples=frozenset({(1, 0, 1)}))")
+
+    def test_check_associative_reads_rows_as_it_read_the_index(self):
+        """Dense frames fill the kernel rows straight from Frame.rows, frames
+        with unused worlds renumber them; both against the index reading, on
+        associative frames and on frames that are not."""
+        rng = random.Random(19)
+        assoc = list(enumerate_frames(2, True)) + list(islice(enumerate_frames(3, True), 300))
+        seen = {(dense, ok): 0 for dense in (True, False) for ok in (True, False)}
+        for i in range(600):
+            if i % 3 == 0:
+                frame = rng.choice(assoc)
+            elif i % 3 == 1:
+                frame = random_frame(rng, rng.randint(1, 5), rng.choice((0.05, 0.2, 0.5)))
+            else:
+                frame = powerset_frame(rng.randint(1, 3), rng.choice(frames.POWERSET_MODES))
+            if rng.random() < 0.5:  # spread onto more worlds, order kept
+                size = frame.size + rng.randint(1, 6)
+                spread = sorted(rng.sample(range(size), frame.size))
+                frame = Frame(size, frozenset(tuple(spread[w] for w in t)
+                                              for t in frame.triples))
+            expect = index_check_associative(frame)
+            assert check_associative(frame) == expect
+            used = mask_of(w for t in frame.triples for w in t)
+            seen[used == (1 << frame.size) - 1, expect is None] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 def oracle_s_pairs(frame: Frame) -> frozenset[tuple[int, int]]:
@@ -603,7 +664,8 @@ class TestModelAndFiles:
             with pytest.raises(ValueError) as exc:
                 Frame(size, frozenset(triples))
             assert str(exc.value) == message
-        assert Frame(2, frozenset({(1, 0, 1)})).index == {(0, 1): 2}
+        frame = Frame(2, frozenset({(1, 0, 1)}))
+        assert (frame.rows, frame.cols) == ({0: {1: 2}}, {1: {0: 2}})
 
     def test_empty_valuation_roundtrip(self):
         frame = Frame(2, frozenset({(0, 0, 1)}))

@@ -12,16 +12,12 @@ from tilemodal.powerset_symbolic import (
     SymState,
     check_refutation,
     cofin,
-    contains,
     decompositions,
     eval_atom,
     fin,
     render_state,
     singleton,
-    state_evens,
     state_n,
-    state_odds,
-    sym_union,
     universe,
 )
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet, find_torus
@@ -31,6 +27,56 @@ MONO = TileSet(("t1",), (Tile(0, 0, 0, 0),))
 MONO_TAU = PeriodicTiling((1, 1), {(0, 0): 0})
 SWAP = TileSet(("a", "b"), (Tile(0, 0, 1, 2), Tile(0, 0, 2, 1)))
 SWAP_TAU = PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 1})
+#: Two tiles that alternate along both axes: a genuine 2x2 torus.
+CHECKER = TileSet(("a", "b"), (Tile(1, 2, 3, 4), Tile(2, 1, 4, 3)))
+
+
+# -- state helpers the checker does not need, kept as test references --------
+
+def state_evens() -> SymState:
+    return SymState(cofin(), fin())
+
+
+def state_odds() -> SymState:
+    return SymState(fin(), cofin())
+
+
+def contains(s: SymState, n: int) -> bool:
+    side = s.even if n % 2 == 0 else s.odd
+    return (n in side.elems) if side.kind == "fin" else (n not in side.elems)
+
+
+def even_window(depth: int) -> list[int]:
+    """One more window element than the depth, so maximum-depth states always
+    keep a peelable element on each cofinite side."""
+    return [2 * i for i in range(depth + 1)]
+
+
+def odd_window(depth: int) -> list[int]:
+    return [2 * i + 1 for i in range(depth + 1)]
+
+
+def _side_union(a: int, b: int) -> tuple[int, bool]:
+    """The union of two side codes, and whether the sides overlap."""
+    if not (a | b) & ps._COFIN:
+        return a | b, bool(a & b)
+    if a & b & ps._COFIN:
+        return a & b, True
+    removed, members = (a, b) if a & ps._COFIN else (b, a)
+    return removed & ~members, bool(members & ~removed)
+
+
+def sym_union(a: SymState, b: SymState, mode: str = "union") -> SymState | None:
+    """Canonical union of two states on their codes; None in disjoint mode
+    when they overlap."""
+    if mode not in ps.MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    ca, cb = ps._encode(a), ps._encode(b)
+    even, clash_even = _side_union(ca & ps._SIDE, cb & ps._SIDE)
+    odd, clash_odd = _side_union(ca >> ps._SHIFT, cb >> ps._SHIFT)
+    if mode == "disjoint_union" and (clash_even or clash_odd):
+        return None
+    return ps._decode(even | odd << ps._SHIFT)
 
 
 class TestSymState:
@@ -319,8 +365,8 @@ def _subsets(items: frozenset[int]):
 # replaced, kept here to compare against.
 
 def _ref_universe(depth: int, mode: str) -> list[SymState]:
-    sides_even = _ref_side_universe(ps.even_window(depth), depth)
-    sides_odd = _ref_side_universe(ps.odd_window(depth), depth)
+    sides_even = _ref_side_universe(even_window(depth), depth)
+    sides_odd = _ref_side_universe(odd_window(depth), depth)
     out = []
     for ev in sides_even:
         for od in sides_odd:
@@ -427,7 +473,7 @@ def _ref_decompositions(s: SymState, depth: int, mode: str) -> list:
 
 def _ref_peelable(s: SymState, depth: int) -> list[int]:
     out = []
-    for side, window in ((s.even, ps.even_window(depth)), (s.odd, ps.odd_window(depth))):
+    for side, window in ((s.even, even_window(depth)), (s.odd, odd_window(depth))):
         if side.kind == "fin":
             out.extend(sorted(side.elems))
         else:
@@ -454,7 +500,7 @@ def _ref_growth_pairs(s: SymState, depth: int) -> list:
         side = s.even if pick_even else s.odd
         if side.kind != "cofin":
             continue
-        window = ps.even_window(depth) if pick_even else ps.odd_window(depth)
+        window = even_window(depth) if pick_even else odd_window(depth)
         free = [n for n in window if n not in side.elems]
         for a_size in range(len(free) + 1):
             for a_combo in itertools.combinations(free, a_size):
@@ -534,6 +580,34 @@ class TestAgainstReference:
                 for letter in letters:
                     assert eval_atom(s, letter, tau, SWAP) == _ref_eval_atom(
                         s, letter, tau, SWAP), (render_state(s), letter)
+
+    @pytest.mark.parametrize("depth", (1, 2, 3))
+    def test_valuation_of_the_closure(self, depth):
+        """The valuation _satisfaction evaluates, read off the masks of the
+        Dag's letters, at every closure state (the universe and the states
+        the closure appends) and for every letter of the Dag, against the
+        reference; at most one letter holds at each state."""
+        checker = PeriodicTiling((2, 2), {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0})
+        cases = [(MONO, MONO_TAU), (SWAP, SWAP_TAU), (CHECKER, checker)]
+        for w, tau in cases:
+            dag = fm.Dag()
+            for _name, f in reduction.conjuncts(w):
+                dag.add(fm.unbox(f) or f)
+            letters = {a: i for i, (kind, a, _) in enumerate(dag.ops) if kind == fm.VAR}
+            assert set(letters) == set(reduction.STRUCTURAL_LETTERS + w.names)
+            for mode in ps.MODES:
+                codes = ps._universe(depth, mode)
+                size = len(codes)
+                sat = ps._satisfaction(w, tau, codes, depth, mode, dag)
+                assert len(codes) > size  # the closure appended states
+                held = 0
+                for letter, i in letters.items():
+                    assert not held & sat[i], letter  # one letter per state
+                    held |= sat[i]
+                    for at, code in enumerate(codes):
+                        s = ps._decode(code)
+                        assert (sat[i] >> at & 1) == _ref_eval_atom(s, letter, tau, w), (
+                            render_state(s), letter, mode)
 
     @pytest.mark.parametrize("depth", range(5))
     def test_decompositions_at_every_universe_state(self, depth):

@@ -776,7 +776,7 @@ class TestOpList:
                 expect = _tree_mask(frame, masks, f)
                 assert (got >> (i * n)) & ((1 << n) - 1) == expect, fm.render(f)
             lane0 = sum(1 << (i * n) for i in range(lanes))
-            skipped += any(not (packed["p"] >> y) & lane0 for y, _z in frame.index)
+            skipped += any(not (packed["p"] >> y) & lane0 for y in frame.rows)
         assert skipped > 300
 
     def test_both_walks_of_the_diamond(self):
@@ -869,16 +869,17 @@ class TestOpList:
 
 class _SequentialBounds(Evaluator):
     """Bounds by a (must, may) pair per op, one lane, with the diamond read
-    cell by cell off Frame.index: the loop the two-lane pass replaced."""
+    cell by cell off Frame.rows: the loop the two-lane pass replaced."""
 
     def bounds(self, dag, known, value):
         full, out = (1 << self.frame.size) - 1, []
 
         def dia(left: int, right: int) -> int:
             acc = 0
-            for (y, z), xs in self.frame.index.items():
-                if (left >> y) & 1 and (right >> z) & 1:
-                    acc |= xs
+            for y, cells in self.frame.rows.items():
+                for z, xs in cells.items():
+                    if (left >> y) & 1 and (right >> z) & 1:
+                        acc |= xs
             return acc
 
         for kind, a, b in dag.ops:
