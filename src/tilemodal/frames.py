@@ -89,15 +89,6 @@ class BinRel:
     def successors(self, x: int) -> int:
         return self.succ[x]
 
-    def find_intransitivity(self) -> tuple[int, int, int] | None:
-        """Least (x, y, z) with xRy, yRz but not xRz, or None if transitive."""
-        for x, mx in enumerate(self.succ):
-            for y in bits(mx):
-                missing = self.succ[y] & ~mx
-                if missing:
-                    return x, y, (missing & -missing).bit_length() - 1
-        return None
-
 
 @dataclass(frozen=True)
 class AssocCounterexample:

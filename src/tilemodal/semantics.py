@@ -1,9 +1,12 @@
 """Model checking for the binary-diamond language over finite frames.
 
-Satisfaction sets are computed bottom-up as world bitmasks; frame validity
-enumerates valuations in a fixed order so refutation witnesses are
-reproducible; countermodel search streams associative frames and interleaves
-cheap valuation probes with exhaustive scans under a step budget.
+Satisfaction sets are computed bottom-up as world bitmasks. One search,
+_least_refutation, finds a frame's least refuting valuation in a fixed index
+order, so refutation witnesses are reproducible: exact bit-sliced passes
+where interval bounds cannot prune, and a bounds walk where they can. Frame
+validity runs it after exact passes over the first valuations; countermodel
+search streams associative frames and runs it after one pass of cheap
+valuation probes, under a step budget.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from tilemodal.frames import (
     bits,
     check_associative,
     enumerate_frames,
-    s_relation,
 )
 from tilemodal.tiling import SearchBudgetExceeded
 
@@ -133,17 +135,6 @@ def sat_set(model: Model, f: fm.Formula) -> frozenset[int]:
     return frozenset(bits(sat_mask(model, f)))
 
 
-def holds_box(model: Model, x: int, f: fm.Formula) -> bool:
-    """Box satisfaction at x via the derived S relation.
-
-    Equals membership of x in sat_set(model, Box(f)); the two routes agreeing
-    is a correctness invariant of the S construction.
-    """
-    srel = s_relation(model.frame)
-    good = sat_mask(model, f)
-    return srel.succ[x] & ~good == 0
-
-
 @dataclass(frozen=True)
 class Valid:
     pass
@@ -217,36 +208,33 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
 
     Valuations are checked one per lane of the frame's one Evaluator (bit
     lane * n + world), up to MAX_LANES per pass; the lowest failing bit of
-    the first failing chunk is the refutation: the least lane, then the
+    the first failing pass is the refutation: the least lane, then the
     least world.
-    The exhaustive strategy counts in binary over the world-by-letter grid
-    (letter j, lexicographic, holds world w when bit j * n + w of the index
-    is set) in aligned chunks that start at FIRST_LANES lanes and double, so
-    an early refutation costs one small pass: it proves validity, returns the
+    The exhaustive strategy is _least_refutation over the world-by-letter
+    grid (letter j, lexicographic, holds world w when bit j * n + w of the
+    index is set), with no step budget. Its exact passes read the first
+    2^(2 * SUBTREE_LEVELS) valuations, every valuation of a frame with at
+    most that many bits, in aligned chunks that start at FIRST_LANES lanes
+    and double, so an early refutation costs one small pass and a small
+    frame never builds the bounds walk. It proves validity, returns the
     least refutation, or returns Unknown past the bit limit. The random
     strategy draws seeded samples in chunks of 16, 32, ... lanes and returns
     the first refuting one, or Unknown.
     """
     n, dag = frame.size, fm.to_dag(f)
     inventory = _inventory(dag)
+    ev, free = Evaluator(frame), _Budget(0)  # no budget: every step costs 0
     if strategy == "exhaustive":
         if n * len(inventory) > EXHAUSTIVE_BIT_LIMIT:
             return Unknown("exhaustive budget exceeded")
-        chunks, no_refutation = _exhaustive_chunks(n, inventory), Valid()
+        got = _least_refutation(ev, dag, inventory, free, 0, 1 << 2 * SUBTREE_LEVELS)
+        no_refutation = Valid()
     elif strategy == "random":
-        chunks = _random_chunks(n, inventory, seed, samples)
+        got = _least_lane(ev, dag, _random_chunks(n, inventory, seed, samples), free, 0)
         no_refutation = Unknown(f"no refutation in {samples} samples")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    ev = Evaluator(frame)
-    for masks, lanes in chunks:
-        failing = ((1 << (n * lanes)) - 1) & ~ev.mask(dag, masks, lanes)
-        if failing:
-            lane, world = divmod((failing & -failing).bit_length() - 1, n)
-            masks = {p: (m >> (lane * n)) & ((1 << n) - 1) for p, m in masks.items()}
-            witness = {p: set(bits(m)) for p, m in masks.items() if m}
-            return Refuted(Model(frame, witness), world)
-    return no_refutation
+    return no_refutation if got is None else Refuted(*_refutation(frame, *got))
 
 
 class _Budget:
@@ -260,6 +248,76 @@ class _Budget:
         self.left -= steps
         if self.left < 0:
             raise SearchBudgetExceeded("budget exhausted")
+
+
+def _least_lane(ev: Evaluator, dag: fm.Dag, chunks, budget: _Budget,
+                cost: int) -> tuple[dict[str, int], int] | None:
+    """(letter masks, failing worlds) of the first lane that refutes the Dag
+    in exact passes over chunks of (packed letter masks, lanes), or None.
+    Each pass is read for its least failing lane and charged once: cost per
+    lane read, up to and including that lane. A pass whose first lane the
+    budget cannot pay does not run."""
+    n, full = ev.frame.size, (1 << ev.frame.size) - 1
+    for packed, lanes in chunks:
+        if budget.left < cost:
+            raise SearchBudgetExceeded("budget exhausted")
+        failing = ((1 << (n * lanes)) - 1) & ~ev.mask(dag, packed, lanes)
+        if failing:
+            lane = ((failing & -failing).bit_length() - 1) // n
+            budget.spend(cost * (lane + 1))
+            return ({p: (m >> (lane * n)) & full for p, m in packed.items()},
+                    (failing >> (lane * n)) & full)
+        budget.spend(cost * lanes)
+    return None
+
+
+def _least_refutation(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
+                      cost: int, prefix: int) -> tuple[dict[str, int], int] | None:
+    """(letter masks, failing worlds) of the frame's least refuting
+    valuation index, or None when no valuation refutes: the one search for
+    it, behind frame_validity and countermodel_search.
+
+    Exact passes (_exhaustive_chunks, in index order) read the first prefix
+    valuations. Then the bounds walk's root pass decides. When it covers
+    every decision level, decides some node above its last level or shows a
+    failing node, the walk takes over from that pass (_walker); otherwise
+    the bounds cannot prune, and the exact passes go on from where they
+    stopped. Exact passes charge cost per valuation read (_least_lane), the
+    walk cost per node visited, its root included; raises
+    SearchBudgetExceeded when the steps run out.
+    """
+    n, total = ev.frame.size, 1 << (ev.frame.size * len(inventory))
+    chunks, scanned = _exhaustive_chunks(n, inventory), 0
+
+    def head():
+        """The chunks of the first prefix valuations."""
+        nonlocal scanned
+        while scanned < min(prefix, total):
+            masks, lanes = next(chunks)
+            scanned += lanes
+            yield masks, lanes
+
+    got = _least_lane(ev, dag, head(), budget, cost)
+    if got is not None or scanned == total:
+        return got
+    subtree, descend = _walker(ev, dag, inventory, budget, cost)
+    budget.spend(cost)
+    levels, must, may = subtree(0)
+    lane0 = _subtree_layout(n, levels)[1]
+    high = lane0 << (n - 1)  # the top bit of each lane
+    low = high - lane0  # the other bits
+
+    def misses(lanes: int) -> int:
+        """The top bit of each lane where lanes misses a world, read off its
+        complement x with no carry between lanes."""
+        x = (high | low) & ~lanes
+        return (((x & low) + low) | x) & high
+
+    above = (1 << (((1 << levels) - 1) * n)) - 1  # the lanes above the last level
+    if levels == n * len(inventory) or misses(may) or high & above & ~misses(must):
+        got = descend(0, 0, levels, must, may)
+        return None if got is None else (got, ((1 << n) - 1) & ~ev.mask(dag, got))
+    return _least_lane(ev, dag, chunks, budget, cost)
 
 
 #: Decision levels below a node of the countermodel backtracker whose nodes
@@ -286,9 +344,11 @@ def _subtree_layout(n: int, levels: int) -> tuple[int, int, tuple[tuple[int, int
     return lanes, lane0, tuple(grid)
 
 
-def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
-                   budget: _Budget, cost: int) -> dict[str, int] | None:
-    """Backtracking search for a refuting valuation, one bit at a time.
+def _walker(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
+            cost: int):
+    """(subtree, descend) of the backtracking search for a refuting
+    valuation, one bit at a time; descend(0, 0, *subtree(0)) runs it from
+    its root, once the root is paid for.
 
     Bits are decided most significant first with 0 before 1, so the first
     hit is the lexicographically least refuting valuation index. A subtree
@@ -300,9 +360,9 @@ def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
     of the pass's last level starts the next pass for its children. Each
     visited node charges the budget cost, the node count of the desugared
     tree, before its lane is read, and a pass runs only once the first node
-    it serves is paid for. Returns the letter masks of inventory, the Dag's
-    letters, or None when no valuation refutes; raises SearchBudgetExceeded
-    when the steps run out.
+    it serves is paid for. descend returns the letter masks of inventory,
+    the Dag's letters, or None when no valuation refutes; it raises
+    SearchBudgetExceeded when the steps run out.
     """
     n = ev.frame.size
     full = (1 << n) - 1
@@ -348,6 +408,14 @@ def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
         known[letter] &= ~(1 << w)
         return got
 
+    return subtree, descend
+
+
+def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
+                   budget: _Budget, cost: int) -> dict[str, int] | None:
+    """The bounds walk alone, from its root pass (_walker): the letter masks
+    of the least refuting valuation, or None when no valuation refutes."""
+    subtree, descend = _walker(ev, dag, inventory, budget, cost)
     budget.spend(cost)
     return descend(0, 0, *subtree(0))
 
@@ -357,15 +425,18 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
     """Search for an associative model and world falsifying f.
 
     Streams associative frames by world count; each frame gets a handful of
-    seeded valuation probes and then a greedy bit-by-bit backtracker over
-    valuations, which prunes completions that cannot refute and is complete
-    when it runs to the end. The budget counts elementary evaluation steps
-    (nodes of the desugared tree per valuation or per bound computed),
-    though each is one pass over the compiled Dag's fewer ops; once it is
-    spent the search returns None, which carries no validity claim. A
-    frame's distinct probes share one pass, a lane each, read in order and
-    charged one by one; so do the bounds of each backtracker node and the
-    SUBTREE_LEVELS levels below it, charged per node visited.
+    seeded valuation probes and then _least_refutation with no exact prefix:
+    the bounds walk, which prunes completions that cannot refute, or exact
+    passes in index order where its root pass prunes nothing. Both are
+    complete when they run to the end. The budget counts elementary
+    evaluation steps (nodes of the desugared tree per valuation or per bound
+    computed), though each is one pass over the compiled Dag's fewer ops;
+    once it is spent the search returns None, which carries no validity
+    claim. A frame's distinct probes share one pass, a lane each, read for
+    the least failing lane and charged per probe up to and including it;
+    exact passes are charged likewise, per valuation. The bounds of each
+    walk node and the SUBTREE_LEVELS levels below it share a pass, charged
+    per node visited.
     """
     tracker = _Budget(budget)
     dag = fm.to_dag(f)
@@ -376,39 +447,35 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
         for n in range(1, max_worlds + 1):
             full = (1 << n) - 1
             for frame in enumerate_frames(n, require_associative=True):
-                if tracker.left < cost:  # not even the first probe: skip the pass
-                    return None
-                ev = Evaluator(frame)  # shared by the probes, the backtracker and the check
+                ev = Evaluator(frame)  # shared by the probes, the search and the check
                 probes = [(0,) * len(inventory), (full,) * len(inventory)]
                 for _ in range(14):
                     probes.append(tuple(rng.getrandbits(n) for _ in inventory))
                 probes = list(dict.fromkeys(probes))  # distinct, first occurrences in order
                 packed = {p: _pack(col, n) for p, col in zip(inventory, zip(*probes))}
-                sat = ev.mask(dag, packed, len(probes))
-                for probe in probes:
-                    tracker.spend(cost)
-                    if full & ~sat:
-                        return _found(frame, dict(zip(inventory, probe)), full & ~sat)
-                    sat >>= n
-                got = _greedy_refute(ev, dag, inventory, tracker, cost)
+                got = (_least_lane(ev, dag, [(packed, len(probes))], tracker, cost)
+                       or _least_refutation(ev, dag, inventory, tracker, cost, 0))
                 if got is not None:
-                    return _found(frame, got, full & ~ev.mask(dag, got))
+                    return _found(frame, *got)
     except SearchBudgetExceeded:
         pass  # the budget is spent: no answer either way
     return None
 
 
+def _refutation(frame: Frame, masks: dict[str, int], failing: int) -> tuple[Model, int]:
+    """The model of a valuation's letter masks and its least failing world."""
+    witness = {p: set(bits(m)) for p, m in masks.items() if m}
+    return Model(frame, witness), (failing & -failing).bit_length() - 1
+
+
 def _found(frame: Frame, masks: dict[str, int], failing: int) -> tuple[Model, int]:
-    """The model of a refuting valuation and its least failing world, once
-    some world is seen to fail and the frame to be associative; the checks
-    raise, so python -O keeps them."""
+    """The refutation of a countermodel, once some world is seen to fail and
+    the frame to be associative; the checks raise, so python -O keeps them."""
     if not failing:
         raise RuntimeError("countermodel search found a non-refuting valuation")
     if check_associative(frame) is not None:
         raise RuntimeError("countermodel search found a non-associative frame")
-    witness = {p: set(bits(m)) for p, m in masks.items() if m}
-    model = Model(frame, witness)
-    return model, (failing & -failing).bit_length() - 1
+    return _refutation(frame, masks, failing)
 
 
 def __getattr__(name: str):

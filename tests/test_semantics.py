@@ -1,7 +1,7 @@
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -29,6 +29,7 @@ from tilemodal.frames import (
     mask_of,
     powerset_frame,
     powerset_worlds,
+    s_relation,
 )
 from tilemodal.tiling import PeriodicTiling, SearchBudgetExceeded, Tile, TileSet
 from tilemodal.semantics import (
@@ -42,7 +43,7 @@ from tilemodal.semantics import (
     _pack,
     countermodel_search,
     frame_validity,
-    holds_box,
+    sat_mask,
     sat_set,
 )
 
@@ -105,6 +106,12 @@ class TestSatSet:
                 )
                 assert (x in sat_set(model, HookR(p, q))) == expect_r
                 assert (x in sat_set(model, HookL(q, p))) == expect_l
+
+
+def holds_box(model: Model, x: int, f: fm.Formula) -> bool:
+    """Box satisfaction at x via the derived S relation: the second route
+    to membership of x in sat_set(model, Box(f))."""
+    return s_relation(model.frame).succ[x] & ~sat_mask(model, f) == 0
 
 
 class TestHoldsBox:
@@ -498,8 +505,8 @@ class TestCountermodelSearch:
         from tilemodal import semantics
 
         frames_seen, passes, inside = [], [], []
-        enumerate_all, dag_masks, greedy = (
-            semantics.enumerate_frames, semantics.dag_masks, semantics._greedy_refute)
+        enumerate_all, dag_masks, search = (
+            semantics.enumerate_frames, semantics.dag_masks, semantics._least_refutation)
 
         def counting_frames(*args, **kwargs):
             for frame in enumerate_all(*args, **kwargs):
@@ -511,16 +518,16 @@ class TestCountermodelSearch:
                 passes.append(frames_seen[-1])
             return dag_masks(*args, **kwargs)
 
-        def marked_greedy(*args):
+        def marked_search(*args):
             inside.append(True)
             try:
-                return greedy(*args)
+                return search(*args)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(semantics, "enumerate_frames", counting_frames)
         monkeypatch.setattr(semantics, "dag_masks", counting_passes)
-        monkeypatch.setattr(semantics, "_greedy_refute", marked_greedy)
+        monkeypatch.setattr(semantics, "_least_refutation", marked_search)
         f = parse("(p o q) o (r | ~p) <-> p o (q o (r | ~p))")  # valid: no hit
         assert countermodel_search(f, max_worlds=2, budget=10 ** 9) is None
         assert len(frames_seen) > 10
@@ -582,7 +589,7 @@ check_associative = semantics.check_associative
 semantics.check_associative = lambda frame: (0, 0, 0)
 search(fm.Neg(fm.Letter("p")))
 semantics.check_associative = check_associative
-semantics._greedy_refute = lambda *args: {}
+semantics._least_refutation = lambda *args: ({}, 0)
 search(fm.Or(fm.Letter("p"), fm.Neg(fm.Letter("p"))))
 """
 
@@ -1116,3 +1123,259 @@ def _replay_greedy(frame: Frame, dag: fm.Dag, budget: int, visits: list[int] | N
     assert got == expect, text
     assert packed.left == sequential.left, text
     return got if got is SearchBudgetExceeded else type(got)
+
+
+# -- one least-refutation search behind frame-valid and countermodel -----------
+
+
+def _chunk_scan(frame: Frame, f: fm.Formula):
+    """frame_validity's exhaustive strategy as one exact scan: every
+    valuation in index order, in aligned chunks of 64 lanes and then as many
+    as were scanned before, at most MAX_LANES, and the least failing lane,
+    then world. The reference for the search behind both commands."""
+    n, dag = frame.size, fm.to_dag(f)
+    inventory, ev, full = _inventory(dag), Evaluator(frame), (1 << frame.size) - 1
+    total, lo, lanes, lane0, low = 1 << (n * len(inventory)), 0, 1, 1, [0] * len(inventory)
+    while lo < total:
+        while lanes < min(max(64, lo), MAX_LANES, total):
+            low = [m | (m | lane0 * ((lanes >> (j * n)) & full)) << (n * lanes)
+                   for j, m in enumerate(low)]
+            lane0 |= lane0 << (n * lanes)
+            lanes *= 2
+        masks = {p: low[j] | lane0 * ((lo >> (j * n)) & full) for j, p in enumerate(inventory)}
+        failing = ((1 << (n * lanes)) - 1) & ~ev.mask(dag, masks, lanes)
+        if failing:
+            lane = ((failing & -failing).bit_length() - 1) // n
+            return Refuted(*_model_at(frame, {p: (m >> (lane * n)) & full for p, m in masks.items()},
+                                      (failing >> (lane * n)) & full))
+        lo += lanes
+    return Valid()
+
+
+def _late_refutation(letters: tuple[str, ...]) -> fm.Formula:
+    """Refuted exactly where the first and the last letter hold at one
+    world: the least refutation index sets one bit of each, past every
+    valuation of the letters between. Each letter l also joins as l | ~l, so
+    no node is certainly true before every bit is decided, and none
+    certainly fails before the first letter's bits are: a root pass that
+    leaves them undecided cannot prune."""
+    first, last = Letter(letters[0]), Letter(letters[-1])
+    return fm.conj([Or(Letter(l), Neg(Letter(l))) for l in letters]
+                   + [Neg(fm.And(first, last))])
+
+
+class TestLeastRefutation:
+    """frame_validity on frames of more than 2 * SUBTREE_LEVELS bits, where
+    the exact prefix ends and the root pass decides, against one exact scan."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Lanes of each exact pass, bounds passes, and walk layouts built."""
+        from tilemodal import semantics
+
+        seen = {"lanes": [], "bounds": 0, "layouts": 0}
+        mask, bounds, layout = Evaluator.mask, Evaluator.bounds, semantics._subtree_layout
+
+        def counting_mask(self, f, letters, lanes=1):
+            seen["lanes"].append(lanes)
+            return mask(self, f, letters, lanes)
+
+        def counting_bounds(self, *args):
+            seen["bounds"] += 1
+            return bounds(self, *args)
+
+        def counting_layout(*args):
+            seen["layouts"] += 1
+            return layout(*args)
+
+        monkeypatch.setattr(Evaluator, "mask", counting_mask)
+        monkeypatch.setattr(Evaluator, "bounds", counting_bounds)
+        monkeypatch.setattr(semantics, "_subtree_layout", counting_layout)
+        return seen
+
+    def test_small_frames_never_walk(self, counted):
+        """Up to 2 * SUBTREE_LEVELS bits the exact prefix is every valuation:
+        no bounds pass, and no walk layout is built."""
+        rng, kinds = random.Random(73), set()
+        for _ in range(150):
+            frame = _random_frame(rng)
+            f = random_formula(rng, rng.randint(1, 4), ("p", "q", "r"))
+            if frame.size * len(_inventory(f)) > 2 * SUBTREE_LEVELS:
+                continue
+            verdict = frame_validity(frame, f)
+            assert verdict == _chunk_scan(frame, f), fm.render(f)
+            kinds.add(type(verdict))
+        assert kinds == {Valid, Refuted}
+        assert counted["bounds"] == counted["layouts"] == 0
+
+    def test_a_root_that_cannot_prune_scans_on(self, counted):
+        """One bounds pass, then exact passes from the end of the prefix: no
+        valuation is read twice, and the last pass read holds the least
+        refutation, which lies past the prefix."""
+        frame = Frame(4, frozenset({(0, 0, 1), (1, 2, 3), (2, 2, 2), (3, 0, 3)}))
+        for letters in (("a", "b", "c", "d"), ("a", "b", "c", "d", "e")):
+            f = _late_refutation(letters)
+            verdict = frame_validity(frame, f)
+            read, bounds = sum(counted["lanes"]), counted["bounds"]
+            assert verdict == _chunk_scan(frame, f)
+            first = 1 + (1 << (4 * (len(letters) - 1)))  # both letters at world 0
+            assert verdict.world == 0 and first > 1 << 2 * SUBTREE_LEVELS
+            # aligned chunks: the last one read holds the refutation
+            assert bounds == 1 and first < read <= 2 * first
+            counted["lanes"].clear()
+            counted["bounds"] = 0
+
+    def test_a_valid_root_that_cannot_prune_reads_every_valuation_once(self, counted):
+        """must misses only the top world in every lane of the root pass, and
+        no lane fails: the bounds cannot prune, so the exact passes read each
+        valuation once after the one bounds pass."""
+        frame = Frame(4, frozenset({(0, 0, 0), (1, 1, 1), (2, 2, 2)}))
+        f = parse("(T o T) | (a | ~a) | (b & ~b) | (c & ~c) | (d & ~d)")
+        assert frame_validity(frame, f) == Valid()
+        assert counted["bounds"] == 1 and sum(counted["lanes"]) == 1 << 16
+
+    def test_agrees_with_one_exact_scan(self):
+        """P(2) and P(3) axioms, phi(MONO) on 3-world frames, formulas
+        refuted past the prefix, and random formulas in every letter: 13 to
+        21 bits."""
+        rng, cases = random.Random(75), []
+        p2, p3 = powerset_frame(2, "union"), powerset_frame(3, "union")
+        for text in ("p o q <-> q o p", "p o q -> q", "(p o p) o q -> p o q",
+                     "[](p | q) -> [](q o p)"):
+            cases.append((p3, parse(text)))
+        for text in ("(a o b) o (c o d) -> a o (b o (c o d))", "(a o b) o c -> a o (b o c) | d",
+                     "(a | b) o (c & d) -> e o e | (a o d)"):
+            cases.append((p2, parse(text)))
+        samples = list(islice(enumerate_frames(3, require_associative=True), 401))
+        cases += [(samples[i], reduction.phi(MONO)) for i in (40, 200, 400)]
+        for n, letters in ((4, ("a", "b", "c", "d")), (4, ("a", "b", "c", "d", "e")),
+                           (5, ("a", "b", "c")), (3, ("a", "b", "c", "d", "e"))):
+            frame = Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                                       if rng.random() < 0.3))
+            cases.append((frame, _late_refutation(letters)))
+            for _ in range(4):
+                cases.append((frame, _searched_deep(rng, letters)))
+                f = random_formula(rng, rng.randint(3, 5), letters)
+                while len(_inventory(f)) < len(letters):
+                    f = random_formula(rng, rng.randint(3, 5), letters)
+                cases.append((frame, f))
+        kinds = set()
+        for frame, f in cases:
+            assert 2 * SUBTREE_LEVELS < frame.size * len(_inventory(f)) <= 21, fm.render(f)
+            verdict = frame_validity(frame, f)
+            assert verdict == _chunk_scan(frame, f), fm.render(f)
+            kinds.add(type(verdict))
+        assert kinds == {Valid, Refuted}
+
+
+def _hybrid_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
+                   stops: list[str]):
+    """_sequential_search with the search behind both commands: after the
+    probes, a frame whose root pass over SUBTREE_LEVELS levels decides no
+    node above its last level and shows no failing node, while bits remain
+    below it, is charged the root and then scanned one valuation at a time
+    in index order, each charged just before it is read. Appends "scan" to
+    stops when the budget runs out in that scan and "scan hit" when it
+    refutes, and "walk" or "scanned" for each frame that reaches each
+    branch."""
+    from tilemodal.semantics import _Budget
+
+    tracker, dag, rng, inventory = _Budget(budget), fm.to_dag(f), random.Random(seed), _inventory(f)
+    cost = dag.tree_size()
+    for n in range(1, max_worlds + 1):
+        full = (1 << n) - 1
+        for frame in enumerate_frames(n, require_associative=True):
+            probes = [{p: 0 for p in inventory}, {p: full for p in inventory}]
+            for _ in range(14):
+                probes.append({p: rng.getrandbits(n) for p in inventory})
+            seen = set()
+            for masks in probes:
+                key = tuple(masks[p] for p in inventory)
+                if key in seen:
+                    continue
+                seen.add(key)
+                try:
+                    tracker.spend(cost)
+                except SearchBudgetExceeded:
+                    stops.append("probes")
+                    return None
+                failing = full & ~_tree_mask(frame, masks, f)
+                if failing:
+                    return _model_at(frame, masks, failing)
+            bits_ = n * len(inventory)
+            if bits_ <= SUBTREE_LEVELS or _root_decides(frame, dag, inventory):
+                stops.append("walk")
+                try:
+                    got = _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
+                                              tracker, cost)
+                except SearchBudgetExceeded:
+                    stops.append("backtracker")
+                    return None
+                if got is not None:
+                    return _model_at(frame, got, full & ~_tree_mask(frame, got, f))
+                continue
+            stops.append("scanned")
+            try:
+                tracker.spend(cost)  # the root pass
+                for masks in _exhaustive_order(frame, f):
+                    tracker.spend(cost)
+                    failing = full & ~_tree_mask(frame, masks, f)
+                    if failing:
+                        stops.append("scan hit")
+                        return _model_at(frame, masks, failing)
+            except SearchBudgetExceeded:
+                stops.append("scan")
+                return None
+    stops.append("end")
+    return None
+
+
+def _root_decides(frame: Frame, dag: fm.Dag, inventory: list[str]) -> bool:
+    """Whether some node of the first SUBTREE_LEVELS levels below the root
+    is certainly true at every world, or some node of those and the next
+    level certainly fails at some world, one _SequentialBounds call each."""
+    n, full = frame.size, (1 << frame.size) - 1
+    order = [(inventory[pos // n], pos % n) for pos in range(len(inventory) * n - 1, -1, -1)]
+    ev = _SequentialBounds(frame)
+    for depth in range(SUBTREE_LEVELS + 1):
+        for path in product((0, 1), repeat=depth):
+            known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
+            for (letter, w), bit in zip(order[:depth], path):
+                known[letter] |= 1 << w
+                value[letter] |= bit << w
+            must, may = ev.bounds(dag, known, value)
+            if may != full or must == full and depth < SUBTREE_LEVELS:
+                return True
+    return False
+
+
+class TestHybridSearchReplay:
+    def test_countermodel_search(self):
+        """3 or 4 letters on at most 2 worlds: up to 8 decision bits, so a
+        root pass can leave a level below it, and deep formulas keep it from
+        pruning; equal answers and witnesses, over BUDGETS and budgets that
+        run out inside an exact scan."""
+        rng, stops, hits = random.Random(77), [], 0
+        for _ in range(300):
+            kind = rng.randrange(4)
+            letters = ("p", "q", "r", "s")[:4 if kind > 1 else rng.randint(3, 4)]
+            deep = [Or(Letter(l), Neg(Letter(l))) for l in letters]
+            if kind == 3:  # valid on associative frames: every frame is searched
+                f = fm.conj(deep + [Or(ASSOC_AXIOM, random_formula(rng, 3, letters))])
+            elif kind == 2:  # refuted by two worlds of opposite letters, seldom by a probe
+                one = [Letter(l) if i % 2 else Neg(Letter(l)) for i, l in enumerate(letters)]
+                other = [Neg(g) if isinstance(g, Letter) else g.sub for g in one]
+                f = fm.conj(deep + [Neg(fm.And(fm.conj(one), Comp(fm.conj(other), Top())))])
+            else:
+                f = (_searched_deep(rng, letters) if kind
+                     else random_formula(rng, rng.randint(1, 4), letters))
+            cost = fm.to_dag(f).tree_size()
+            budget = (rng.choice(BUDGETS) if rng.random() < 0.6  # or one that ends in a scan
+                      else cost * rng.randrange(40, 400) + rng.randrange(cost))
+            seed, max_worlds = rng.randrange(1000), 2 if kind > 1 else rng.randint(1, 2)
+            expect = _hybrid_search(f, max_worlds, budget, seed, stops)
+            assert countermodel_search(f, max_worlds, budget, seed) == expect, fm.render(f)
+            hits += expect is not None
+        assert hits > 50
+        assert {"probes", "walk", "backtracker", "scanned", "scan", "end"} <= set(stops)
+        assert stops.count("scanned") > 50 and min(map(stops.count, ("scan", "scan hit"))) > 5
