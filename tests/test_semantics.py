@@ -940,9 +940,16 @@ def _one_bound_per_node(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget
 def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                        stops: list[str]):
     """countermodel_search with one tree walk per probe, charging each probe
-    just before it, and _one_bound_per_node on _SequentialBounds. Appends to
-    stops "probes" when the budget runs out after some of a frame's probes
-    were charged, and "first probe" when before the first."""
+    just before it, and then the search behind both commands, one step at a
+    time: _one_bound_per_node on _SequentialBounds, or, on a frame whose root
+    pass over SUBTREE_LEVELS levels decides no node above its last level and
+    shows no failing node while bits remain below it (_root_decides), the
+    root's charge and then one valuation at a time in index order, each
+    charged just before it is read. Appends to stops "probes" when the budget
+    runs out after some of a frame's probes were charged, "first probe" when
+    before the first, "backtracker" or "scan" when in either search, "scan
+    hit" when the scan refutes, and "walk" or "scanned" for each frame that
+    reaches either search."""
     from tilemodal.semantics import _Budget
 
     tracker, dag, rng, inventory = _Budget(budget), fm.to_dag(f), random.Random(seed), _inventory(f)
@@ -967,16 +974,50 @@ def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                 failing = full & ~_tree_mask(frame, masks, f)
                 if failing:
                     return _model_at(frame, masks, failing)
+            if n * len(inventory) <= SUBTREE_LEVELS or _root_decides(frame, dag, inventory):
+                stops.append("walk")
+                try:
+                    got = _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
+                                              tracker, dag.tree_size())
+                except SearchBudgetExceeded:
+                    stops.append("backtracker")
+                    return None
+                if got is not None:
+                    return _model_at(frame, got, full & ~_tree_mask(frame, got, f))
+                continue
+            stops.append("scanned")
             try:
-                got = _one_bound_per_node(_SequentialBounds(frame), dag, inventory, tracker,
-                                          dag.tree_size())
+                tracker.spend(dag.tree_size())  # the root pass
+                for masks in _exhaustive_order(frame, f):
+                    tracker.spend(dag.tree_size())
+                    failing = full & ~_tree_mask(frame, masks, f)
+                    if failing:
+                        stops.append("scan hit")
+                        return _model_at(frame, masks, failing)
             except SearchBudgetExceeded:
-                stops.append("backtracker")
+                stops.append("scan")
                 return None
-            if got is not None:
-                return _model_at(frame, got, full & ~_tree_mask(frame, got, f))
     stops.append("end")
     return None
+
+
+def _root_decides(frame: Frame, dag: fm.Dag, inventory: list[str]) -> bool:
+    """Whether some node of the first SUBTREE_LEVELS levels below the root
+    is certainly true at every world, or some node of those and the next
+    level certainly fails at some world, one _SequentialBounds call each."""
+    n, full = frame.size, (1 << frame.size) - 1
+    order = [(inventory[pos // n], pos % n) for pos in range(len(inventory) * n - 1, -1, -1)]
+    ev = _SequentialBounds(frame)
+    for depth in range(SUBTREE_LEVELS + 1):
+        for path in product((0, 1), repeat=depth):
+            known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
+            for (letter, w), bit in zip(order[:depth], path):
+                known[letter] |= 1 << w
+                value[letter] |= bit << w
+            must, may = ev.bounds(dag, known, value)
+            if may != full or must == full and depth < SUBTREE_LEVELS:
+                return True
+    return False
 
 
 def _model_at(frame: Frame, masks: dict[str, int], failing: int):
@@ -1019,6 +1060,36 @@ class TestPackedSearchReplay:
         assert hits > 100
         assert {"probes", "first probe", "backtracker", "end"} <= set(stops)
         assert stops.count("probes") > 10
+
+    def test_countermodel_search_past_a_root_that_cannot_prune(self):
+        """3 or 4 letters on at most 2 worlds: up to 8 decision bits, so a
+        root pass can leave a level below it, and deep formulas keep it from
+        pruning; equal answers and witnesses, over BUDGETS and budgets that
+        run out inside an exact scan."""
+        rng, stops, hits = random.Random(77), [], 0
+        for _ in range(300):
+            kind = rng.randrange(4)
+            letters = ("p", "q", "r", "s")[:4 if kind > 1 else rng.randint(3, 4)]
+            deep = [Or(Letter(l), Neg(Letter(l))) for l in letters]
+            if kind == 3:  # valid on associative frames: every frame is searched
+                f = fm.conj(deep + [Or(ASSOC_AXIOM, random_formula(rng, 3, letters))])
+            elif kind == 2:  # refuted by two worlds of opposite letters, seldom by a probe
+                one = [Letter(l) if i % 2 else Neg(Letter(l)) for i, l in enumerate(letters)]
+                other = [Neg(g) if isinstance(g, Letter) else g.sub for g in one]
+                f = fm.conj(deep + [Neg(fm.And(fm.conj(one), Comp(fm.conj(other), Top())))])
+            else:
+                f = (_searched_deep(rng, letters) if kind
+                     else random_formula(rng, rng.randint(1, 4), letters))
+            cost = fm.to_dag(f).tree_size()
+            budget = (rng.choice(BUDGETS) if rng.random() < 0.6  # or one that ends in a scan
+                      else cost * rng.randrange(40, 400) + rng.randrange(cost))
+            seed, max_worlds = rng.randrange(1000), 2 if kind > 1 else rng.randint(1, 2)
+            expect = _sequential_search(f, max_worlds, budget, seed, stops)
+            assert countermodel_search(f, max_worlds, budget, seed) == expect, fm.render(f)
+            hits += expect is not None
+        assert hits > 50
+        assert {"walk", "backtracker", "scanned", "scan", "end"} <= set(stops)
+        assert stops.count("scanned") > 50 and min(map(stops.count, ("scan", "scan hit"))) > 5
 
     def test_greedy_refute(self):
         rng, outcomes = random.Random(65), set()
@@ -1266,116 +1337,3 @@ class TestLeastRefutation:
             assert verdict == _chunk_scan(frame, f), fm.render(f)
             kinds.add(type(verdict))
         assert kinds == {Valid, Refuted}
-
-
-def _hybrid_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
-                   stops: list[str]):
-    """_sequential_search with the search behind both commands: after the
-    probes, a frame whose root pass over SUBTREE_LEVELS levels decides no
-    node above its last level and shows no failing node, while bits remain
-    below it, is charged the root and then scanned one valuation at a time
-    in index order, each charged just before it is read. Appends "scan" to
-    stops when the budget runs out in that scan and "scan hit" when it
-    refutes, and "walk" or "scanned" for each frame that reaches each
-    branch."""
-    from tilemodal.semantics import _Budget
-
-    tracker, dag, rng, inventory = _Budget(budget), fm.to_dag(f), random.Random(seed), _inventory(f)
-    cost = dag.tree_size()
-    for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
-        for frame in enumerate_frames(n, require_associative=True):
-            probes = [{p: 0 for p in inventory}, {p: full for p in inventory}]
-            for _ in range(14):
-                probes.append({p: rng.getrandbits(n) for p in inventory})
-            seen = set()
-            for masks in probes:
-                key = tuple(masks[p] for p in inventory)
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    tracker.spend(cost)
-                except SearchBudgetExceeded:
-                    stops.append("probes")
-                    return None
-                failing = full & ~_tree_mask(frame, masks, f)
-                if failing:
-                    return _model_at(frame, masks, failing)
-            bits_ = n * len(inventory)
-            if bits_ <= SUBTREE_LEVELS or _root_decides(frame, dag, inventory):
-                stops.append("walk")
-                try:
-                    got = _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
-                                              tracker, cost)
-                except SearchBudgetExceeded:
-                    stops.append("backtracker")
-                    return None
-                if got is not None:
-                    return _model_at(frame, got, full & ~_tree_mask(frame, got, f))
-                continue
-            stops.append("scanned")
-            try:
-                tracker.spend(cost)  # the root pass
-                for masks in _exhaustive_order(frame, f):
-                    tracker.spend(cost)
-                    failing = full & ~_tree_mask(frame, masks, f)
-                    if failing:
-                        stops.append("scan hit")
-                        return _model_at(frame, masks, failing)
-            except SearchBudgetExceeded:
-                stops.append("scan")
-                return None
-    stops.append("end")
-    return None
-
-
-def _root_decides(frame: Frame, dag: fm.Dag, inventory: list[str]) -> bool:
-    """Whether some node of the first SUBTREE_LEVELS levels below the root
-    is certainly true at every world, or some node of those and the next
-    level certainly fails at some world, one _SequentialBounds call each."""
-    n, full = frame.size, (1 << frame.size) - 1
-    order = [(inventory[pos // n], pos % n) for pos in range(len(inventory) * n - 1, -1, -1)]
-    ev = _SequentialBounds(frame)
-    for depth in range(SUBTREE_LEVELS + 1):
-        for path in product((0, 1), repeat=depth):
-            known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
-            for (letter, w), bit in zip(order[:depth], path):
-                known[letter] |= 1 << w
-                value[letter] |= bit << w
-            must, may = ev.bounds(dag, known, value)
-            if may != full or must == full and depth < SUBTREE_LEVELS:
-                return True
-    return False
-
-
-class TestHybridSearchReplay:
-    def test_countermodel_search(self):
-        """3 or 4 letters on at most 2 worlds: up to 8 decision bits, so a
-        root pass can leave a level below it, and deep formulas keep it from
-        pruning; equal answers and witnesses, over BUDGETS and budgets that
-        run out inside an exact scan."""
-        rng, stops, hits = random.Random(77), [], 0
-        for _ in range(300):
-            kind = rng.randrange(4)
-            letters = ("p", "q", "r", "s")[:4 if kind > 1 else rng.randint(3, 4)]
-            deep = [Or(Letter(l), Neg(Letter(l))) for l in letters]
-            if kind == 3:  # valid on associative frames: every frame is searched
-                f = fm.conj(deep + [Or(ASSOC_AXIOM, random_formula(rng, 3, letters))])
-            elif kind == 2:  # refuted by two worlds of opposite letters, seldom by a probe
-                one = [Letter(l) if i % 2 else Neg(Letter(l)) for i, l in enumerate(letters)]
-                other = [Neg(g) if isinstance(g, Letter) else g.sub for g in one]
-                f = fm.conj(deep + [Neg(fm.And(fm.conj(one), Comp(fm.conj(other), Top())))])
-            else:
-                f = (_searched_deep(rng, letters) if kind
-                     else random_formula(rng, rng.randint(1, 4), letters))
-            cost = fm.to_dag(f).tree_size()
-            budget = (rng.choice(BUDGETS) if rng.random() < 0.6  # or one that ends in a scan
-                      else cost * rng.randrange(40, 400) + rng.randrange(cost))
-            seed, max_worlds = rng.randrange(1000), 2 if kind > 1 else rng.randint(1, 2)
-            expect = _hybrid_search(f, max_worlds, budget, seed, stops)
-            assert countermodel_search(f, max_worlds, budget, seed) == expect, fm.render(f)
-            hits += expect is not None
-        assert hits > 50
-        assert {"probes", "walk", "backtracker", "scanned", "scan", "end"} <= set(stops)
-        assert stops.count("scanned") > 50 and min(map(stops.count, ("scan", "scan hit"))) > 5
