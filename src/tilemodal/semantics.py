@@ -3,9 +3,10 @@
 Satisfaction sets are computed bottom-up as world bitmasks. One search,
 _least_refutation, finds a frame's least refuting valuation in a fixed index
 order, so refutation witnesses are reproducible: exact bit-sliced passes
-where interval bounds cannot prune, and a bounds walk where they can. Frame
-validity runs it after exact passes over the first valuations; countermodel
-search streams associative frames and runs it after one pass of cheap
+over the first valuations, then a bounds walk that prunes completions which
+cannot refute. Frame validity has no step budget, so its walk hands the
+rest to exact passes once it falls behind their pace; countermodel search
+streams associative frames and runs the walk after one pass of cheap
 valuation probes, under a step budget.
 """
 
@@ -165,15 +166,17 @@ def _inventory(f: fm.Formula | fm.Dag) -> list[str]:
     return sorted(a for kind, a, _ in fm.to_dag(f).ops if kind == fm.VAR)
 
 
-def _exhaustive_chunks(n: int, inventory: list[str]):
-    """(packed letter masks, lanes) of every valuation, in aligned chunks of
-    FIRST_LANES lanes and then as many as were scanned before, at most
-    MAX_LANES. low[j] is letter j under valuations 0 .. lanes-1; doubling
-    appends a copy with index bit `lanes` set: the next lanes valuations."""
-    total, full = 1 << (n * len(inventory)), (1 << n) - 1
-    lo, lanes, lane0, low = 0, 1, 1, [0] * len(inventory)
-    while lo < total:
-        while lanes < min(max(FIRST_LANES, lo), MAX_LANES, total):
+def _exhaustive_chunks(n: int, inventory: list[str], lo: int, hi: int):
+    """(packed letter masks, lanes) of valuations lo .. hi-1, in index order,
+    in aligned chunks: FIRST_LANES lanes first (fewer where lo is less
+    aligned), then about as many as were read before, at most MAX_LANES. hi
+    is a power of two, or lo. low[j] is letter j under valuations 0 .. lanes-1;
+    doubling appends a copy with index bit `lanes` set: the next lanes
+    valuations."""
+    full, start = (1 << n) - 1, lo
+    lanes, lane0, low = 1, 1, [0] * len(inventory)
+    while lo < hi:
+        while 2 * lanes <= min(max(FIRST_LANES, lo - start), MAX_LANES, lo & -lo or hi):
             low = [m | (m | lane0 * ((lanes >> (j * n)) & full)) << (n * lanes)
                    for j, m in enumerate(low)]
             lane0 |= lane0 << (n * lanes)
@@ -216,10 +219,11 @@ def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
     2^(2 * SUBTREE_LEVELS) valuations, every valuation of a frame with at
     most that many bits, in aligned chunks that start at FIRST_LANES lanes
     and double, so an early refutation costs one small pass and a small
-    frame never builds the bounds walk. It proves validity, returns the
-    least refutation, or returns Unknown past the bit limit. The random
-    strategy draws seeded samples in chunks of 16, 32, ... lanes and returns
-    the first refuting one, or Unknown.
+    frame never builds the bounds walk. Past them the walk searches, and
+    hands the rest to exact passes if it falls behind their pace. It proves
+    validity, returns the least refutation, or returns Unknown past the bit
+    limit. The random strategy draws seeded samples in chunks of 16, 32, ...
+    lanes and returns the first refuting one, or Unknown.
     """
     n, dag = frame.size, fm.to_dag(f)
     inventory = _inventory(dag)
@@ -278,51 +282,32 @@ def _least_refutation(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: 
     it, behind frame_validity and countermodel_search.
 
     Exact passes (_exhaustive_chunks, in index order) read the first prefix
-    valuations. Then the bounds walk's root pass decides. When it covers
-    every decision level, decides some node above its last level or shows a
-    failing node, the walk takes over from that pass (_walker); otherwise
-    the bounds cannot prune, and the exact passes go on from where they
-    stopped. Exact passes charge cost per valuation read (_least_lane), the
-    walk cost per node visited, its root included; raises
-    SearchBudgetExceeded when the steps run out.
+    valuations, and the bounds walk (_walk) searches past them. Without a
+    step budget (cost 0) the walk hands the rest to exact passes once it
+    falls behind their pace. Exact passes charge cost per valuation read
+    (_least_lane), the walk cost per node visited, its root included;
+    raises SearchBudgetExceeded when the steps run out.
     """
     n, total = ev.frame.size, 1 << (ev.frame.size * len(inventory))
-    chunks, scanned = _exhaustive_chunks(n, inventory), 0
-
-    def head():
-        """The chunks of the first prefix valuations."""
-        nonlocal scanned
-        while scanned < min(prefix, total):
-            masks, lanes = next(chunks)
-            scanned += lanes
-            yield masks, lanes
-
-    got = _least_lane(ev, dag, head(), budget, cost)
-    if got is not None or scanned == total:
+    lo = min(prefix, total)
+    got = _least_lane(ev, dag, _exhaustive_chunks(n, inventory, 0, lo), budget, cost)
+    if got is not None or lo == total:
         return got
-    subtree, descend = _walker(ev, dag, inventory, budget, cost)
-    budget.spend(cost)
-    levels, must, may = subtree(0)
-    lane0 = _subtree_layout(n, levels)[1]
-    high = lane0 << (n - 1)  # the top bit of each lane
-    low = high - lane0  # the other bits
-
-    def misses(lanes: int) -> int:
-        """The top bit of each lane where lanes misses a world, read off its
-        complement x with no carry between lanes."""
-        x = (high | low) & ~lanes
-        return (((x & low) + low) | x) & high
-
-    above = (1 << (((1 << levels) - 1) * n)) - 1  # the lanes above the last level
-    if levels == n * len(inventory) or misses(may) or high & above & ~misses(must):
-        got = descend(0, 0, levels, must, may)
-        return None if got is None else (got, ((1 << n) - 1) & ~ev.mask(dag, got))
-    return _least_lane(ev, dag, chunks, budget, cost)
+    try:
+        got = _walk(ev, dag, inventory, budget, cost, lo)
+    except _Handover as stop:
+        return _least_lane(ev, dag, _exhaustive_chunks(n, inventory, stop.index, total),
+                           budget, cost)
+    return None if got is None else (got, ((1 << n) - 1) & ~ev.mask(dag, got))
 
 
 #: Decision levels below a node of the countermodel backtracker whose nodes
 #: share its bounds pass: 2^(SUBTREE_LEVELS + 1) - 1 lanes, one per node.
 SUBTREE_LEVELS = 6
+#: Valuations an exact pass reads in about the time of one bounds pass of
+#: the walk: 380-1160 on P(2), P(3) and phi(MONO) on 3-world frames
+#: (Python 3.11, 2-core VM).
+PASS_VALUATIONS = 1 << 10
 
 
 @lru_cache(maxsize=64)
@@ -344,11 +329,18 @@ def _subtree_layout(n: int, levels: int) -> tuple[int, int, tuple[tuple[int, int
     return lanes, lane0, tuple(grid)
 
 
-def _walker(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
-            cost: int):
-    """(subtree, descend) of the backtracking search for a refuting
-    valuation, one bit at a time; descend(0, 0, *subtree(0)) runs it from
-    its root, once the root is paid for.
+class _Handover(Exception):
+    """The walk fell behind the exact passes' pace; they go on from index,
+    the least valuation index it has not ruled out."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+def _walk(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
+          cost: int, lo: int) -> dict[str, int] | None:
+    """The backtracking search for the least refuting valuation index at or
+    past lo, one bit at a time, from its root, which it pays for.
 
     Bits are decided most significant first with 0 before 1, so the first
     hit is the lexicographically least refuting valuation index. A subtree
@@ -357,24 +349,43 @@ def _walker(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
     rest) when some world certainly fails (may is not full). The bounds of
     a node and of every node up to SUBTREE_LEVELS decision levels below it
     come from one ev.bounds pass, a lane per node (_subtree_layout); a node
-    of the pass's last level starts the next pass for its children. Each
-    visited node charges the budget cost, the node count of the desugared
-    tree, before its lane is read, and a pass runs only once the first node
-    it serves is paid for. descend returns the letter masks of inventory,
-    the Dag's letters, or None when no valuation refutes; it raises
-    SearchBudgetExceeded when the steps run out.
+    of the pass's last level starts the next pass for its children, unless
+    its valuations all lie below lo. Each visited node charges the budget
+    cost, the node count of the desugared tree, before its lane is read, and
+    a pass runs only once the first node it serves is paid for. Returns the
+    letter masks of inventory, the Dag's letters, or None when no valuation
+    refutes; raises SearchBudgetExceeded when the steps run out.
+
+    Without a step budget (cost 0) the walk keeps pace with exact passes: it
+    raises _Handover before a pass that would bring its passes past one per
+    PASS_VALUATIONS valuations ruled out from lo, after a head start of an
+    eighth of all. So while a pass costs no more than reading that many
+    valuations, the walk adds at most about an eighth of a scan to the
+    scan. Under a step budget it never hands over: on any input it charges
+    at most about twice the steps of exact passes, plus the bit count, and
+    they can charge exponentially more than it where the bounds prune.
     """
     n = ev.frame.size
-    full = (1 << n) - 1
+    full, total = (1 << n) - 1, 1 << (len(inventory) * n)
     known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
     order = [
         (inventory[pos // n], (pos % n))
         for pos in range(len(inventory) * n - 1, -1, -1)
     ]
+    passes = 0
 
-    def subtree(depth: int) -> tuple[int, int, int]:
+    def subtree(depth: int) -> tuple[int, int, int] | None:
         """(levels, must, may) of the pass over the node at depth, whose
-        letters are known and value, and the levels below it."""
+        letters are known and value, and the levels below it; None when
+        every valuation below the node lies below lo."""
+        nonlocal passes
+        index = sum(value[p] << (j * n) for j, p in enumerate(inventory))
+        if index + (total >> depth) <= lo:
+            return None
+        frontier = max(index, lo)  # the least index not yet ruled out
+        if not cost and passes * PASS_VALUATIONS > frontier - lo + (total >> 3):
+            raise _Handover(frontier)
+        passes += 1
         levels = min(SUBTREE_LEVELS, len(order) - depth)
         lanes, lane0, grid = _subtree_layout(n, levels)
         k = {p: m * lane0 for p, m in known.items()}
@@ -397,7 +408,10 @@ def _walker(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
         letter, w = order[depth]
         budget.spend(cost)
         if not levels:  # the pass's last level: the children need their own
-            (levels, must, may), lane = subtree(depth), 0
+            below = subtree(depth)
+            if below is None:
+                return None  # ruled out before the walk
+            (levels, must, may), lane = below, 0
         known[letter] |= 1 << w
         got = descend(depth + 1, 2 * lane + 1, levels - 1, must, may)
         if got is None:
@@ -408,14 +422,6 @@ def _walker(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
         known[letter] &= ~(1 << w)
         return got
 
-    return subtree, descend
-
-
-def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str],
-                   budget: _Budget, cost: int) -> dict[str, int] | None:
-    """The bounds walk alone, from its root pass (_walker): the letter masks
-    of the least refuting valuation, or None when no valuation refutes."""
-    subtree, descend = _walker(ev, dag, inventory, budget, cost)
     budget.spend(cost)
     return descend(0, 0, *subtree(0))
 
@@ -426,17 +432,15 @@ def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
 
     Streams associative frames by world count; each frame gets a handful of
     seeded valuation probes and then _least_refutation with no exact prefix:
-    the bounds walk, which prunes completions that cannot refute, or exact
-    passes in index order where its root pass prunes nothing. Both are
-    complete when they run to the end. The budget counts elementary
+    the bounds walk, which prunes completions that cannot refute and is
+    complete when it runs to the end. The budget counts elementary
     evaluation steps (nodes of the desugared tree per valuation or per bound
     computed), though each is one pass over the compiled Dag's fewer ops;
     once it is spent the search returns None, which carries no validity
     claim. A frame's distinct probes share one pass, a lane each, read for
-    the least failing lane and charged per probe up to and including it;
-    exact passes are charged likewise, per valuation. The bounds of each
-    walk node and the SUBTREE_LEVELS levels below it share a pass, charged
-    per node visited.
+    the least failing lane and charged per probe up to and including it.
+    The bounds of each walk node and the SUBTREE_LEVELS levels below it
+    share a pass, charged per node visited.
     """
     tracker = _Budget(budget)
     dag = fm.to_dag(f)

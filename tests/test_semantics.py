@@ -33,7 +33,9 @@ from tilemodal.frames import (
 )
 from tilemodal.tiling import PeriodicTiling, SearchBudgetExceeded, Tile, TileSet
 from tilemodal.semantics import (
+    FIRST_LANES,
     MAX_LANES,
+    PASS_VALUATIONS,
     SUBTREE_LEVELS,
     Evaluator,
     Refuted,
@@ -41,6 +43,7 @@ from tilemodal.semantics import (
     Valid,
     _inventory,
     _pack,
+    _walk,
     countermodel_search,
     frame_validity,
     sat_mask,
@@ -369,6 +372,12 @@ class TestOperatorLaws:
                 assert got == expect
 
 
+def _greedy_refute(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget, cost: int):
+    """The bounds walk alone, from its root: the letter masks of the least
+    refuting valuation, or None when no valuation refutes."""
+    return _walk(ev, dag, inventory, budget, cost, 0)
+
+
 def _linear_scan(frame: Frame, f: fm.Formula, inventory: list[str]):
     """(masks, least failing world) of the first valuation of the inventory
     refuting f, in valuation-index order, or None: the oracle for the
@@ -384,7 +393,7 @@ def _linear_scan(frame: Frame, f: fm.Formula, inventory: list[str]):
 
 class TestGreedyBacktracker:
     def test_matches_linear_scan_least_witness(self):
-        from tilemodal.semantics import _Budget, _greedy_refute, _inventory
+        from tilemodal.semantics import _Budget
 
         rng = random.Random(12)
         formulas = [
@@ -408,7 +417,7 @@ class TestGreedyBacktracker:
             assert got == (expected and expected[0])
 
     def test_budget_exhaustion_reported(self):
-        from tilemodal.semantics import _Budget, _greedy_refute, _inventory
+        from tilemodal.semantics import _Budget
 
         frame = Frame(2, frozenset({(0, 0, 1)}))
         f = fm.to_dag(fm.desugar(ASSOC_AXIOM))
@@ -433,7 +442,7 @@ class TestTheLetterTop:
         assert model.frame.size == 1 and world not in sat_set(model, parse("~_top"))
 
     def test_constants_and_the_letter_against_the_linear_scan(self):
-        from tilemodal.semantics import _Budget, _greedy_refute
+        from tilemodal.semantics import _Budget
 
         rng, seen = random.Random(67), set()
         for _ in range(400):
@@ -940,16 +949,9 @@ def _one_bound_per_node(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget
 def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                        stops: list[str]):
     """countermodel_search with one tree walk per probe, charging each probe
-    just before it, and then the search behind both commands, one step at a
-    time: _one_bound_per_node on _SequentialBounds, or, on a frame whose root
-    pass over SUBTREE_LEVELS levels decides no node above its last level and
-    shows no failing node while bits remain below it (_root_decides), the
-    root's charge and then one valuation at a time in index order, each
-    charged just before it is read. Appends to stops "probes" when the budget
-    runs out after some of a frame's probes were charged, "first probe" when
-    before the first, "backtracker" or "scan" when in either search, "scan
-    hit" when the scan refutes, and "walk" or "scanned" for each frame that
-    reaches either search."""
+    just before it, and _one_bound_per_node on _SequentialBounds. Appends to
+    stops "probes" when the budget runs out after some of a frame's probes
+    were charged, and "first probe" when before the first."""
     from tilemodal.semantics import _Budget
 
     tracker, dag, rng, inventory = _Budget(budget), fm.to_dag(f), random.Random(seed), _inventory(f)
@@ -974,50 +976,16 @@ def _sequential_search(f: fm.Formula, max_worlds: int, budget: int, seed: int,
                 failing = full & ~_tree_mask(frame, masks, f)
                 if failing:
                     return _model_at(frame, masks, failing)
-            if n * len(inventory) <= SUBTREE_LEVELS or _root_decides(frame, dag, inventory):
-                stops.append("walk")
-                try:
-                    got = _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
-                                              tracker, dag.tree_size())
-                except SearchBudgetExceeded:
-                    stops.append("backtracker")
-                    return None
-                if got is not None:
-                    return _model_at(frame, got, full & ~_tree_mask(frame, got, f))
-                continue
-            stops.append("scanned")
             try:
-                tracker.spend(dag.tree_size())  # the root pass
-                for masks in _exhaustive_order(frame, f):
-                    tracker.spend(dag.tree_size())
-                    failing = full & ~_tree_mask(frame, masks, f)
-                    if failing:
-                        stops.append("scan hit")
-                        return _model_at(frame, masks, failing)
+                got = _one_bound_per_node(_SequentialBounds(frame), dag, inventory, tracker,
+                                          dag.tree_size())
             except SearchBudgetExceeded:
-                stops.append("scan")
+                stops.append("backtracker")
                 return None
+            if got is not None:
+                return _model_at(frame, got, full & ~_tree_mask(frame, got, f))
     stops.append("end")
     return None
-
-
-def _root_decides(frame: Frame, dag: fm.Dag, inventory: list[str]) -> bool:
-    """Whether some node of the first SUBTREE_LEVELS levels below the root
-    is certainly true at every world, or some node of those and the next
-    level certainly fails at some world, one _SequentialBounds call each."""
-    n, full = frame.size, (1 << frame.size) - 1
-    order = [(inventory[pos // n], pos % n) for pos in range(len(inventory) * n - 1, -1, -1)]
-    ev = _SequentialBounds(frame)
-    for depth in range(SUBTREE_LEVELS + 1):
-        for path in product((0, 1), repeat=depth):
-            known, value = dict.fromkeys(inventory, 0), dict.fromkeys(inventory, 0)
-            for (letter, w), bit in zip(order[:depth], path):
-                known[letter] |= 1 << w
-                value[letter] |= bit << w
-            must, may = ev.bounds(dag, known, value)
-            if may != full or must == full and depth < SUBTREE_LEVELS:
-                return True
-    return False
 
 
 def _model_at(frame: Frame, masks: dict[str, int], failing: int):
@@ -1065,7 +1033,7 @@ class TestPackedSearchReplay:
         """3 or 4 letters on at most 2 worlds: up to 8 decision bits, so a
         root pass can leave a level below it, and deep formulas keep it from
         pruning; equal answers and witnesses, over BUDGETS and budgets that
-        run out inside an exact scan."""
+        run out inside the walk."""
         rng, stops, hits = random.Random(77), [], 0
         for _ in range(300):
             kind = rng.randrange(4)
@@ -1081,15 +1049,54 @@ class TestPackedSearchReplay:
                 f = (_searched_deep(rng, letters) if kind
                      else random_formula(rng, rng.randint(1, 4), letters))
             cost = fm.to_dag(f).tree_size()
-            budget = (rng.choice(BUDGETS) if rng.random() < 0.6  # or one that ends in a scan
+            budget = (rng.choice(BUDGETS) if rng.random() < 0.6  # or one that ends in the walk
                       else cost * rng.randrange(40, 400) + rng.randrange(cost))
             seed, max_worlds = rng.randrange(1000), 2 if kind > 1 else rng.randint(1, 2)
             expect = _sequential_search(f, max_worlds, budget, seed, stops)
             assert countermodel_search(f, max_worlds, budget, seed) == expect, fm.render(f)
             hits += expect is not None
         assert hits > 50
-        assert {"walk", "backtracker", "scanned", "scan", "end"} <= set(stops)
-        assert stops.count("scanned") > 50 and min(map(stops.count, ("scan", "scan hit"))) > 5
+        assert {"backtracker", "end"} <= set(stops) and stops.count("backtracker") > 50
+
+    def test_the_walk_keeps_its_charges_where_the_bounds_prune_only_deep(self):
+        """The seven letters decided first join as l | ~l, and the rest only
+        under an or with T: no node is certainly true until all seven are
+        decided, and every node at depth 7 is. So the root pass prunes
+        nothing, yet the walk visits 2^8 - 1 nodes of 2^15 - 1, and a budget
+        of that many charges settles the search under a step budget, as the
+        one-bound-per-node walk does, on 14 and 20 bits."""
+        from tilemodal.semantics import _Budget, _least_refutation
+
+        frame = Frame(1, frozenset({(0, 0, 0)}))
+        for letters in ([f"p{i:02}" for i in range(bits)] for bits in (14, 20)):
+            f = fm.conj([Or(Letter(l), Neg(Letter(l))) for l in letters[-7:]]
+                        + [Or(fm.conj([Letter(l) for l in letters[:-7]]), Top())])
+            dag, inventory, visits = fm.to_dag(f), letters, []
+            assert _inventory(dag) == inventory
+            cost = dag.tree_size()
+            _one_bound_per_node(_SequentialBounds(frame), dag, inventory, _Budget(10 ** 9),
+                                cost, visits)
+            assert len(visits) == 2 ** 8 - 1 and max(visits) == 7
+            for left in (len(visits) * cost, len(visits) * cost - 1):
+                packed, sequential = _Budget(left), _Budget(left)
+                if left % cost:
+                    with pytest.raises(SearchBudgetExceeded):
+                        _least_refutation(Evaluator(frame), dag, inventory, packed, cost, 0)
+                    with pytest.raises(SearchBudgetExceeded):
+                        _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
+                                            sequential, cost)
+                else:
+                    assert _least_refutation(Evaluator(frame), dag, inventory, packed,
+                                             cost, 0) is None
+                    assert _one_bound_per_node(_SequentialBounds(frame), dag, inventory,
+                                               sequential, cost) is None
+                assert packed.left == sequential.left
+            # the countermodel search pays its probes, then settles both 1-world frames
+            probes = 16 * cost
+            assert countermodel_search(f, 1, 2 * (probes + len(visits) * cost)) is None
+            stops = []
+            assert _sequential_search(f, 1, 2 * (probes + len(visits) * cost), 0, stops) is None
+            assert stops == ["end"]
 
     def test_greedy_refute(self):
         rng, outcomes = random.Random(65), set()
@@ -1121,7 +1128,7 @@ class TestPackedSearchReplay:
         """Budgets that run out at the root, at the first node a pass serves
         and inside a pass, on searches past one pass: equal budget left, and
         a pass only for the nodes paid for."""
-        from tilemodal.semantics import _Budget, _greedy_refute
+        from tilemodal.semantics import _Budget
 
         rng, cut = random.Random(71), {"root": 0, "first node": 0, "inside": 0}
         while min(cut.values()) < 30:
@@ -1151,7 +1158,7 @@ class TestPackedSearchReplay:
                 assert len(passes) == sum(first[:t]), (fm.render(f), t)
 
     def test_one_pass_for_six_decision_bits(self, passes):
-        from tilemodal.semantics import _Budget, _greedy_refute
+        from tilemodal.semantics import _Budget
 
         # p | ~p is certainly true only once p is decided: the whole tree is visited
         f = parse(" & ".join(f"({l} | ~{l})" for l in "abcdef"))
@@ -1177,7 +1184,7 @@ def _replay_greedy(frame: Frame, dag: fm.Dag, budget: int, visits: list[int] | N
     """_greedy_refute on the frame's Evaluator against _one_bound_per_node
     on _SequentialBounds: equal answers, witnesses and budget left. Returns
     the answer's type, or SearchBudgetExceeded."""
-    from tilemodal.semantics import _Budget, _greedy_refute
+    from tilemodal.semantics import _Budget
 
     def outcome(search, *args):
         try:
@@ -1237,15 +1244,18 @@ def _late_refutation(letters: tuple[str, ...]) -> fm.Formula:
 
 class TestLeastRefutation:
     """frame_validity on frames of more than 2 * SUBTREE_LEVELS bits, where
-    the exact prefix ends and the root pass decides, against one exact scan."""
+    the exact prefix ends and the walk searches at the exact passes' pace,
+    against one exact scan."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Lanes of each exact pass, bounds passes, and walk layouts built."""
+        """Lanes of each exact pass, bounds passes, walk layouts built, and
+        the (lo, hi) of each run of exact passes."""
         from tilemodal import semantics
 
-        seen = {"lanes": [], "bounds": 0, "layouts": 0}
-        mask, bounds, layout = Evaluator.mask, Evaluator.bounds, semantics._subtree_layout
+        seen = {"lanes": [], "bounds": 0, "layouts": 0, "runs": []}
+        mask, bounds = Evaluator.mask, Evaluator.bounds
+        layout, chunks = semantics._subtree_layout, semantics._exhaustive_chunks
 
         def counting_mask(self, f, letters, lanes=1):
             seen["lanes"].append(lanes)
@@ -1259,10 +1269,35 @@ class TestLeastRefutation:
             seen["layouts"] += 1
             return layout(*args)
 
+        def counting_chunks(n, inventory, lo, hi):
+            seen["runs"].append((lo, hi))
+            return chunks(n, inventory, lo, hi)
+
         monkeypatch.setattr(Evaluator, "mask", counting_mask)
         monkeypatch.setattr(Evaluator, "bounds", counting_bounds)
         monkeypatch.setattr(semantics, "_subtree_layout", counting_layout)
+        monkeypatch.setattr(semantics, "_exhaustive_chunks", counting_chunks)
         return seen
+
+    @staticmethod
+    def _kept_pace(counted, total: int) -> bool:
+        """Whether the exact prefix was read, then the walk, and then exact
+        passes from where the walk handed over, if it did: then the walk made
+        one pass more than its pace allows there. Returns whether it did."""
+        prefix = 1 << 2 * SUBTREE_LEVELS
+        runs, passes = counted["runs"], counted["bounds"]
+        assert runs[0] == (0, prefix) and len(runs) <= 2
+        if len(runs) == 1:
+            return False
+        (lo, hi), = runs[1:]
+        assert hi == total and prefix <= lo < total
+        assert passes == (lo - prefix + (total >> 3)) // PASS_VALUATIONS + 1
+        return True
+
+    def _clear(self, counted) -> None:
+        counted["lanes"].clear()
+        counted["runs"].clear()
+        counted["bounds"] = 0
 
     def test_small_frames_never_walk(self, counted):
         """Up to 2 * SUBTREE_LEVELS bits the exact prefix is every valuation:
@@ -1279,36 +1314,45 @@ class TestLeastRefutation:
         assert kinds == {Valid, Refuted}
         assert counted["bounds"] == counted["layouts"] == 0
 
-    def test_a_root_that_cannot_prune_scans_on(self, counted):
-        """One bounds pass, then exact passes from the end of the prefix: no
-        valuation is read twice, and the last pass read holds the least
-        refutation, which lies past the prefix."""
+    def test_a_late_refutation_past_a_walk_that_cannot_prune(self, counted):
+        """The walk prunes nothing before the refutation. On 16 bits it lies
+        just past the prefix, which the walk skips, and the walk reaches it
+        in three passes. On 20 bits the walk falls behind and hands over;
+        the exact passes read on from there, each valuation once, and the
+        last pass read holds the least refutation."""
         frame = Frame(4, frozenset({(0, 0, 1), (1, 2, 3), (2, 2, 2), (3, 0, 3)}))
         for letters in (("a", "b", "c", "d"), ("a", "b", "c", "d", "e")):
             f = _late_refutation(letters)
             verdict = frame_validity(frame, f)
-            read, bounds = sum(counted["lanes"]), counted["bounds"]
-            assert verdict == _chunk_scan(frame, f)
+            handed = self._kept_pace(counted, 1 << (4 * len(letters)))
             first = 1 + (1 << (4 * (len(letters) - 1)))  # both letters at world 0
+            assert handed == (len(letters) == 5)
+            if handed:
+                lo = counted["runs"][1][0]
+                # aligned chunks: the last one read holds the refutation
+                past = sum(counted["lanes"]) - (1 << 2 * SUBTREE_LEVELS)
+                assert lo < first and first - lo < past <= 2 * (first - lo) + FIRST_LANES
+            else:
+                assert counted["bounds"] == 3
+            assert verdict == _chunk_scan(frame, f)
             assert verdict.world == 0 and first > 1 << 2 * SUBTREE_LEVELS
-            # aligned chunks: the last one read holds the refutation
-            assert bounds == 1 and first < read <= 2 * first
-            counted["lanes"].clear()
-            counted["bounds"] = 0
+            self._clear(counted)
 
-    def test_a_valid_root_that_cannot_prune_reads_every_valuation_once(self, counted):
-        """must misses only the top world in every lane of the root pass, and
-        no lane fails: the bounds cannot prune, so the exact passes read each
-        valuation once after the one bounds pass."""
+    def test_a_valid_walk_that_cannot_prune_hands_over_once(self, counted):
+        """must misses only the top world in every node, and no node fails:
+        the walk falls behind at once past its head start, and the exact
+        passes read each valuation from there to the end once."""
         frame = Frame(4, frozenset({(0, 0, 0), (1, 1, 1), (2, 2, 2)}))
         f = parse("(T o T) | (a | ~a) | (b & ~b) | (c & ~c) | (d & ~d)")
         assert frame_validity(frame, f) == Valid()
-        assert counted["bounds"] == 1 and sum(counted["lanes"]) == 1 << 16
+        assert self._kept_pace(counted, 1 << 16)
+        lo = counted["runs"][1][0]
+        assert sum(counted["lanes"]) == (1 << 2 * SUBTREE_LEVELS) + (1 << 16) - lo
 
-    def test_agrees_with_one_exact_scan(self):
+    def test_agrees_with_one_exact_scan(self, counted):
         """P(2) and P(3) axioms, phi(MONO) on 3-world frames, formulas
         refuted past the prefix, and random formulas in every letter: 13 to
-        21 bits."""
+        21 bits. Some walks keep pace to the end, others hand over."""
         rng, cases = random.Random(75), []
         p2, p3 = powerset_frame(2, "union"), powerset_frame(3, "union")
         for text in ("p o q <-> q o p", "p o q -> q", "(p o p) o q -> p o q",
@@ -1330,10 +1374,15 @@ class TestLeastRefutation:
                 while len(_inventory(f)) < len(letters):
                     f = random_formula(rng, rng.randint(3, 5), letters)
                 cases.append((frame, f))
-        kinds = set()
+        kinds, handed, walked = set(), 0, 0
         for frame, f in cases:
-            assert 2 * SUBTREE_LEVELS < frame.size * len(_inventory(f)) <= 21, fm.render(f)
+            bits_ = frame.size * len(_inventory(f))
+            assert 2 * SUBTREE_LEVELS < bits_ <= 21, fm.render(f)
             verdict = frame_validity(frame, f)
+            walked += counted["bounds"] > 0
+            handed += self._kept_pace(counted, 1 << bits_)
             assert verdict == _chunk_scan(frame, f), fm.render(f)
             kinds.add(type(verdict))
+            self._clear(counted)
         assert kinds == {Valid, Refuted}
+        assert handed > 5 and walked - handed > 3
