@@ -168,15 +168,14 @@ def _inventory(f: fm.Formula | fm.Dag) -> list[str]:
 
 def _exhaustive_chunks(n: int, inventory: list[str], lo: int, hi: int):
     """(packed letter masks, lanes) of valuations lo .. hi-1, in index order,
-    in aligned chunks: FIRST_LANES lanes first (fewer where lo is less
-    aligned), then about as many as were read before, at most MAX_LANES. hi
-    is a power of two, or lo. low[j] is letter j under valuations 0 .. lanes-1;
+    in aligned chunks of FIRST_LANES lanes and then as many as lie below the
+    chunk, at most MAX_LANES and fewer where lo is less aligned; hi is a
+    power of two, or lo. low[j] is letter j under valuations 0 .. lanes-1;
     doubling appends a copy with index bit `lanes` set: the next lanes
     valuations."""
-    full, start = (1 << n) - 1, lo
-    lanes, lane0, low = 1, 1, [0] * len(inventory)
+    full, lanes, lane0, low = (1 << n) - 1, 1, 1, [0] * len(inventory)
     while lo < hi:
-        while 2 * lanes <= min(max(FIRST_LANES, lo - start), MAX_LANES, lo & -lo or hi):
+        while 2 * lanes <= min(max(FIRST_LANES, lo), MAX_LANES, lo & -lo or hi):
             low = [m | (m | lane0 * ((lanes >> (j * n)) & full)) << (n * lanes)
                    for j, m in enumerate(low)]
             lane0 |= lane0 << (n * lanes)
@@ -357,11 +356,11 @@ def _walk(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
     refutes; raises SearchBudgetExceeded when the steps run out.
 
     Without a step budget (cost 0) the walk keeps pace with exact passes: it
-    raises _Handover before a pass that would bring its passes past one per
-    PASS_VALUATIONS valuations ruled out from lo, after a head start of an
-    eighth of all. So while a pass costs no more than reading that many
-    valuations, the walk adds at most about an eighth of a scan to the
-    scan. Under a step budget it never hands over: on any input it charges
+    raises _Handover instead of a pass that would bring its passes past one
+    per PASS_VALUATIONS valuations ruled out from lo, after a head start of
+    an eighth of the valuations from lo. So while a pass costs no more than
+    reading that many valuations, the walk adds at most an eighth of the
+    scan from lo to it. Under a step budget it never hands over: on any input it charges
     at most about twice the steps of exact passes, plus the bit count, and
     they can charge exponentially more than it where the bounds prune.
     """
@@ -383,7 +382,7 @@ def _walk(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
         if index + (total >> depth) <= lo:
             return None
         frontier = max(index, lo)  # the least index not yet ruled out
-        if not cost and passes * PASS_VALUATIONS > frontier - lo + (total >> 3):
+        if not cost and (passes + 1) * PASS_VALUATIONS > frontier - lo + ((total - lo) >> 3):
             raise _Handover(frontier)
         passes += 1
         levels = min(SUBTREE_LEVELS, len(order) - depth)

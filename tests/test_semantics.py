@@ -1283,7 +1283,8 @@ class TestLeastRefutation:
     def _kept_pace(counted, total: int) -> bool:
         """Whether the exact prefix was read, then the walk, and then exact
         passes from where the walk handed over, if it did: then the walk made
-        one pass more than its pace allows there. Returns whether it did."""
+        every pass its pace allows there and no more. Returns whether it
+        did."""
         prefix = 1 << 2 * SUBTREE_LEVELS
         runs, passes = counted["runs"], counted["bounds"]
         assert runs[0] == (0, prefix) and len(runs) <= 2
@@ -1291,7 +1292,7 @@ class TestLeastRefutation:
             return False
         (lo, hi), = runs[1:]
         assert hi == total and prefix <= lo < total
-        assert passes == (lo - prefix + (total >> 3)) // PASS_VALUATIONS + 1
+        assert passes == (lo - prefix + ((total - prefix) >> 3)) // PASS_VALUATIONS
         return True
 
     def _clear(self, counted) -> None:
@@ -1329,9 +1330,10 @@ class TestLeastRefutation:
             assert handed == (len(letters) == 5)
             if handed:
                 lo = counted["runs"][1][0]
-                # aligned chunks: the last one read holds the refutation
-                past = sum(counted["lanes"]) - (1 << 2 * SUBTREE_LEVELS)
-                assert lo < first and first - lo < past <= 2 * (first - lo) + FIRST_LANES
+                # aligned chunks, each no larger than what lies below it:
+                # the last one read holds the refutation
+                end = lo + sum(counted["lanes"]) - (1 << 2 * SUBTREE_LEVELS)
+                assert lo < first < end <= 2 * first + FIRST_LANES
             else:
                 assert counted["bounds"] == 3
             assert verdict == _chunk_scan(frame, f)
