@@ -75,9 +75,10 @@ def _load_frame(path: str) -> tuple[Frame, dict[str, set[int]]]:
         raise CliError(f"{path}: {e}") from None
 
 
-def _parse_formula(text: str) -> fm.Formula:
+def _parse_formula(text: str, dag: fm.Dag | None = None) -> fm.Formula | int:
+    """The formula of text, or with a Dag its root op there (fm.parse)."""
     try:
-        return fm.parse(text)
+        return fm.parse(text, dag)
     except fm.FormulaSyntaxError as e:
         raise CliError(str(e)) from None
 
@@ -170,8 +171,9 @@ def cmd_model_check(args, out) -> int:
 
 def cmd_frame_valid(args, out) -> int:
     frame, _ = _load_frame(args.frame)
-    f = _parse_formula(args.formula)
-    verdict = frame_validity(frame, f, strategy=args.strategy, seed=args.seed,
+    dag = fm.Dag()
+    _parse_formula(args.formula, dag)
+    verdict = frame_validity(frame, dag, strategy=args.strategy, seed=args.seed,
                              samples=args.samples)
     if isinstance(verdict, Valid):
         _emit(out, args.format, ["valid"], ["status=valid"])
@@ -188,8 +190,9 @@ def cmd_frame_valid(args, out) -> int:
 
 
 def cmd_countermodel(args, out) -> int:
-    f = _parse_formula(args.formula)
-    hit = countermodel_search(f, args.max_worlds, args.budget, seed=args.seed)
+    dag = fm.Dag()
+    _parse_formula(args.formula, dag)
+    hit = countermodel_search(dag, args.max_worlds, args.budget, seed=args.seed)
     if hit is None:
         _emit(out, args.format, ["no countermodel within budget"],
               ["status=exhausted"])

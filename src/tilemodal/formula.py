@@ -8,7 +8,9 @@ interprets, and :func:`desugar` reads that expansion back as a core tree,
 T spelled as excluded middle over TOP_LETTER.
 
 The parser and the printer are driven by a notation's syntax table, so team
-logic's notation is read and written by the same code as the modal one.
+logic's notation is read and written by the same code as the modal one. The
+parser also compiles as it reads: parse(text, dag) adds the text's ops to a
+Dag with no tree in between.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 #: The letter whose excluded middle spells T in desugared text.
 TOP_LETTER = "_top"
@@ -190,8 +193,9 @@ class Dag:
 
     def _op(self, kind: str, a=None, b: int | None = None) -> int:
         op = (kind, a, b)
-        i = self._index.setdefault(op, len(self.ops))
-        if i == len(self.ops):
+        i = self._index.get(op)
+        if i is None:
+            i = self._index[op] = len(self.ops)
             self.ops.append(op)
         return i
 
@@ -218,10 +222,12 @@ class Dag:
         for g, n in zip(reversed(nodes), reversed(arities)):
             if n == 2:
                 right = done.pop()
-                done.append(encode[type(g)](self, g, done.pop(), right))
+                done.append(encode[type(g)](self, done.pop(), right))
+            elif n:
+                done.append(encode[type(g)](self, done.pop()))
             else:
-                done.append(encode[type(g)](self, g, done.pop()) if n
-                            else encode[type(g)](self, g))
+                done.append(self._op(VAR, g.name) if type(g) is Letter
+                            else encode[type(g)](self))
         return done[0]
 
     def _not(self, a: int) -> int:
@@ -267,21 +273,20 @@ class Dag:
         return sizes[-1]
 
 
-#: How each node type compiles into ops of the Dag d, given the op indices
-#: of its children.
+#: How each node type but Letter (a VAR op of its name) compiles into ops
+#: of the Dag d, given the op indices of its children.
 _ENCODE = {
-    Letter: lambda d, f: d._op(VAR, f.name),
-    Neg: lambda d, f, a: d._not(a),
-    Or: lambda d, f, a, b: d._op(OR, a, b),
-    Comp: lambda d, f, a, b: d._op(DIA, a, b),
-    And: lambda d, f, a, b: d._and(a, b),
-    Implies: lambda d, f, a, b: d._op(OR, d._not(a), b),
-    Iff: lambda d, f, a, b: d._iff(a, b),
-    Top: lambda d, f: d._top(),
-    Bottom: lambda d, f: d._not(d._top()),
-    HookR: lambda d, f, a, b: d._hook_r(a, b),
-    HookL: lambda d, f, a, b: d._hook_l(a, b),
-    Box: lambda d, f, a: d._box(a),
+    Neg: lambda d, a: d._not(a),
+    Or: lambda d, a, b: d._op(OR, a, b),
+    Comp: lambda d, a, b: d._op(DIA, a, b),
+    And: lambda d, a, b: d._and(a, b),
+    Implies: lambda d, a, b: d._op(OR, d._not(a), b),
+    Iff: lambda d, a, b: d._iff(a, b),
+    Top: lambda d: d._top(),
+    Bottom: lambda d: d._not(d._top()),
+    HookR: lambda d, a, b: d._hook_r(a, b),
+    HookL: lambda d, a, b: d._hook_l(a, b),
+    Box: lambda d, a: d._box(a),
 }
 
 
@@ -376,7 +381,7 @@ _SYNTAX = {
 }
 
 
-def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
+def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int]:
     """The parse function of a notation, the inverse of render(-, syntax).
 
     A token spelled like a letter is a keyword of the notation; the other
@@ -384,7 +389,14 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
     without children gives a constant, one with a child a prefix, one with
     two a binary operator. A failure raises error(text, pos, expected,
     found): the character index, the acceptable tokens ("a token" when none
-    starts there), and the offending token, '' at the end of input."""
+    starts there), and the offending token, '' at the end of input.
+
+    parse(text) returns the formula; parse(text, dag) adds the text's ops to
+    the Dag as dag.add(parse(text)) does, and returns the root's index,
+    without building the tree: the one loop calls the Dag's encoders where
+    it would call the node types, and applies each operator once its
+    operands are complete, the order Dag.add compiles in. A failure leaves
+    the Dag as it was."""
     tokens = {token: node for node, (token, _, _) in syntax.items()}
     words = {t for t in tokens if IDENT_RE.fullmatch(t)}
     symbols = sorted(tokens.keys() - words | {"(", ")"}, key=len, reverse=True)
@@ -392,22 +404,36 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
     # end: every position matches, so trailing whitespace is read once
     token_re = re.compile(
         rf"\s*(?:({IDENT_RE.pattern})|({'|'.join(map(re.escape, symbols))})|(\S)|\Z)")
-    constants = {t: node for t, node in tokens.items() if _ARITY[node] == 0}
-    prefixes = {t: node for t, node in tokens.items() if _ARITY[node] == 1}
-    binary = {t: (node, prec, assoc)
+    constants = {t for t, node in tokens.items() if _ARITY[node] == 0}
+    prefixes = {t for t, node in tokens.items() if _ARITY[node] == 1}
+    binary = {t: (prec, assoc)
               for node, (t, prec, assoc) in syntax.items() if _ARITY[node] == 2}
     operand = {"a letter", "(", *constants, *prefixes}
+    trees = {**tokens, "ident": Letter}
 
-    def reduce(operands: list[Formula], operators: list[str], least: int) -> None:
-        """Apply the stacked operators binding at least as tightly as least."""
-        while operators and binary[operators[-1]][1] >= least:
-            right = operands.pop()
-            operands[-1] = binary[operators.pop()][0](operands[-1], right)
+    def parse(text: str, dag: Dag | None = None) -> Formula | int:
+        if dag is None:
+            return read(text, trees)
+        size = len(dag.ops)
 
-    def parse(text: str) -> Formula:
+        def var(name: str) -> int:
+            if name in RESERVED_WORDS:
+                Letter(name)  # raises the ValueError of a tree parse
+            return dag._op(VAR, name)
+        try:
+            return read(text, {"ident": var, **{t: partial(_ENCODE[node], dag)
+                                                for t, node in tokens.items()}})
+        except ValueError:
+            for op in dag.ops[size:]:
+                del dag._index[op]
+            del dag.ops[size:]
+            raise
+
+    def read(text: str, build: dict[str, Callable]):
         """Operator precedence over explicit stacks: an open bracket saves
         the operands, operators and pending prefixes of the level around it,
-        so nesting depth is not bounded by recursion."""
+        so nesting depth is not bounded by recursion. build["ident"] makes a
+        letter of its name, and build[token] a token's node of its operands."""
         toks = []  # (kind, value, position); kind is the token, or "ident"
         for m in token_re.finditer(text):
             group = m.lastindex
@@ -420,14 +446,21 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
                          value, m.start(group)))
         toks.append(("end", "", len(text)))
         i, outer, pending = 0, [], []  # pending: prefixes of every open operand
-        operands: list[Formula] = []
+        operands: list = []
         operators: list[str] = []
+
+        def reduce(operands: list, operators: list[str], least: int) -> None:
+            """Apply the stacked operators binding at least as tightly as least."""
+            while operators and binary[operators[-1]][0] >= least:
+                right = operands.pop()
+                operands[-1] = build[operators.pop()](operands[-1], right)
+
         while True:  # at an operand
             mark = len(pending)
             kind, value, at = toks[i]
             i += 1
             while kind in prefixes:
-                pending.append(prefixes[kind])
+                pending.append(build[kind])
                 kind, value, at = toks[i]
                 i += 1
             if kind == "(":
@@ -435,9 +468,9 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
                 operands, operators = [], []
                 continue
             if kind == "ident":
-                f = Letter(value)
+                f = build["ident"](value)
             elif kind in constants:
-                f = constants[kind]()
+                f = build[kind]()
             else:
                 raise error(text, at, operand, value)
             while True:  # f ends an operand; a binary operator may follow
@@ -446,10 +479,10 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
                 operands.append(f)
                 kind, value, at = toks[i]
                 if kind in binary:
-                    _, prec, assoc = binary[kind]
+                    prec, assoc = binary[kind]
                     reduce(operands, operators, prec if assoc == "left" else prec + 1)
                     # unbracketed, a non-associative operator cannot follow its like
-                    if assoc != "none" or not operators or binary[operators[-1]][1] != prec:
+                    if assoc != "none" or not operators or binary[operators[-1]][0] != prec:
                         operators.append(kind)
                         i += 1
                         break

@@ -9,7 +9,7 @@ plain sets of indices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 Triple = tuple[int, int, int]
@@ -32,39 +32,84 @@ def mask_of(worlds: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
 class Frame:
     """A set of worlds 0..size-1 with a ternary accessibility relation.
 
     The relation index is built once per Frame, in two groupings, and left
     out of ==, hash and repr: rows maps each y with some Rxyz to its cells,
     z -> the bitmask of those x, and cols each such z to its cells, y ->
-    x-mask. rows[y][z] is the x-mask of the pair (y, z)."""
+    x-mask. rows[y][z] is the x-mask of the pair (y, z). Frame(size,
+    triples) fills rows in the loop that range-checks the triples;
+    Frame.from_rows takes rows as they are built, and derives the triples
+    only when they are read. Either way a frame is equal to, and hashes
+    like, Frame(size, its triples). Frames are immutable."""
 
-    size: int
-    triples: frozenset[Triple]
-    rows: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
-    cols: dict[int, dict[int, int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("size", "rows", "cols", "_triples")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, triples: Iterable[Triple]):
+        if size < 1:
             raise ValueError("frames need at least one world")
-        object.__setattr__(self, "triples", frozenset(self.triples))
+        triples = frozenset(triples)
         rows: dict[int, dict[int, int]] = {}
-        size = self.size
-        for t in self.triples:
+        for t in triples:
             # 0 <= t[0], t[1], t[2] < size
             if len(t) != 3 or not 0 <= t[0] < size > t[1] >= 0 <= t[2] < size:
                 raise ValueError(f"triple {t} out of range for size {size}")
             x, y, z = t
             row = rows.setdefault(y, {})
             row[z] = row.get(z, 0) | 1 << x
-        cols: dict[int, dict[int, int]] = {}
+        self._index(size, rows, triples)
+
+    @classmethod
+    def from_rows(cls, size: int, rows: dict[int, dict[int, int]]) -> Frame:
+        """The frame whose index by the left argument is rows, y -> {z:
+        x-mask}, which it keeps; ValueError unless every world of rows is
+        below size and every row and x-mask is nonempty."""
+        if size < 1:
+            raise ValueError("frames need at least one world")
+        frame = cls.__new__(cls)
+        frame._index(size, rows, None)
+        return frame
+
+    def _index(self, size: int, rows: dict[int, dict[int, int]],
+               triples: frozenset[Triple] | None) -> None:
+        """Set size, rows, cols read off rows, and triples (None until they
+        are read); range-checks rows."""
+        limit, cols = 1 << size, {}
         for y, row in rows.items():
+            if not (row and 0 <= y < size):
+                raise ValueError(f"row {y} empty or out of range for size {size}")
             for z, xs in row.items():
+                if not (0 <= z < size and 0 < xs < limit):
+                    raise ValueError(
+                        f"cell ({y}, {z}) empty or out of range for size {size}")
                 cols.setdefault(z, {})[y] = xs
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_triples", triples)
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        if self._triples is None:
+            object.__setattr__(self, "_triples", frozenset(
+                (x, y, z) for y, row in self.rows.items()
+                for z, xs in row.items() for x in bits(xs)))
+        return self._triples
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.size == other.size and self.triples == other.triples
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.triples))
+
+    def __repr__(self) -> str:
+        return f"Frame(size={self.size!r}, triples={self.triples!r})"
 
     def has(self, x: int, y: int, z: int) -> bool:
         return (x, y, z) in self.triples
@@ -85,9 +130,6 @@ class BinRel:
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, y) for x, m in enumerate(self.succ) for y in bits(m))
-
-    def successors(self, x: int) -> int:
-        return self.succ[x]
 
 
 @dataclass(frozen=True)

@@ -257,37 +257,53 @@ def _subsets(bits: list[int], most: int):
             yield sum(combo)
 
 
+def _closure(codes: list[int], depth: int, mode: str) -> Frame:
+    """Extends the state codes with every state their decompositions reach,
+    in place, and returns the frame over them: a world per code, and a
+    triple (s, a, b) for each decomposition pair (a, b) of each state s.
+
+    The closure appends each code the first time a pair reaches it, and
+    writes each triple straight into the frame's index by its left
+    argument, bit s of cell (a, b)."""
+    index = {c: i for i, c in enumerate(codes)}
+    rows: dict[int, dict[int, int]] = {}
+    x = 0
+    while x < len(codes):
+        bit = 1 << x
+        for a, b in _pairs(codes[x], depth, mode):
+            y = index.get(a)
+            if y is None:
+                y = index[a] = len(codes)
+                codes.append(a)
+            z = index.get(b)
+            if z is None:
+                z = index[b] = len(codes)
+                codes.append(b)
+            row = rows.get(y)
+            if row is None:
+                row = rows[y] = {}
+            row[z] = row.get(z, 0) | bit
+        x += 1
+    return Frame.from_rows(len(codes), rows)
+
+
 def _satisfaction(w: TileSet, tau: PeriodicTiling, codes: list[int], depth: int,
                   mode: str, dag: fm.Dag) -> list[int]:
-    """Extends the state codes with every state their decompositions reach,
-    in place, and returns the satisfaction set of each dag op over them as a
-    mask (bit i for codes[i]) under the refutation valuation.
+    """Extends the state codes with their _closure, in place, and returns
+    the satisfaction set of each dag op over them as a mask (bit i for
+    codes[i]) under the refutation valuation.
 
-    The states are the worlds of one finite frame, with a triple (s, a, b)
-    for each decomposition pair (a, b) of each state s; the diamond reads
-    those triples, so a box nested in the dag ranges over them only. The
-    closure appends each code the first time a pair reaches it, and the
-    valuation is read in one pass over the closed codes, one _classifier
-    call per code."""
-    index = {c: i for i, c in enumerate(codes)}
-    triples, x = [], 0
-    while x < len(codes):
-        for a, b in _pairs(codes[x], depth, mode):
-            if a not in index:
-                index[a] = len(codes)
-                codes.append(a)
-            if b not in index:
-                index[b] = len(codes)
-                codes.append(b)
-            triples.append((x, index[a], index[b]))
-        x += 1
+    The diamond reads the closure frame's triples, so a box nested in the
+    dag ranges over them only. The valuation is read in one pass over the
+    closed codes, one _classifier call per code."""
+    frame = _closure(codes, depth, mode)
     valuation = {a: 0 for kind, a, _ in dag.ops if kind == fm.VAR}
     letter = _classifier(tau, w)
     for i, c in enumerate(codes):
         a = letter(c)
         if a in valuation:
             valuation[a] |= 1 << i
-    return Evaluator(Frame(len(codes), frozenset(triples))).masks(dag, valuation)
+    return Evaluator(frame).masks(dag, valuation)
 
 
 @dataclass(frozen=True)

@@ -204,9 +204,10 @@ def _pack(values, width: int) -> int:
     return values[0]
 
 
-def frame_validity(frame: Frame, f: fm.Formula, strategy: str = "exhaustive",
-                   seed: int = 0, samples: int = 1000) -> Verdict:
-    """Check validity of f in the frame.
+def frame_validity(frame: Frame, f: fm.Formula | fm.Dag,
+                   strategy: str = "exhaustive", seed: int = 0,
+                   samples: int = 1000) -> Verdict:
+    """Check validity of f, or of the last op of a compiled Dag, in the frame.
 
     Valuations are checked one per lane of the frame's one Evaluator (bit
     lane * n + world), up to MAX_LANES per pass; the lowest failing bit of
@@ -425,9 +426,10 @@ def _walk(ev: Evaluator, dag: fm.Dag, inventory: list[str], budget: _Budget,
     return descend(0, 0, *subtree(0))
 
 
-def countermodel_search(f: fm.Formula, max_worlds: int, budget: int,
+def countermodel_search(f: fm.Formula | fm.Dag, max_worlds: int, budget: int,
                         seed: int = 0) -> tuple[Model, int] | None:
-    """Search for an associative model and world falsifying f.
+    """Search for an associative model and world falsifying f, or the last
+    op of a compiled Dag.
 
     Streams associative frames by world count; each frame gets a handful of
     seeded valuation probes and then _least_refutation with no exact prefix:

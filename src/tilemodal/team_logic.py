@@ -163,12 +163,6 @@ def translate(f: fm.Formula) -> fm.Formula:
     return f
 
 
-def translate_back(g: fm.Formula) -> fm.Formula | None:
-    """Inverse of translate on its image, the team formulas; None on any
-    other formula."""
-    return g if _outside(g) is None else None
-
-
 def to_kripke(f: fm.Formula) -> tuple[Model, dict[frozenset[int], int]]:
     """Model over the powerset frame of all valuations on the letters of f.
 

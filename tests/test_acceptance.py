@@ -188,7 +188,7 @@ def _direct_box(model: Model, sub) -> frozenset[int]:
     srel = s_relation(model.frame)
     return frozenset(
         x for x in range(model.frame.size)
-        if srel.successors(x) & ~sm == 0
+        if srel.succ[x] & ~sm == 0
     )
 
 

@@ -338,6 +338,60 @@ class TestRelationIndex:
         assert min(seen.values()) >= 20, seen
 
 
+def rows_of(triples) -> dict[int, dict[int, int]]:
+    """y -> {z: x-mask} of the triples, in the order they are given."""
+    rows: dict[int, dict[int, int]] = {}
+    for x, y, z in triples:
+        row = rows.setdefault(y, {})
+        row[z] = row.get(z, 0) | 1 << x
+    return rows
+
+
+class TestRowsBuiltFrame:
+    def test_equal_to_the_frame_of_its_triples(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            ref = random_frame(rng, rng.randint(1, 5), rng.choice((0.0, 0.05, 0.2, 0.5)))
+            shuffled = list(ref.triples)
+            rng.shuffle(shuffled)
+            rows = rows_of(shuffled)
+            frame = Frame.from_rows(ref.size, rows)
+            assert frame.rows is rows and frame.cols == ref.cols
+            assert frame == ref and ref == frame and hash(frame) == hash(ref)
+            # a frozenset prints in the order its table holds the elements
+            assert repr(frame) == repr(Frame(ref.size, frame.triples))
+            assert frame.triples == ref.triples
+            assert frame != Frame(ref.size + 1, ref.triples)
+            assert frame != Frame(ref.size, ref.triples ^ {(0, 0, ref.size - 1)})
+            assert len({frame, ref}) == 1
+        assert repr(Frame.from_rows(2, {0: {1: 2}})) == (
+            "Frame(size=2, triples=frozenset({(1, 0, 1)}))")
+
+    def test_out_of_range_rows(self):
+        bad = [
+            (0, {}, "frames need at least one world"),
+            (2, {2: {0: 1}}, "row 2 empty or out of range for size 2"),
+            (2, {-1: {0: 1}}, "row -1 empty or out of range for size 2"),
+            (2, {0: {1: 1}, 1: {}}, "row 1 empty or out of range for size 2"),
+            (2, {0: {2: 1}}, "cell (0, 2) empty or out of range for size 2"),
+            (2, {0: {-1: 1}}, "cell (0, -1) empty or out of range for size 2"),
+            (2, {0: {1: 0}}, "cell (0, 1) empty or out of range for size 2"),
+            (2, {0: {0: 1, 1: 4}}, "cell (0, 1) empty or out of range for size 2"),
+            (2, {0: {1: -1}}, "cell (0, 1) empty or out of range for size 2"),
+        ]
+        for size, rows, message in bad:
+            with pytest.raises(ValueError) as exc:
+                Frame.from_rows(size, rows)
+            assert str(exc.value) == message
+
+    def test_immutable(self):
+        for frame in (Frame(2, {(1, 0, 1)}), Frame.from_rows(2, {0: {1: 2}})):
+            with pytest.raises(AttributeError):
+                frame.size = 3
+            with pytest.raises(AttributeError):
+                frame.triples = frozenset()
+
+
 def oracle_s_pairs(frame: Frame) -> frozenset[tuple[int, int]]:
     """The S relation as a set of pairs through the by-first index: the
     earlier definition, kept as the oracle for the successor masks."""

@@ -109,6 +109,53 @@ def test_formula_parser_round_trips_or_raises_a_located_error(parse, render, tex
     run()
 
 
+def _failure(e: ValueError) -> tuple:
+    return (type(e), str(e), *(getattr(e, a, None) for a in ("offset", "expected", "found")))
+
+
+def _dag_parse(parse, text: str, dag: fm.Dag):
+    """(ops, root) of parse(text, dag), or the error's type, message and
+    fields; the Dag is asserted unchanged on an error."""
+    before = list(dag.ops)
+    try:
+        root = parse(text, dag)
+    except ValueError as e:
+        assert dag.ops == before and len(dag._index) == len(before), text
+        return _failure(e)
+    return dag.ops, root
+
+
+def _tree_then_add(parse, text: str, dag: fm.Dag):
+    """What parse(text, dag) must give: dag.add(parse(text))."""
+    try:
+        f = parse(text)
+    except ValueError as e:
+        return _failure(e)
+    root = dag.add(f)
+    return dag.ops, root
+
+
+@pytest.mark.parametrize("parse, text", [
+    (fm.parse, FORMULA | MODAL_SOUP),
+    (parse_team_formula, TEAM_FORMULA | TEAM_SOUP),
+], ids=["modal", "team"])
+def test_parsing_into_a_dag_adds_what_the_tree_compiles_to(parse, text):
+    """Into an empty Dag and into one that already holds ops: the same ops in
+    the same order and the same root, or the same error, with the Dag left
+    as it was."""
+    @given(text, st.sampled_from(["", "p o q", "~T", "(p -> x_e) & q"]))
+    @settings(FUZZ, max_examples=300)
+    def run(text, prior):
+        def start():
+            dag = fm.Dag()
+            if prior:
+                dag.add(fm.parse(prior))
+            return dag
+        assert _dag_parse(parse, text, start()) == _tree_then_add(parse, text, start()), text
+
+    run()
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")

@@ -6,7 +6,7 @@ import pytest
 from tilemodal import formula as fm
 from tilemodal import powerset_symbolic as ps
 from tilemodal import reduction
-from tilemodal.frames import powerset_frame, powerset_worlds
+from tilemodal.frames import Frame, powerset_frame, powerset_worlds
 from tilemodal.powerset_symbolic import (
     SidePart,
     SymState,
@@ -566,11 +566,36 @@ def _ref_check_refutation(w, tau, depth, mode) -> ps.Report:
     return ps.Report(mode, depth, tuple(entries))
 
 
+def _ref_closure(codes: list[int], depth: int, mode: str) -> Frame:
+    """The closure frame built from its triples, as _satisfaction built it
+    before the closure wrote the frame's rows itself."""
+    index = {c: i for i, c in enumerate(codes)}
+    triples, x = [], 0
+    while x < len(codes):
+        for a, b in ps._pairs(codes[x], depth, mode):
+            for c in (a, b):
+                if c not in index:
+                    index[c] = len(codes)
+                    codes.append(c)
+            triples.append((x, index[a], index[b]))
+        x += 1
+    return Frame(len(codes), frozenset(triples))
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("depth", range(5))
     def test_universe(self, depth):
         for mode in ps.MODES:
             assert universe(depth, mode) == _ref_universe(depth, mode)
+
+    @pytest.mark.parametrize("depth", (1, 2, 3))
+    def test_closure_frame(self, depth):
+        for mode in ps.MODES:
+            codes, ref_codes = ps._universe(depth, mode), ps._universe(depth, mode)
+            frame, ref = ps._closure(codes, depth, mode), _ref_closure(ref_codes, depth, mode)
+            assert codes == ref_codes and frame.size == len(codes)
+            assert frame == ref and hash(frame) == hash(ref)
+            assert (frame.rows, frame.cols) == (ref.rows, ref.cols)
 
     def test_valuation_at_every_universe_state(self):
         letters = reduction.STRUCTURAL_LETTERS + ("a", "b", "c")
