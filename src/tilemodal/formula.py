@@ -19,6 +19,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 #: The letter whose excluded middle spells T in desugared text.
 TOP_LETTER = "_top"
@@ -400,10 +401,12 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
     tokens = {token: node for node, (token, _, _) in syntax.items()}
     words = {t for t in tokens if IDENT_RE.fullmatch(t)}
     symbols = sorted(tokens.keys() - words | {"(", ")"}, key=len, reverse=True)
-    # after optional whitespace, a word, a symbol, a stray character, or the
-    # end: every position matches, so trailing whitespace is read once
+    # after optional whitespace, a word or a symbol, a stray character, or
+    # the end: every position matches, so trailing whitespace is read once
     token_re = re.compile(
-        rf"\s*(?:({IDENT_RE.pattern})|({'|'.join(map(re.escape, symbols))})|(\S)|\Z)")
+        rf"\s*(?:({IDENT_RE.pattern}|{'|'.join(map(re.escape, symbols))})|(\S)|\Z)")
+    # a token's kind is the token itself, "end" at the end, or else "ident"
+    kinds = {**{t: t for t in tokens}, "(": "(", ")": ")", "": "end"}
     constants = {t for t, node in tokens.items() if _ARITY[node] == 0}
     prefixes = {t for t, node in tokens.items() if _ARITY[node] == 1}
     binary = {t: (prec, assoc)
@@ -434,17 +437,16 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
         the operands, operators and pending prefixes of the level around it,
         so nesting depth is not bounded by recursion. build["ident"] makes a
         letter of its name, and build[token] a token's node of its operands."""
-        toks = []  # (kind, value, position); kind is the token, or "ident"
-        for m in token_re.finditer(text):
-            group = m.lastindex
-            if group is None:
-                break
-            value = m[group]
-            if group == 3:
-                raise error(text, m.start(3), {"a token"}, value)
-            toks.append((value if group == 2 or value in words else "ident",
-                         value, m.start(group)))
-        toks.append(("end", "", len(text)))
+        toks = token_re.findall(text)  # (token, stray character), ('', '') at the end
+
+        def fail(i: int, expected: set[str], found: str):
+            """The error at token i, whose position is found again only here."""
+            m = next(islice(token_re.finditer(text), i, None))
+            return error(text, m.start(m.lastindex) if m.lastindex else len(text),
+                         expected, found)
+        if any(stray for _, stray in toks):
+            i = next(i for i, (_, stray) in enumerate(toks) if stray)
+            raise fail(i, {"a token"}, toks[i][1])
         i, outer, pending = 0, [], []  # pending: prefixes of every open operand
         operands: list = []
         operators: list[str] = []
@@ -457,11 +459,13 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
 
         while True:  # at an operand
             mark = len(pending)
-            kind, value, at = toks[i]
+            value = toks[i][0]
+            kind = kinds.get(value, "ident")
             i += 1
             while kind in prefixes:
                 pending.append(build[kind])
-                kind, value, at = toks[i]
+                value = toks[i][0]
+                kind = kinds.get(value, "ident")
                 i += 1
             if kind == "(":
                 outer.append((operands, operators, mark))
@@ -472,12 +476,13 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
             elif kind in constants:
                 f = build[kind]()
             else:
-                raise error(text, at, operand, value)
+                raise fail(i - 1, operand, value)
             while True:  # f ends an operand; a binary operator may follow
                 while len(pending) > mark:
                     f = pending.pop()(f)
                 operands.append(f)
-                kind, value, at = toks[i]
+                value = toks[i][0]
+                kind = kinds.get(value, "ident")
                 if kind in binary:
                     prec, assoc = binary[kind]
                     reduce(operands, operators, prec if assoc == "left" else prec + 1)
@@ -490,10 +495,10 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
                 f = operands.pop()
                 if not outer:
                     if kind != "end":
-                        raise error(text, at, {"end of input"}, value)
+                        raise fail(i, {"end of input"}, value)
                     return f
                 if kind != ")":
-                    raise error(text, at, {")"}, value)
+                    raise fail(i, {")"}, value)
                 i += 1
                 operands, operators, mark = outer.pop()
 

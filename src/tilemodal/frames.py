@@ -109,7 +109,11 @@ class Frame:
         return hash((self.size, self.triples))
 
     def __repr__(self) -> str:
-        return f"Frame(size={self.size!r}, triples={self.triples!r})"
+        """The repr of (size, triples), the triples sorted, so equal frames
+        print alike whatever order their set holds them in."""
+        listed = ", ".join(map(repr, sorted(self.triples)))
+        triples = f"frozenset({{{listed}}})" if listed else "frozenset()"
+        return f"Frame(size={self.size!r}, triples={triples})"
 
     def has(self, x: int, y: int, z: int) -> bool:
         return (x, y, z) in self.triples

@@ -121,6 +121,40 @@ class SearchBudgetExceeded(RuntimeError):
 DEFAULT_BUDGET = 10_000_000
 
 
+def _reach(pairs: list[tuple[int, int]],
+           longest: int) -> tuple[list[dict[int, frozenset[int]]], int]:
+    """The reach maps of the colour graph whose edges are ``pairs``: map k is
+    {c: the colours a run of k tiles entered at c can leave by}, keyed by
+    every colour of the pairs. The maps are eventually periodic in k, so
+    they are built only up to k = longest or up to the first that repeats an
+    earlier one, and a side of 10**9 costs no more than a short cycle.
+    Returns the maps built and the k of the map the next one would repeat
+    (their count if none repeated); _reach_at reads map k from them."""
+    colours = sorted({c for pair in pairs for c in pair})
+    step: dict[int, list[int]] = {c: [] for c in colours}
+    for enter, leave in pairs:
+        step[enter].append(leave)
+    maps: list[dict[int, frozenset[int]]] = []
+    first: dict[tuple[frozenset[int], ...], int] = {}  # a map -> its k
+    here = {c: frozenset((c,)) for c in colours}
+    while len(maps) <= longest:
+        key = tuple(here[c] for c in colours)
+        if key in first:
+            return maps, first[key]
+        first[key] = len(maps)
+        maps.append(here)
+        here = {c: frozenset().union(*(here[d] for d in step[c])) for c in colours}
+    return maps, len(maps)
+
+
+def _reach_at(reach: tuple[list[dict[int, frozenset[int]]], int],
+              k: int) -> dict[int, frozenset[int]]:
+    maps, start = reach
+    if k >= len(maps):
+        k = start + (k - start) % (len(maps) - start)
+    return maps[k]
+
+
 def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
           spent: int) -> tuple[dict[tuple[int, int], int] | None, int]:
     """The one tile-placement backtracker: returns the first placement found
@@ -128,16 +162,25 @@ def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
     With ``wrap`` the last column meets the first and the top row the bottom,
     so a side of length 1 must match itself. Cells are numbered col * height
     + row; placed holds the tiles of the cells before the current one, so it
-    grows only as far as the budget lets the search go, whatever the sides."""
+    grows only as far as the budget lets the search go, whatever the sides.
+
+    A tile is placed only if the rest of its row and column can still be
+    run: some run of width-1-col tiles must enter at its right colour, and
+    with ``wrap`` leave by the left colour of the row's first tile (the same
+    upward, with height-1-row tiles and the column's bottom tile). These are
+    necessary conditions, so the first placement, or None, is the one an
+    unpruned search finds, in no more steps."""
     tiles = w.tiles
-    left_colours = {t.left for t in tiles}
-    down_colours = {t.down for t in tiles}
+    across = _reach([(t.left, t.right) for t in tiles], width - 1)
+    upward = _reach([(t.down, t.up) for t in tiles], height - 1)
     n = width * height
     placed: list[int] = []
     start = 0  # the first tile to try at the current cell
     while len(placed) < n:
         at = len(placed)
         col, row = divmod(at, height)
+        right_reach = _reach_at(across, width - 1 - col)
+        up_reach = _reach_at(upward, height - 1 - row)
         for i in range(start, len(tiles)):
             spent += 1
             if spent > budget:
@@ -147,17 +190,13 @@ def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
                 continue
             if row > 0 and tiles[placed[at - 1]].up != tile.down:
                 continue
-            # the right (up) neighbour is unplaced, or wraps to the first
-            # column (bottom row), which is this very cell on a side of 1
-            if col + 1 < width:
-                if tile.right not in left_colours:
+            # the first column (bottom row) is this very cell at col 0 (row 0)
+            if not wrap:
+                if not right_reach[tile.right] or not up_reach[tile.up]:
                     continue
-            elif wrap and (tiles[placed[row]] if col else tile).left != tile.right:
-                continue
-            if row + 1 < height:
-                if tile.up not in down_colours:
-                    continue
-            elif wrap and (tiles[placed[at - row]] if row else tile).down != tile.up:
+            elif ((tiles[placed[row]] if col else tile).left not in right_reach[tile.right]
+                  or (tiles[placed[at - row]] if row else tile).down
+                  not in up_reach[tile.up]):
                 continue
             placed.append(i)
             start = 0
@@ -174,10 +213,11 @@ def solve_rect(w: TileSet, width: int, height: int,
     """Backtracking search for a width x height tiling.
 
     Fills column-major, bottom-up, trying tiles in index order; each edge is
-    checked when its second cell is placed, and a right or up colour that no
-    tile can continue is pruned at once. Every tile tried costs one step of
-    the budget, and running out of it raises SearchBudgetExceeded, so a None
-    is always a proof that no tiling of the rectangle exists.
+    checked when its second cell is placed, and a tile is pruned at once when
+    no run of tiles enters at its right (up) colour as far as the last column
+    (top row). Every tile tried costs one step of the budget, and running out
+    of it raises SearchBudgetExceeded, so a None is always a proof that no
+    tiling of the rectangle exists.
     """
     if width < 1 or height < 1:
         raise ValueError("rectangle sides must be positive")
@@ -223,9 +263,9 @@ def find_torus(w: TileSet, max_period: int,
                budget: int = DEFAULT_BUDGET) -> PeriodicTiling | None:
     """Smallest-period torus tiling, trying periods in lexicographic order.
 
-    Each period is searched as by torus_with_period, all of them drawing on
-    one budget, so a None proves that no torus with periods up to max_period
-    exists.
+    Each period is searched as by torus_with_period, reach-pruned, all of
+    them drawing on one budget, so a None proves that no torus with periods
+    up to max_period exists.
     """
     if not (1 <= max_period <= 4):
         raise ValueError("max_period must be between 1 and 4")
@@ -243,8 +283,11 @@ def torus_with_period(w: TileSet, periods: tuple[int, int],
     """First torus tiling with exactly these periods, in solve_rect's order.
 
     Wrap-around edges are checked as soon as both their cells are placed, and
-    the right and up colours of every cell are pruned, since every cell has
-    both neighbours. The budget works as in solve_rect: a None is a proof.
+    a tile is pruned at once when no run of tiles from its right colour to
+    the last column leaves by the left colour of its row's first tile, or
+    none from its up colour to the top row by the down colour of its
+    column's bottom tile. The budget works as in solve_rect: a None is a
+    proof.
     """
     p, q = periods
     if p < 1 or q < 1:

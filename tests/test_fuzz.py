@@ -4,7 +4,8 @@ parsers and every subcommand.
 A parser either returns its value or raises ValueError; `cli.main` returns
 0, 1 or 2 and lets no exception escape, whatever the argv and whatever the
 files it names hold, and it prints and returns what the full parser would. Examples are derandomized and few, so the run is the
-same every time and short.
+same every time and short. One property checks the tiling backtracker's
+pruning against the unpruned reference in test_tiling.
 """
 
 import re
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 from conftest import full_parser_main
 from fixtures_quotient import quotient_countermodel
+from test_tiling import reference_fill
 from tilemodal import formula as fm
 from tilemodal.cli import main
 from tilemodal.frames import parse_frame_file, render_frame_file
 from tilemodal.team_logic import parse_team_formula, render_team_formula
-from tilemodal.tiling import PeriodicTiling, Tile, TileSet, parse_tileset_file
+from tilemodal.tiling import (DEFAULT_BUDGET, PeriodicTiling, Tile, TileSet, _fill,
+                              parse_tileset_file)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -154,6 +157,21 @@ def test_parsing_into_a_dag_adds_what_the_tree_compiles_to(parse, text):
         assert _dag_parse(parse, text, start()) == _tree_then_add(parse, text, start()), text
 
     run()
+
+
+COLOUR = st.integers(0, 3)
+TILE_SET = st.lists(st.builds(Tile, COLOUR, COLOUR, COLOUR, COLOUR), min_size=1,
+                    max_size=6).map(lambda ts: TileSet(tuple(f"t{i}" for i in range(len(ts))),
+                                                       tuple(ts)))
+
+
+@given(TILE_SET, st.integers(1, 4), st.integers(1, 4), st.booleans())
+@FUZZ
+def test_reach_pruning_keeps_the_placement_in_no_more_steps(w, width, height, wrap):
+    """The pruned backtracker against the one-cell lookahead it replaced."""
+    expect, ref_steps = reference_fill(w, width, height, wrap, DEFAULT_BUDGET, 0)
+    got, steps = _fill(w, width, height, wrap, DEFAULT_BUDGET, 0)
+    assert got == expect and steps <= ref_steps
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,20 @@
+import random
 from itertools import product
 
 import pytest
 
+from tilemodal import tiling
 from tilemodal.tiling import (
+    DEFAULT_BUDGET,
     Grid,
     Mismatch,
     PeriodicTiling,
     SearchBudgetExceeded,
     Tile,
     TileSet,
+    _fill,
+    _reach,
+    _reach_at,
     find_torus,
     matches,
     parse_tileset_file,
@@ -48,6 +54,57 @@ def oracle_torus(w: TileSet, periods: tuple[int, int]):
         if torus_adjacency_ok(w, torus) is None:
             return torus
     return None
+
+
+def reference_fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
+                   spent: int) -> tuple[dict[tuple[int, int], int] | None, int]:
+    """The backtracker as it was before reach pruning, looking one cell
+    ahead: a right (up) colour that no tile's left (down) colour matches is
+    pruned, and a wrap-around edge is checked once both its cells are
+    placed. The reference the pruned _fill must match in placements, and
+    never exceed in steps."""
+    tiles = w.tiles
+    left_colours = {t.left for t in tiles}
+    down_colours = {t.down for t in tiles}
+    n = width * height
+    placed: list[int] = []
+    start = 0
+    while len(placed) < n:
+        at = len(placed)
+        col, row = divmod(at, height)
+        for i in range(start, len(tiles)):
+            spent += 1
+            if spent > budget:
+                raise SearchBudgetExceeded(f"budget {budget} exhausted")
+            tile = tiles[i]
+            if col > 0 and tiles[placed[at - height]].right != tile.left:
+                continue
+            if row > 0 and tiles[placed[at - 1]].up != tile.down:
+                continue
+            if col + 1 < width:
+                if tile.right not in left_colours:
+                    continue
+            elif wrap and (tiles[placed[row]] if col else tile).left != tile.right:
+                continue
+            if row + 1 < height:
+                if tile.up not in down_colours:
+                    continue
+            elif wrap and (tiles[placed[at - row]] if row else tile).down != tile.up:
+                continue
+            placed.append(i)
+            start = 0
+            break
+        else:
+            if not placed:
+                return None, spent
+            start = placed.pop() + 1
+    return {divmod(cell, height): i for cell, i in enumerate(placed)}, spent
+
+
+def random_tileset(rng: random.Random, tiles: int, colours: int) -> TileSet:
+    return TileSet(tuple(f"t{i}" for i in range(tiles)),
+                   tuple(Tile(*(rng.randrange(colours) for _ in range(4)))
+                         for _ in range(tiles)))
 
 
 def all_small_tilesets(max_tiles: int = 2, colours: int = 2):
@@ -212,6 +269,94 @@ class TestFindTorus:
     def test_broken_torus_detected(self):
         bad = PeriodicTiling((2, 1), {(0, 0): 0, (1, 0): 0})
         assert torus_adjacency_ok(SWAP, bad) == Mismatch(0, 0, "horizontal")
+
+
+#: Fifteen tiles whose rows all have period 5 and columns period 3: tile
+#: (i, j) has left colour 10 + i and right 10 + (i + 1) % 5, down colour
+#: 20 + j and up 20 + (j + 1) % 3, so no torus of either period up to 4 exists.
+PERIOD5 = TileSet(
+    tuple(f"t{i}{j}" for i in range(5) for j in range(3)),
+    tuple(Tile(20 + (j + 1) % 3, 20 + j, 10 + i, 10 + (i + 1) % 5)
+          for i in range(5) for j in range(3)))
+
+
+def torus_steps(w: TileSet, max_period: int, fill=_fill) -> int:
+    """The steps find_torus spends when no torus up to max_period exists,
+    under fill, the pruned backtracker by default."""
+    spent = 0
+    for p in range(1, max_period + 1):
+        for q in range(1, max_period + 1):
+            cells, spent = fill(w, p, q, True, DEFAULT_BUDGET, spent)
+            assert cells is None
+    return spent
+
+
+def brute_reach(pairs: list[tuple[int, int]], k: int) -> dict[int, frozenset[int]]:
+    """Every colour of the pairs, to the colours its k-step walks end at."""
+    colours = {c for pair in pairs for c in pair}
+    reach = {}
+    for c in colours:
+        ends = {c}
+        for _ in range(k):
+            ends = {leave for enter, leave in pairs if enter in ends}
+        reach[c] = frozenset(ends)
+    return reach
+
+
+class TestReachPruning:
+    def test_agrees_with_the_unpruned_reference(self):
+        """The same placement, or None, in no more steps, on rectangles and
+        tori up to 4 x 4."""
+        rng = random.Random(24)
+        sets = [*all_small_tilesets(),
+                *(random_tileset(rng, rng.randint(1, 7), rng.randint(1, 4))
+                  for _ in range(100))]
+        for w in sets:
+            for width, height, wrap in product(range(1, 5), range(1, 5), (False, True)):
+                expect, ref_steps = reference_fill(w, width, height, wrap,
+                                                   DEFAULT_BUDGET, 0)
+                got, steps = _fill(w, width, height, wrap, DEFAULT_BUDGET, 0)
+                assert got == expect, (w, width, height, wrap)
+                assert steps <= ref_steps
+
+    def test_period_five_steps(self):
+        assert torus_steps(PERIOD5, 3, reference_fill) == 65_160
+        assert torus_steps(PERIOD5, 4, reference_fill) == 295_890
+        assert torus_steps(PERIOD5, 3) == 135
+        assert torus_steps(PERIOD5, 4) <= 240
+        assert find_torus(PERIOD5, 4, budget=240) is None
+
+    def test_reach_maps_match_brute_force(self):
+        rng = random.Random(25)
+        for _ in range(200):
+            w = random_tileset(rng, rng.randint(1, 7), rng.randint(1, 4))
+            for pairs in ([(t.left, t.right) for t in w.tiles],
+                          [(t.down, t.up) for t in w.tiles]):
+                maps, start = reach = _reach(pairs, 10 ** 9)
+                assert start < len(maps)  # the maps repeated
+                for k in range(3 * len(maps)):
+                    assert _reach_at(reach, k) == brute_reach(pairs, k)
+                for longest in range(len(maps)):
+                    short = _reach(pairs, longest)
+                    assert short[0] == maps[:longest + 1]
+                    assert all(_reach_at(short, k) == maps[k] for k in range(longest + 1))
+
+    def test_huge_sides_build_few_maps(self, monkeypatch):
+        built = []
+
+        def recording(pairs, longest):
+            reach = _reach(pairs, longest)
+            built.append(len(reach[0]))
+            return reach
+        monkeypatch.setattr(tiling, "_reach", recording)
+        huge = 10 ** 9
+        column = TileSet(("a", "b"), (Tile(2, 1, 0, 0), Tile(1, 2, 0, 0)))
+        assert solve_rect(TWO, huge, 1) is None
+        stack = TileSet(("a", "b"), (Tile(1, 0, 0, 0), Tile(2, 1, 0, 0)))
+        assert solve_rect(stack, 1, huge) is None
+        assert torus_with_period(SWAP, (huge + 1, huge)) is None
+        assert torus_with_period(column, (huge, huge + 1)) is None
+        assert built and max(built) <= 4
 
 
 class TestFilesAndRendering:
