@@ -414,6 +414,13 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
     operand = {"a letter", "(", *constants, *prefixes}
     trees = {**tokens, "ident": Letter}
 
+    def fail(text: str, i: int, expected: set[str], found: str) -> ValueError:
+        """The error at token i of text, whose position is found again only
+        here."""
+        m = next(islice(token_re.finditer(text), i, None))
+        return error(text, m.start(m.lastindex) if m.lastindex else len(text),
+                     expected, found)
+
     def parse(text: str, dag: Dag | None = None) -> Formula | int:
         if dag is None:
             return read(text, trees)
@@ -438,15 +445,9 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
         so nesting depth is not bounded by recursion. build["ident"] makes a
         letter of its name, and build[token] a token's node of its operands."""
         toks = token_re.findall(text)  # (token, stray character), ('', '') at the end
-
-        def fail(i: int, expected: set[str], found: str):
-            """The error at token i, whose position is found again only here."""
-            m = next(islice(token_re.finditer(text), i, None))
-            return error(text, m.start(m.lastindex) if m.lastindex else len(text),
-                         expected, found)
-        if any(stray for _, stray in toks):
-            i = next(i for i, (_, stray) in enumerate(toks) if stray)
-            raise fail(i, {"a token"}, toks[i][1])
+        i = next((i for i, (_, stray) in enumerate(toks) if stray), None)
+        if i is not None:
+            raise fail(text, i, {"a token"}, toks[i][1])
         i, outer, pending = 0, [], []  # pending: prefixes of every open operand
         operands: list = []
         operators: list[str] = []
@@ -476,7 +477,7 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
             elif kind in constants:
                 f = build[kind]()
             else:
-                raise fail(i - 1, operand, value)
+                raise fail(text, i - 1, operand, value)
             while True:  # f ends an operand; a binary operator may follow
                 while len(pending) > mark:
                     f = pending.pop()(f)
@@ -495,10 +496,10 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
                 f = operands.pop()
                 if not outer:
                     if kind != "end":
-                        raise fail(i, {"end of input"}, value)
+                        raise fail(text, i, {"end of input"}, value)
                     return f
                 if kind != ")":
-                    raise fail(i, {")"}, value)
+                    raise fail(text, i, {")"}, value)
                 i += 1
                 operands, operators, mark = outer.pop()
 

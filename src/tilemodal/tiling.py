@@ -121,38 +121,80 @@ class SearchBudgetExceeded(RuntimeError):
 DEFAULT_BUDGET = 10_000_000
 
 
-def _reach(pairs: list[tuple[int, int]],
-           longest: int) -> tuple[list[dict[int, frozenset[int]]], int]:
-    """The reach maps of the colour graph whose edges are ``pairs``: map k is
-    {c: the colours a run of k tiles entered at c can leave by}, keyed by
-    every colour of the pairs. The maps are eventually periodic in k, so
-    they are built only up to k = longest or up to the first that repeats an
-    earlier one, and a side of 10**9 costs no more than a short cycle.
-    Returns the maps built and the k of the map the next one would repeat
-    (their count if none repeated); _reach_at reads map k from them."""
-    colours = sorted({c for pair in pairs for c in pair})
-    step: dict[int, list[int]] = {c: [] for c in colours}
-    for enter, leave in pairs:
-        step[enter].append(leave)
-    maps: list[dict[int, frozenset[int]]] = []
-    first: dict[tuple[frozenset[int], ...], int] = {}  # a map -> its k
-    here = {c: frozenset((c,)) for c in colours}
-    while len(maps) <= longest:
-        key = tuple(here[c] for c in colours)
-        if key in first:
-            return maps, first[key]
-        first[key] = len(maps)
-        maps.append(here)
-        here = {c: frozenset().union(*(here[d] for d in step[c])) for c in colours}
-    return maps, len(maps)
+#: How many reach maps _Reach builds at once, from one power of its graph.
+_REACH_CHUNK = 256
 
 
-def _reach_at(reach: tuple[list[dict[int, frozenset[int]]], int],
-              k: int) -> dict[int, frozenset[int]]:
-    maps, start = reach
-    if k >= len(maps):
-        k = start + (k - start) % (len(maps) - start)
-    return maps[k]
+def _image(m: int, step: list[int]) -> int:
+    """The colours (a bitmask) that ``step`` sends the colours of m to."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= step[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+class _ReachMap(dict):
+    """One reach map, filled a colour at a time: a colour missing from it is
+    filled in every map of its chunk at once."""
+
+    __slots__ = ("fill",)
+
+    def __missing__(self, c: int) -> int:
+        self.fill(c)
+        return self[c]
+
+
+class _Reach(dict):
+    """The reach maps of the colour graph whose edges are ``pairs``, one pair
+    per tile, read as ``reach[k]`` for 0 <= k <= longest: map k takes a
+    colour index to the bitmask of the colours a run of k tiles entered at
+    that colour can leave by. ``leaves[i]`` is the index of tile i's second
+    colour and ``enters[i]`` the bit of its first.
+
+    The search reads k falling by one from a side that may be 10**9, and
+    looks up few colours in each map, so the maps come in chunks of
+    _REACH_CHUNK and a colour is worked out only when first looked up in
+    its chunk: from the graph's repeated squares at the chunk's first k, in
+    log k steps, then one step on per map. A new chunk drops all but its
+    neighbours, so at most three are held, and a search builds one only
+    after crossing a whole chunk of columns (rows)."""
+
+    def __init__(self, pairs: list[tuple[int, int]], longest: int):
+        index = {c: i for i, c in enumerate(sorted({c for pair in pairs for c in pair}))}
+        step = [0] * len(index)
+        for enter, leave in pairs:
+            step[index[enter]] |= 1 << index[leave]
+        self.leaves = [index[leave] for _, leave in pairs]
+        self.enters = [1 << index[enter] for enter, _ in pairs]
+        self.longest = longest
+        self.squares = [step]  # the graph's 2**i-th power at i
+
+    def __missing__(self, k: int) -> _ReachMap:
+        chunk = k // _REACH_CHUNK
+        held = {j: m for j, m in self.items() if abs(j // _REACH_CHUNK - chunk) == 1}
+        self.clear()
+        self.update(held)
+        first = chunk * _REACH_CHUNK
+        maps = [_ReachMap() for _ in range(min(_REACH_CHUNK, self.longest + 1 - first))]
+        squares = self.squares
+
+        def fill(c: int) -> None:
+            reach = 1 << c
+            for bit in range(first.bit_length()):
+                if bit == len(squares):
+                    squares.append([_image(m, squares[-1]) for m in squares[-1]])
+                if first >> bit & 1:
+                    reach = _image(reach, squares[bit])
+            for m in maps:
+                m[c] = reach
+                reach = _image(reach, squares[0])
+
+        for j, m in enumerate(maps, first):
+            m.fill = fill
+            self[j] = m
+        return self[k]
 
 
 def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
@@ -171,16 +213,18 @@ def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
     necessary conditions, so the first placement, or None, is the one an
     unpruned search finds, in no more steps."""
     tiles = w.tiles
-    across = _reach([(t.left, t.right) for t in tiles], width - 1)
-    upward = _reach([(t.down, t.up) for t in tiles], height - 1)
+    across = _Reach([(t.left, t.right) for t in tiles], width - 1)
+    upward = _Reach([(t.down, t.up) for t in tiles], height - 1)
+    rights, lefts = across.leaves, across.enters
+    ups, downs = upward.leaves, upward.enters
     n = width * height
     placed: list[int] = []
     start = 0  # the first tile to try at the current cell
     while len(placed) < n:
         at = len(placed)
         col, row = divmod(at, height)
-        right_reach = _reach_at(across, width - 1 - col)
-        up_reach = _reach_at(upward, height - 1 - row)
+        right_reach = across[width - 1 - col]
+        up_reach = upward[height - 1 - row]
         for i in range(start, len(tiles)):
             spent += 1
             if spent > budget:
@@ -192,11 +236,10 @@ def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
                 continue
             # the first column (bottom row) is this very cell at col 0 (row 0)
             if not wrap:
-                if not right_reach[tile.right] or not up_reach[tile.up]:
+                if not right_reach[rights[i]] or not up_reach[ups[i]]:
                     continue
-            elif ((tiles[placed[row]] if col else tile).left not in right_reach[tile.right]
-                  or (tiles[placed[at - row]] if row else tile).down
-                  not in up_reach[tile.up]):
+            elif (not right_reach[rights[i]] & lefts[placed[row] if col else i]
+                  or not up_reach[ups[i]] & downs[placed[at - row] if row else i]):
                 continue
             placed.append(i)
             start = 0

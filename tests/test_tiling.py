@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -12,9 +13,10 @@ from tilemodal.tiling import (
     SearchBudgetExceeded,
     Tile,
     TileSet,
+    _REACH_CHUNK,
+    _Reach,
+    _image,
     _fill,
-    _reach,
-    _reach_at,
     find_torus,
     matches,
     parse_tileset_file,
@@ -303,6 +305,31 @@ def brute_reach(pairs: list[tuple[int, int]], k: int) -> dict[int, frozenset[int
     return reach
 
 
+def brute_reaches(pairs: list[tuple[int, int]]):
+    """brute_reach at every k, read from its maps up to the first that
+    repeats an earlier one, since the sequence is eventually periodic."""
+    maps: list[dict[int, frozenset[int]]] = []
+    while (here := brute_reach(pairs, len(maps))) not in maps:
+        maps.append(here)
+    start = maps.index(here)
+    return lambda k: maps[k if k < len(maps) else start + (k - start) % (len(maps) - start)]
+
+
+def read_reach(reach: _Reach, pairs: list[tuple[int, int]], k: int) -> dict[int, frozenset[int]]:
+    """_Reach's map k with its bitmasks turned back into colours."""
+    colours = sorted({c for pair in pairs for c in pair})
+    return {c: frozenset(d for j, d in enumerate(colours) if reach[k][i] >> j & 1)
+            for i, c in enumerate(colours)}
+
+
+#: Fifty-eight tiles whose rows are separate cycles of lengths 2, 3, 5, 7,
+#: 11, 13 and 17, so the reach maps repeat only after 510,510 columns.
+COPRIME = TileSet(
+    tuple(f"c{length}_{j}" for length in (2, 3, 5, 7, 11, 13, 17) for j in range(length)),
+    tuple(Tile(0, 0, 100 * length + j, 100 * length + (j + 1) % length)
+          for length in (2, 3, 5, 7, 11, 13, 17) for j in range(length)))
+
+
 class TestReachPruning:
     def test_agrees_with_the_unpruned_reference(self):
         """The same placement, or None, in no more steps, on rectangles and
@@ -327,36 +354,60 @@ class TestReachPruning:
         assert find_torus(PERIOD5, 4, budget=240) is None
 
     def test_reach_maps_match_brute_force(self):
+        """Read as the search reads them, k falling by one across chunks,
+        from small k and from near 10**9, and out of order."""
         rng = random.Random(25)
-        for _ in range(200):
+        huge = 10 ** 9
+        for _ in range(100):
             w = random_tileset(rng, rng.randint(1, 7), rng.randint(1, 4))
             for pairs in ([(t.left, t.right) for t in w.tiles],
                           [(t.down, t.up) for t in w.tiles]):
-                maps, start = reach = _reach(pairs, 10 ** 9)
-                assert start < len(maps)  # the maps repeated
-                for k in range(3 * len(maps)):
-                    assert _reach_at(reach, k) == brute_reach(pairs, k)
-                for longest in range(len(maps)):
-                    short = _reach(pairs, longest)
-                    assert short[0] == maps[:longest + 1]
-                    assert all(_reach_at(short, k) == maps[k] for k in range(longest + 1))
+                expect = brute_reaches(pairs)
+                reach = _Reach(pairs, huge)
+                ks = [*range(2 * _REACH_CHUNK + 3, -1, -1), *range(huge, huge - 300, -1),
+                      *(rng.randrange(huge) for _ in range(5))]
+                for k in ks:
+                    assert read_reach(reach, pairs, k) == expect(k), (pairs, k)
+                for longest in range(4):
+                    short = _Reach(pairs, longest)
+                    assert all(read_reach(short, pairs, k) == expect(k)
+                               for k in range(longest, -1, -1))
 
-    def test_huge_sides_build_few_maps(self, monkeypatch):
-        built = []
+    def test_tiles_and_colours_of_the_reach(self):
+        reach = _Reach([(5, 9), (9, 5), (9, 9)], 3)
+        assert reach.leaves == [1, 0, 1] and reach.enters == [1, 2, 2]
+        assert [[reach[k][c] for c in (0, 1)] for k in range(4)] == [[1, 2], [2, 3], [3, 3], [3, 3]]
 
-        def recording(pairs, longest):
-            reach = _reach(pairs, longest)
-            built.append(len(reach[0]))
-            return reach
-        monkeypatch.setattr(tiling, "_reach", recording)
+    def test_huge_sides_cost_the_log_of_the_side(self, monkeypatch):
+        """Sides of 10**9 answer, or run out of a small budget, after some
+        thousands of steps through the colour graph and in a few megabytes,
+        even where the reach maps repeat only after 510,510 columns (building
+        them that far took gigabytes)."""
+        images = [0]
+
+        def counting(m, step):
+            images[0] += 1
+            return _image(m, step)
+        monkeypatch.setattr(tiling, "_image", counting)
         huge = 10 ** 9
-        column = TileSet(("a", "b"), (Tile(2, 1, 0, 0), Tile(1, 2, 0, 0)))
-        assert solve_rect(TWO, huge, 1) is None
-        stack = TileSet(("a", "b"), (Tile(1, 0, 0, 0), Tile(2, 1, 0, 0)))
-        assert solve_rect(stack, 1, huge) is None
-        assert torus_with_period(SWAP, (huge + 1, huge)) is None
-        assert torus_with_period(column, (huge, huge + 1)) is None
-        assert built and max(built) <= 4
+        tracemalloc.start()
+        try:
+            # 10**9 + 7 is a prime above 17: no row closes after that many columns
+            assert torus_with_period(COPRIME, (huge + 7, 1)) is None
+            with pytest.raises(SearchBudgetExceeded):
+                torus_with_period(COPRIME, (huge, 1), budget=5_000)
+            with pytest.raises(SearchBudgetExceeded):
+                solve_rect(COPRIME, huge, 1, budget=5_000)
+            column = TileSet(("a", "b"), (Tile(2, 1, 0, 0), Tile(1, 2, 0, 0)))
+            assert solve_rect(TWO, huge, 1) is None
+            stack = TileSet(("a", "b"), (Tile(1, 0, 0, 0), Tile(2, 1, 0, 0)))
+            assert solve_rect(stack, 1, huge) is None
+            assert torus_with_period(SWAP, (huge + 1, huge)) is None
+            assert torus_with_period(column, (huge, huge + 1)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert images[0] <= 50_000 and peak < 4_000_000, (images, peak)
 
 
 class TestFilesAndRendering:
