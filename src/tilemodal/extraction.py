@@ -93,17 +93,19 @@ class _Checker:
     """Shared satisfaction machinery for one model and tile set.
 
     The structural letters, tile literals, parity products and body
-    conjuncts share one Dag, evaluated in one pass."""
+    conjuncts are emitted into one Dag, with no trees, and evaluated in one
+    pass."""
 
     def __init__(self, model: Model, w: TileSet):
         self.model = model
         self._ssucc = s_relation(model.frame).succ
         dag = fm.Dag()
-        letters = {name: dag.add(fm.Letter(name)) for name in reduction.STRUCTURAL_LETTERS}
-        tiles = [dag.add(reduction.tile_literal(w, t)) for t in range(len(w))]
-        products = {(a, b): dag.add(fm.Comp(fm.Letter(f"x_{a}"), fm.Letter(f"y_{b}")))
+        body = reduction.conjuncts(w, dag)
+        node = fm.encoders(dag)
+        letters = {name: node[fm.Letter](name) for name in reduction.STRUCTURAL_LETTERS}
+        tiles = [reduction.tile_literal(w, t, dag) for t in range(len(w))]
+        products = {(a, b): node[fm.Comp](letters[f"x_{a}"], letters[f"y_{b}"])
                     for a, b in reduction.PARITY_PAIRS}
-        body = [(name, dag.add(f)) for name, f in reduction.conjuncts(w)]
         sat = Evaluator(model.frame).masks(dag, model.masks)
         self.letter = {name: sat[i] for name, i in letters.items()}
         self.tile_masks = [sat[i] for i in tiles]

@@ -143,24 +143,25 @@ class Box(Formula):
     sub: Formula
 
 
-def conj(parts: list[Formula]) -> Formula:
-    """Left-folded conjunction; empty list gives Top."""
+def fold(join: Callable, empty: Callable, parts: list):
+    """parts left-folded by join; empty() when there are none. join and
+    empty build nodes: node types, or a Dag's encoders (see encoders)."""
     if not parts:
-        return Top()
+        return empty()
     acc = parts[0]
     for p in parts[1:]:
-        acc = And(acc, p)
+        acc = join(acc, p)
     return acc
+
+
+def conj(parts: list[Formula]) -> Formula:
+    """Left-folded conjunction; empty list gives Top."""
+    return fold(And, Top, parts)
 
 
 def disj(parts: list[Formula]) -> Formula:
     """Left-folded disjunction; empty list gives Bottom."""
-    if not parts:
-        return Bottom()
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = Or(acc, p)
-    return acc
+    return fold(Or, Bottom, parts)
 
 
 def desugar(f: Formula) -> Formula:
@@ -291,6 +292,15 @@ _ENCODE = {
 }
 
 
+def encoders(dag: Dag) -> dict[type, Callable[..., int]]:
+    """The node types as builders of dag's ops: entry T adds the ops of a T
+    node given its children's op indices (Letter: its name) and returns the
+    node's index, as dag.add compiles it; for the builders that emit ops
+    with no tree in between, the parser and the reduction."""
+    return {Letter: partial(dag._op, VAR),
+            **{node: partial(encode, dag) for node, encode in _ENCODE.items()}}
+
+
 #: How many children each node type has: none, `sub`, or `left` and `right`.
 _ARITY = {Letter: 0, Top: 0, Bottom: 0, Neg: 1, Box: 1, Or: 2, Comp: 2, And: 2,
           Implies: 2, Iff: 2, HookR: 2, HookL: 2}
@@ -307,11 +317,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 def to_dag(f: Formula | Dag) -> Dag:
     """f compiled into a Dag whose last op is f's root; a Dag as it is."""
     return f if isinstance(f, Dag) else Dag(f)
-
-
-def unbox(f: Formula) -> Formula | None:
-    """The argument of a top-level box, or None."""
-    return f.sub if isinstance(f, Box) else None
 
 
 def node_count(f: Formula) -> int:
@@ -424,15 +429,14 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
     def parse(text: str, dag: Dag | None = None) -> Formula | int:
         if dag is None:
             return read(text, trees)
-        size = len(dag.ops)
+        size, node = len(dag.ops), encoders(dag)
 
         def var(name: str) -> int:
             if name in RESERVED_WORDS:
                 Letter(name)  # raises the ValueError of a tree parse
-            return dag._op(VAR, name)
+            return node[Letter](name)
         try:
-            return read(text, {"ident": var, **{t: partial(_ENCODE[node], dag)
-                                                for t, node in tokens.items()}})
+            return read(text, {"ident": var, **{t: node[n] for t, n in tokens.items()}})
         except ValueError:
             for op in dag.ops[size:]:
                 del dag._index[op]

@@ -202,21 +202,29 @@ def _assoc_failures(n: int, must: list[int], may: list[int]):
     impossible, right the converse; with may is must the relation is known
     and this is the exact test. Each (a, b) serves every c at once: field c
     of the OR of the rows of the y in cell (a, b) holds the x with Rx(ab)c,
-    and of the OR over the z in heads[b] of cell (a, z) * ((row b >> z) &
-    ones) those with Rxa(bc); a cell is below 2^n, so there are no carries.
+    and of the OR over the z in row b's cells of cell (a, z) * ((row b >> z)
+    & ones) those with Rxa(bc); a cell is below 2^n, so there are no
+    carries. The nonzero spreads (row b >> z) & ones of may are laid out
+    once per call, for every a to read; a must spread is worked out where
+    it is read, only where cell (a, z) of must is nonempty, which the
+    exact test never reads and an open search seldom does. A row a of may
+    with no cells fails nowhere and is skipped.
     """
     full = (1 << n) - 1
     ones = ((1 << n * n) - 1) // (full or 1)  # bit 0 of each field
     exact = may is must
-    heads = []  # the z of the cells of each row of may
-    for row in may:
-        union = 0
-        while row:
-            union |= row & full
-            row >>= n
-        heads.append(union)
+    spreads = []  # row b of may: (z*n, spread) for each z in its cells
+    for may_b in may:
+        laid = []
+        for z in range(n):
+            spread = (may_b >> z) & ones
+            if spread:
+                laid.append((z * n, spread))
+        spreads.append(laid)
     for a in range(n):
         must_a, may_a = must[a], may[a]
+        if not may_a:
+            continue
         for b in range(n):
             lhs_must = lhs_may = rhs_must = rhs_may = 0
             ab_must = 0 if exact else must_a >> b * n
@@ -228,17 +236,13 @@ def _assoc_failures(n: int, must: list[int], may: list[int]):
                 lhs_may |= may[y]
                 if ab_must & low:
                     lhs_must |= must[y]
-            rest = heads[b]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                z = low.bit_length() - 1
-                xs = (may_a >> z * n) & full
+            for zn, spread in spreads[b]:
+                xs = (may_a >> zn) & full
                 if xs:
-                    rhs_may |= xs * ((may[b] >> z) & ones)
-                    xs = 0 if exact else (must_a >> z * n) & full
+                    rhs_may |= xs * spread
+                    xs = 0 if exact else (must_a >> zn) & full
                     if xs:
-                        rhs_must |= xs * ((must[b] >> z) & ones)
+                        rhs_must |= xs * ((must[b] >> zn // n) & ones)
             if exact:
                 lhs_must, rhs_must = lhs_may, rhs_may
             left = lhs_must & ~rhs_may

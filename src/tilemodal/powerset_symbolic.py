@@ -363,6 +363,21 @@ _BOX_NOTE = (
 )
 
 
+class _Unboxed(fm.Dag):
+    """A Dag that leaves each box to its reader: a box compiles to its
+    argument, whose index joins ``boxed``. check_refutation reads a boxed
+    body at every universe state, where the closure frame's own box would
+    reach only the states its triples lead to."""
+
+    def __init__(self):
+        super().__init__()
+        self.boxed: set[int] = set()
+
+    def _box(self, a: int) -> int:
+        self.boxed.add(a)
+        return a
+
+
 def check_refutation(w: TileSet, tau: PeriodicTiling, depth: int,
                      mode: str = "union") -> Report:
     """Check each body conjunct of the tiling formula at the top state.
@@ -378,14 +393,12 @@ def check_refutation(w: TileSet, tau: PeriodicTiling, depth: int,
         raise ValueError(f"unknown mode {mode!r}")
     codes = _universe(depth, mode)
     boxed, seed_at = (1 << len(codes)) - 1, codes.index(_encode(state_n()))
-    dag, roots = fm.Dag(), []
-    for name, f in reduction.conjuncts(w):
-        sub = fm.unbox(f)
-        roots.append((name, sub is not None, dag.add(f if sub is None else sub)))
+    dag = _Unboxed()
+    roots = reduction.conjuncts(w, dag)
     sat = _satisfaction(w, tau, codes, depth, mode, dag)
     entries = []
-    for name, is_boxed, i in roots:
-        if is_boxed:
+    for name, i in roots:
+        if i in dag.boxed:
             failing = boxed & ~sat[i]
             witness = _decode(codes[(failing & -failing).bit_length() - 1]) if failing else None
             entries.append(ConjunctReport(name, "fail" if failing else "pass",

@@ -4,13 +4,18 @@ A tile set W yields the negation of a 15-conjunct body: a seed product, four
 successor conjuncts (the alphas), two bookkeeping conjuncts (the betas), and
 eight step conjuncts (the gammas, a horizontal and a vertical one per parity
 case). Construction order is fixed by the tile-list order, so equal inputs
-give structurally identical formulas.
+give structurally identical formulas. One definition builds the conjuncts
+either as trees or, for the evaluators, straight into a formula Dag.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from tilemodal import formula as fm
-from tilemodal.formula import And, Box, Comp, HookL, HookR, Implies, Letter, Neg
+from tilemodal.formula import (
+    And, Bottom, Box, Comp, HookL, HookR, Implies, Letter, Neg, Or, Top,
+)
 from tilemodal.tiling import TileSet, matches
 
 #: The six non-tile letters, in display order.
@@ -19,6 +24,11 @@ STRUCTURAL_LETTERS = ("x_e", "x_o", "y_e", "y_o", "x'", "y'")
 #: Parity cases in the fixed order used by every conjunct: gamma case i+1
 #: handles PARITY_PAIRS[i].
 PARITY_PAIRS = (("e", "e"), ("e", "o"), ("o", "e"), ("o", "o"))
+
+
+#: The node types, each its own builder: the tree route of the conjuncts.
+_TREES = {node: node for node in (Letter, Neg, Or, And, Implies, Comp, HookR, HookL,
+                                  Box, Top, Bottom)}
 
 
 def letter_inventory(w: TileSet) -> tuple[str, ...]:
@@ -30,78 +40,86 @@ def letter_inventory(w: TileSet) -> tuple[str, ...]:
     return w.names
 
 
-def tile_literal(w: TileSet, t: int) -> fm.Formula:
+def tile_literal(w: TileSet, t: int, dag: fm.Dag | None = None) -> fm.Formula | int:
     """The positive letter for tile t conjoined with the negations of all
-    other tile letters; a one-tile set gives just the positive letter."""
+    other tile letters; a one-tile set gives just the positive letter.
+    With a Dag, its ops are added there and the root's index returned."""
     if not 0 <= t < len(w):
         raise IndexError(f"tile index {t} out of range")
-    parts: list[fm.Formula] = [Letter(w.names[t])]
-    parts.extend(Neg(Letter(w.names[i])) for i in range(len(w)) if i != t)
-    return fm.conj(parts)
+    return _literal(w.names, t, _TREES if dag is None else fm.encoders(dag))
 
 
 def match_formulas(w: TileSet, t: int) -> tuple[fm.Formula, fm.Formula]:
     """Disjunctions of tile literals over the right- and up-match sets of t;
     an empty match set gives F."""
-    right_set, up_set = matches(w, t)
-    right = fm.disj([tile_literal(w, i) for i in range(len(w)) if i in right_set])
-    up = fm.disj([tile_literal(w, i) for i in range(len(w)) if i in up_set])
-    return right, up
+    return _matches(w, t, [tile_literal(w, i) for i in range(len(w))], _TREES)
 
 
-def _product(a: str, b: str) -> fm.Formula:
-    return Comp(Letter(f"x_{a}"), Letter(f"y_{b}"))
+def _literal(names: tuple[str, ...], t: int, node: dict):
+    """Tile t's literal among names, built with node (see conjuncts)."""
+    letter, neg = node[Letter], node[Neg]
+    return fm.fold(node[And], node[Top], [letter(names[t])] + [
+        neg(letter(name)) for i, name in enumerate(names) if i != t])
+
+
+def _matches(w: TileSet, t: int, literals: list, node: dict) -> tuple:
+    """Tile t's right and up match disjunctions over the tile literals."""
+    return tuple(fm.fold(node[Or], node[Bottom], [literals[i] for i in range(len(w)) if i in s])
+                 for s in matches(w, t))
 
 
 def _flip(p: str) -> str:
     return "o" if p == "e" else "e"
 
 
-def conjuncts(w: TileSet) -> list[tuple[str, fm.Formula]]:
-    """The named conjuncts of the body refuted by phi, in printed order."""
+def conjuncts(w: TileSet, dag: fm.Dag | None = None) -> list[tuple[str, fm.Formula | int]]:
+    """The named conjuncts of the body refuted by phi, in printed order.
+
+    With a Dag, each conjunct's ops are added there with no tree in between,
+    and its root's index, as dag.add would give it, stands for its tree:
+    one definition drives both routes, building each node with node[T], the
+    node type T itself or the Dag's encoder for it (fm.encoders). Each
+    letter, parity product, tile literal and match disjunction is built once
+    and shared by the conjuncts that use it."""
     letter_inventory(w)
-    xe, xo = Letter("x_e"), Letter("x_o")
-    ye, yo = Letter("y_e"), Letter("y_o")
-    xp, yp = Letter("x'"), Letter("y'")
-    n = len(w)
+    node = _TREES if dag is None else fm.encoders(dag)
+    letter, neg, box, comp = node[Letter], node[Neg], node[Box], node[Comp]
+    and_, or_, implies = node[And], node[Or], node[Implies]
+    hook_r, hook_l = node[HookR], node[HookL]
+    conj, disj = partial(fm.fold, and_, node[Top]), partial(fm.fold, or_, node[Bottom])
+    xs = {p: letter(f"x_{p}") for p in "eo"}
+    ys = {p: letter(f"y_{p}") for p in "eo"}
+    xp, yp = letter("x'"), letter("y'")
+    product = {(a, b): comp(xs[a], ys[b]) for a, b in PARITY_PAIRS}
+    literals = [_literal(w.names, t, node) for t in range(len(w))]
 
-    out: list[tuple[str, fm.Formula]] = [("seed", Comp(xe, ye))]
-    out.append(("alpha1", Box(Implies(xe, Comp(xp, xo)))))
-    out.append(("alpha2", Box(Implies(xo, Comp(xp, xe)))))
-    out.append(("alpha3", Box(Implies(ye, Comp(yo, yp)))))
-    out.append(("alpha4", Box(Implies(yo, Comp(ye, yp)))))
+    out = [("seed", product["e", "e"])]
+    out.append(("alpha1", box(implies(xs["e"], comp(xp, xs["o"])))))
+    out.append(("alpha2", box(implies(xs["o"], comp(xp, xs["e"])))))
+    out.append(("alpha3", box(implies(ys["e"], comp(ys["o"], yp)))))
+    out.append(("alpha4", box(implies(ys["o"], comp(ys["e"], yp)))))
 
-    any_product = fm.disj([_product(a, b) for a, b in PARITY_PAIRS])
-    any_tile = fm.disj([tile_literal(w, t) for t in range(n)])
-    out.append(("beta1", Box(Implies(any_product, any_tile))))
+    any_product = disj(list(product.values()))
+    any_tile = disj(literals)
+    out.append(("beta1", box(implies(any_product, any_tile))))
 
-    exclusions = []
-    for a, b in PARITY_PAIRS:
-        others = fm.conj([
-            Neg(_product(a2, b2)) for a2, b2 in PARITY_PAIRS if (a2, b2) != (a, b)
-        ])
-        exclusions.append(Implies(_product(a, b), others))
-    out.append(("beta2", Box(fm.conj(exclusions))))
+    exclusions = [implies(product[p], conj([
+        neg(product[q]) for q in PARITY_PAIRS if q != p])) for p in PARITY_PAIRS]
+    out.append(("beta2", box(conj(exclusions))))
 
+    matched = [_matches(w, t, literals, node) for t in range(len(w))]
     for i, (a, b) in enumerate(PARITY_PAIRS, start=1):
-        here = _product(a, b)
-        right_next = _product(_flip(a), b)
-        up_next = _product(a, _flip(b))
+        here = product[a, b]
+        right_next = product[_flip(a), b]
+        up_next = product[a, _flip(b)]
         h_cases = []
         v_cases = []
-        for t in range(n):
-            right_formula, up_formula = match_formulas(w, t)
-            antecedent = And(here, tile_literal(w, t))
-            h_cases.append(Implies(
-                antecedent,
-                HookR(xp, fm.Or(here, And(right_next, right_formula))),
-            ))
-            v_cases.append(Implies(
-                antecedent,
-                HookL(fm.Or(here, And(up_next, up_formula)), yp),
-            ))
-        out.append((f"gamma{i}h", Box(fm.conj(h_cases))))
-        out.append((f"gamma{i}v", Box(fm.conj(v_cases))))
+        for literal, (right, up) in zip(literals, matched):
+            antecedent = and_(here, literal)
+            h_cases.append(implies(antecedent, hook_r(xp, or_(here, and_(right_next, right)))))
+            v_cases.append(implies(antecedent, hook_l(or_(here, and_(up_next, up)), yp)))
+        out.append((f"gamma{i}h", box(conj(h_cases))))
+        out.append((f"gamma{i}v", box(conj(v_cases))))
     return out
 
 

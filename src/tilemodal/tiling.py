@@ -197,8 +197,16 @@ class _Reach(dict):
         return self[k]
 
 
+def _reaches(w: TileSet, width: int, height: int) -> tuple[_Reach, _Reach]:
+    """The reach maps of w's tiles across and upward, up to width - 1 and
+    height - 1 tiles."""
+    return (_Reach([(t.left, t.right) for t in w.tiles], width - 1),
+            _Reach([(t.down, t.up) for t in w.tiles], height - 1))
+
+
 def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
-          spent: int) -> tuple[dict[tuple[int, int], int] | None, int]:
+          spent: int, reach: tuple[_Reach, _Reach] | None = None,
+          ) -> tuple[dict[tuple[int, int], int] | None, int]:
     """The one tile-placement backtracker: returns the first placement found
     (None if there is none) and the steps spent, counting on from ``spent``.
     With ``wrap`` the last column meets the first and the top row the bottom,
@@ -211,10 +219,10 @@ def _fill(w: TileSet, width: int, height: int, wrap: bool, budget: int,
     with ``wrap`` leave by the left colour of the row's first tile (the same
     upward, with height-1-row tiles and the column's bottom tile). These are
     necessary conditions, so the first placement, or None, is the one an
-    unpruned search finds, in no more steps."""
+    unpruned search finds, in no more steps. The reach maps are built here
+    unless ``reach`` brings them (_reaches, for sides at least as long)."""
     tiles = w.tiles
-    across = _Reach([(t.left, t.right) for t in tiles], width - 1)
-    upward = _Reach([(t.down, t.up) for t in tiles], height - 1)
+    across, upward = reach or _reaches(w, width, height)
     rights, lefts = across.leaves, across.enters
     ups, downs = upward.leaves, upward.enters
     n = width * height
@@ -306,16 +314,16 @@ def find_torus(w: TileSet, max_period: int,
                budget: int = DEFAULT_BUDGET) -> PeriodicTiling | None:
     """Smallest-period torus tiling, trying periods in lexicographic order.
 
-    Each period is searched as by torus_with_period, reach-pruned, all of
-    them drawing on one budget, so a None proves that no torus with periods
-    up to max_period exists.
+    Each period is searched as by torus_with_period, reach-pruned from one
+    set of reach maps, all of them drawing on one budget, so a None proves
+    that no torus with periods up to max_period exists.
     """
     if not (1 <= max_period <= 4):
         raise ValueError("max_period must be between 1 and 4")
-    spent = 0
+    spent, reach = 0, _reaches(w, max_period, max_period)
     for p in range(1, max_period + 1):
         for q in range(1, max_period + 1):
-            cells, spent = _fill(w, p, q, True, budget, spent)
+            cells, spent = _fill(w, p, q, True, budget, spent, reach)
             if cells is not None:
                 return PeriodicTiling((p, q), cells)
     return None

@@ -187,6 +187,28 @@ class TestRowKernel:
             x, a, b, c = (spread[w] for w in expected[:4])
             assert check_associative(big) == AssocCounterexample(x, a, b, c, expected[4])
 
+    def test_dense_quotient_of_25_worlds(self):
+        """The 25-world quotient (1444 triples), exact and with one triple
+        dropped, and the three-valued test between the two."""
+        frame = quotient_frame()
+        n = frame.size
+        cells = [0] * (n * n)
+        for x, y, z in frame.triples:
+            cells[y * n + z] |= 1 << x
+        assert (n, len(frame.triples)) == (25, 1444)
+        rows = _rows(n, cells)
+        assert list(frames._assoc_failures(n, rows, rows)) == []
+        rng = random.Random(15)
+        for x, y, z in rng.sample(sorted(frame.triples), 3):
+            broken = cells.copy()
+            broken[y * n + z] &= ~(1 << x)
+            got = list(frames._assoc_failures(n, _rows(n, broken), _rows(n, broken)))
+            assert got and got == list(_ref_assoc_failures(n, broken, broken)), (x, y, z)
+            got = list(frames._assoc_failures(n, _rows(n, broken), rows))
+            assert got == list(_ref_assoc_failures(n, broken, cells)), (x, y, z)
+            smaller = Frame(n, frame.triples - {(x, y, z)})
+            assert check_associative(smaller) == _ref_check(smaller)
+
     def test_powerset_frames_of_64_worlds(self):
         rng = random.Random(14)
         for mode in ("union", "disjoint_union", "union_nonempty"):

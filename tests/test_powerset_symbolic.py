@@ -552,7 +552,7 @@ def _ref_check_refutation(w, tau, depth, mode) -> ps.Report:
     ev = _RefEvaluator(w, tau, depth, mode)
     entries = []
     for name, f in reduction.conjuncts(w):
-        sub = fm.unbox(f)
+        sub = f.sub if isinstance(f, fm.Box) else None
         if sub is not None:
             i = ev.dag.add(sub)
             witness = next((s for s in _ref_universe(depth, mode) if not ev.holds(s, i)), None)
@@ -617,7 +617,7 @@ class TestAgainstReference:
         for w, tau in cases:
             dag = fm.Dag()
             for _name, f in reduction.conjuncts(w):
-                dag.add(fm.unbox(f) or f)
+                dag.add(f.sub if isinstance(f, fm.Box) else f)
             letters = {a: i for i, (kind, a, _) in enumerate(dag.ops) if kind == fm.VAR}
             assert set(letters) == set(reduction.STRUCTURAL_LETTERS + w.names)
             for mode in ps.MODES:
@@ -678,7 +678,7 @@ class TestAgainstReference:
         dead_end = TileSet(("a", "b"), (Tile(0, 0, 0, 0), Tile(0, 0, 5, 6)))
         tau = PeriodicTiling((1, 1), {(0, 0): 0})
         assert any(kind == fm.TOP for name, f in reduction.conjuncts(dead_end)
-                   for kind, _, _ in fm.to_dag(fm.unbox(f) or f).ops)
+                   for kind, _, _ in fm.to_dag(f.sub if isinstance(f, fm.Box) else f).ops)
         for depth in (1, 2):
             for mode in ps.MODES:
                 report = check_refutation(dead_end, tau, depth, mode)

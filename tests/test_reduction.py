@@ -1,9 +1,13 @@
+import random
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from fixtures_quotient import quotient_countermodel
+from test_tiling import PERIOD5, SWAP, all_small_tilesets
 from tilemodal import formula as fm
+from tilemodal import powerset_symbolic as ps
 from tilemodal.formula import And, Bottom, Box, Comp, HookR, Implies, Letter, Neg, Or
 from tilemodal.reduction import (
     PARITY_PAIRS,
@@ -16,7 +20,8 @@ from tilemodal.reduction import (
     phi_stats,
     tile_literal,
 )
-from tilemodal.tiling import Tile, TileSet
+from tilemodal.semantics import Evaluator
+from tilemodal.tiling import Tile, TileSet, find_torus
 
 GOLDEN = Path(__file__).parent / "data" / "phi_single_tile.golden"
 
@@ -170,3 +175,70 @@ class TestPhi:
 
     def test_parity_pair_order(self):
         assert PARITY_PAIRS == (("e", "e"), ("e", "o"), ("o", "e"), ("o", "o"))
+
+
+def compile_work(w: TileSet) -> tuple[int, int]:
+    """The Dag ops of phi(w)'s conjuncts emitted straight into one Dag, and
+    the nodes of their trees, each counted as node_count walks it."""
+    dag = fm.Dag()
+    conjuncts(w, dag)
+    return len(dag.ops), sum(fm.node_count(f) for _, f in conjuncts(w))
+
+
+class TestDagRoute:
+    """conjuncts(w, dag) against dag.add of each tree of conjuncts(w)."""
+
+    SETS = [*all_small_tilesets(), PERIOD5, MONO, SWAP]
+
+    @staticmethod
+    def routes(w: TileSet):
+        direct, compiled = fm.Dag(), fm.Dag()
+        roots = conjuncts(w, direct)
+        added = [(name, compiled.add(f)) for name, f in conjuncts(w)]
+        return direct, roots, compiled, added
+
+    @staticmethod
+    def root_masks(evaluator: Evaluator, dag: fm.Dag, roots, letters: dict[str, int]):
+        sat = evaluator.masks(dag, letters)
+        return [(name, sat[i]) for name, i in roots]
+
+    def test_as_many_ops_as_the_trees_compile_to(self):
+        for w in self.SETS:
+            direct, roots, compiled, added = self.routes(w)
+            assert len(direct.ops) == len(compiled.ops), w
+            assert [name for name, _ in roots] == [name for name, _ in added]
+
+    def test_pinned_compile_work(self):
+        assert compile_work(MONO) == (333, 265)
+        assert compile_work(PERIOD5) == (1936, 28859)
+
+    def test_equal_masks_on_quotient_countermodels(self):
+        checked = 0
+        for w in self.SETS:
+            torus = find_torus(w, 2)
+            if torus is None:
+                continue
+            try:
+                model, world = quotient_countermodel(w, torus)
+            except ValueError:  # the torus is not determined mod 2
+                continue
+            direct, roots, compiled, added = self.routes(w)
+            ev = Evaluator(model.frame)
+            got = self.root_masks(ev, direct, roots, model.masks)
+            assert got == self.root_masks(ev, compiled, added, model.masks), w
+            assert all(mask >> world & 1 for _, mask in got)  # phi(w) fails there
+            checked += 1
+        assert checked > 20
+
+    @pytest.mark.parametrize("mode", ps.MODES)
+    def test_equal_masks_on_closure_frames(self, mode):
+        rng = random.Random(25)
+        ev = Evaluator(ps._closure(ps._universe(2, mode), 2, mode))
+        full = (1 << ev.frame.size) - 1
+        for w in self.SETS:
+            direct, roots, compiled, added = self.routes(w)
+            names = {a for kind, a, _ in direct.ops if kind == fm.VAR}
+            assert names == {a for kind, a, _ in compiled.ops if kind == fm.VAR}
+            letters = {a: rng.getrandbits(ev.frame.size) & full for a in sorted(names)}
+            assert (self.root_masks(ev, direct, roots, letters)
+                    == self.root_masks(ev, compiled, added, letters)), (w, mode)

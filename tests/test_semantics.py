@@ -828,8 +828,7 @@ class TestOpList:
         rng = random.Random(47)
         states = ps.universe(2, "union")
         letters = ("x_e", "x_o", "y_e", "y_o", "x'", "y'", "t1")
-        formulas = [sub for _, f in reduction.conjuncts(MONO)
-                    if (sub := fm.unbox(f)) is not None]
+        formulas = [f.sub for _, f in reduction.conjuncts(MONO) if isinstance(f, fm.Box)]
         while len(formulas) < 74:
             f = random_formula(rng, rng.randint(1, 3), letters)
             if "[]" not in fm.render(f):
