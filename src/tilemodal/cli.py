@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from types import SimpleNamespace
 
 from tilemodal import extraction, formula as fm, powerset_symbolic as ps
 from tilemodal import reduction, team_logic, tiling
@@ -43,11 +44,15 @@ class CliError(Exception):
 
 
 def _read(path: str) -> str:
+    """The file's text, decoded as UTF-8 with its line ends kept: its
+    readers split it with splitlines(), so they see the lines text mode
+    would give them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
+    return data.decode("utf-8")
 
 
 def _load_tiles(path: str) -> tiling.TileSet:
@@ -465,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_args(name: str, words: list[str]) -> argparse.Namespace | None:
+def _read_args(name: str, words: list[str]) -> SimpleNamespace | None:
     """The arguments of a plain call, read from the row of COMMANDS as the
     full parser would read them; None for anything else (help, an error, an
     abbreviation, --opt=value, --, a value starting with -)."""
@@ -499,7 +504,7 @@ def _read_args(name: str, words: list[str]) -> argparse.Namespace | None:
             return None
         default = keywords.get("default", False if "action" in keywords else None)
         values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
-    return argparse.Namespace(handler=handler, **values)
+    return SimpleNamespace(handler=handler, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,14 +15,16 @@ needed because any locally valid witness admits continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from tilemodal import formula as fm
 from tilemodal import reduction
 from tilemodal.frames import Frame, Model, bits, check_associative, s_relation
+from tilemodal.record import Record
 from tilemodal.semantics import Evaluator
 from tilemodal.tiling import Grid, TileSet, verify_grid
+
+_set = object.__setattr__
 
 
 class ExtractionError(Exception):
@@ -58,16 +60,19 @@ class MultipleTiles(ExtractionError):
         self.at = (m, n)
 
 
-@dataclass(frozen=True)
-class Axes:
+class Axes(Record):
     """Axis worlds x_0..x_k and y_0..y_k, with the successor witnesses
     x'_1..x'_k and y'_1..y'_k (xprime(i) is x'_i)."""
 
-    z: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    xp: tuple[int, ...]
-    yp: tuple[int, ...]
+    __slots__ = ("z", "x", "y", "xp", "yp")
+
+    def __init__(self, z: int, x: tuple[int, ...], y: tuple[int, ...],
+                 xp: tuple[int, ...], yp: tuple[int, ...]):
+        _set(self, "z", z)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "xp", xp)
+        _set(self, "yp", yp)
 
     @property
     def k(self) -> int:
@@ -80,13 +85,15 @@ class Axes:
         return self.yp[i - 1]
 
 
-@dataclass(frozen=True)
-class GridPoints:
+class GridPoints(Record):
     """Grid worlds p[(m, n)] for 1 <= m, n <= k+1 plus the axes they hang on."""
 
-    k: int
-    points: dict[tuple[int, int], int]
-    axes: Axes
+    __slots__ = ("k", "points", "axes")
+
+    def __init__(self, k: int, points: dict[tuple[int, int], int], axes: Axes):
+        _set(self, "k", k)
+        _set(self, "points", points)
+        _set(self, "axes", axes)
 
 
 class _Checker:

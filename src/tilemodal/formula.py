@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+
+from tilemodal.record import Record
 
 #: The letter whose excluded middle spells T in desugared text.
 TOP_LETTER = "_top"
@@ -30,8 +31,9 @@ RESERVED_WORDS = frozenset({"o", "T", "F"})
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
-class Formula:
-    """Base class of all formula nodes. Instances are immutable and hashable."""
+class Formula(Record):
+    """Base class of all formula nodes. Instances are immutable and hashable;
+    equality and hashing are structural, and repr shows the rendered text."""
 
     __slots__ = ()
 
@@ -64,83 +66,86 @@ class Formula:
         return hash(tuple(key))
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Letter(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not IDENT_RE.fullmatch(self.name) or self.name in RESERVED_WORDS:
-            raise ValueError(f"invalid letter name: {self.name!r}")
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class Neg(Formula):
-    sub: Formula
+    def __init__(self, name: str):
+        if not IDENT_RE.fullmatch(name) or name in RESERVED_WORDS:
+            raise ValueError(f"invalid letter name: {name!r}")
+        _set_name(self, name)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Formula):
+        _set_sub(self, sub)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Comp(Formula):
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+#: How a node's __init__ fills its fields: through the slots themselves, as
+#: assignment raises.
+_set_name, _set_sub = Letter.name.__set__, _Unary.sub.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+
+class Neg(_Unary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Comp(_Binary):
     """Binary diamond: existential decomposition along the ternary relation."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
 # -- derived connectives ----------------------------------------------------
 
-@dataclass(frozen=True, repr=False, eq=False)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class HookR(Formula):
+class HookR(_Binary):
     """``a @> b``: at x, every decomposition Rxyz with y sat a has z sat b."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class HookL(Formula):
+class HookL(_Binary):
     """``b <@ a``: at x, every decomposition Rxyz with z sat a has y sat b."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Box(Formula):
-    sub: Formula
+class Box(_Unary):
+    __slots__ = ()
 
 
 def fold(join: Callable, empty: Callable, parts: list):

@@ -9,12 +9,16 @@ plain sets of indices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import sys
 from typing import Iterable, Iterator, Mapping
+
+from tilemodal.record import Record
 
 Triple = tuple[int, int, int]
 
 POWERSET_MODES = ("union", "disjoint_union", "union_nonempty")
+
+_set = object.__setattr__
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -32,7 +36,7 @@ def mask_of(worlds: Iterable[int]) -> int:
     return m
 
 
-class Frame:
+class Frame(Record):
     """A set of worlds 0..size-1 with a ternary accessibility relation.
 
     The relation index is built once per Frame, in two groupings, and left
@@ -42,13 +46,13 @@ class Frame:
     triples) fills rows in the loop that range-checks the triples;
     Frame.from_rows takes rows as they are built, and derives the triples
     only when they are read. Either way a frame is equal to, and hashes
-    like, Frame(size, its triples). Frames are immutable."""
+    like, Frame(size, its triples). Frames are immutable. A size must lie
+    between 1 and sys.maxsize."""
 
     __slots__ = ("size", "rows", "cols", "_triples")
 
     def __init__(self, size: int, triples: Iterable[Triple]):
-        if size < 1:
-            raise ValueError("frames need at least one world")
+        _check_size(size)
         triples = frozenset(triples)
         rows: dict[int, dict[int, int]] = {}
         for t in triples:
@@ -65,8 +69,7 @@ class Frame:
         """The frame whose index by the left argument is rows, y -> {z:
         x-mask}, which it keeps; ValueError unless every world of rows is
         below size and every row and x-mask is nonempty."""
-        if size < 1:
-            raise ValueError("frames need at least one world")
+        _check_size(size)
         frame = cls.__new__(cls)
         frame._index(size, rows, None)
         return frame
@@ -75,30 +78,27 @@ class Frame:
                triples: frozenset[Triple] | None) -> None:
         """Set size, rows, cols read off rows, and triples (None until they
         are read); range-checks rows."""
-        limit, cols = 1 << size, {}
+        cols = {}
         for y, row in rows.items():
             if not (row and 0 <= y < size):
                 raise ValueError(f"row {y} empty or out of range for size {size}")
             for z, xs in row.items():
-                if not (0 <= z < size and 0 < xs < limit):
+                if not (0 <= z < size and xs > 0 and not xs >> size):
                     raise ValueError(
                         f"cell ({y}, {z}) empty or out of range for size {size}")
                 cols.setdefault(z, {})[y] = xs
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_triples", triples)
+        _set(self, "size", size)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_triples", triples)
 
     @property
     def triples(self) -> frozenset[Triple]:
         if self._triples is None:
-            object.__setattr__(self, "_triples", frozenset(
+            _set(self, "_triples", frozenset(
                 (x, y, z) for y, row in self.rows.items()
                 for z, xs in row.items() for x in bits(xs)))
         return self._triples
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -119,36 +119,45 @@ class Frame:
         return (x, y, z) in self.triples
 
 
-@dataclass(frozen=True)
-class BinRel:
+def _check_size(size: int) -> None:
+    if size < 1:
+        raise ValueError("frames need at least one world")
+    if size > sys.maxsize:
+        raise ValueError(f"frames have at most {sys.maxsize} worlds")
+
+
+class BinRel(Record):
     """A binary relation on worlds 0..size-1 as successor masks: bit y of
     succ[x] is set when xRy."""
 
-    size: int
-    succ: tuple[int, ...]
+    __slots__ = ("size", "succ")
 
-    def __post_init__(self):
-        if len(self.succ) != self.size or any(m >> self.size for m in self.succ):
+    def __init__(self, size: int, succ: tuple[int, ...]):
+        if len(succ) != size or any(m >> size for m in succ):
             raise ValueError("successor masks out of range")
+        _set(self, "size", size)
+        _set(self, "succ", succ)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, y) for x, m in enumerate(self.succ) for y in bits(m))
 
 
-@dataclass(frozen=True)
-class AssocCounterexample:
+class AssocCounterexample(Record):
     """Witness quadruple where Rx(ab)c and Rxa(bc) disagree.
 
     direction is "left_to_right" when Rx(ab)c holds but Rxa(bc) fails, and
     "right_to_left" for the converse failure.
     """
 
-    x: int
-    a: int
-    b: int
-    c: int
-    direction: str
+    __slots__ = ("x", "a", "b", "c", "direction")
+
+    def __init__(self, x: int, a: int, b: int, c: int, direction: str):
+        _set(self, "x", x)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "direction", direction)
 
 
 def check_associative(frame: Frame) -> AssocCounterexample | None:

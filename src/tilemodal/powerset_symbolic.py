@@ -17,46 +17,47 @@ report certifies the bounded fragment only, and says so.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from tilemodal import formula as fm
 from tilemodal import reduction
 from tilemodal.frames import POWERSET_MODES as MODES, Frame
+from tilemodal.record import Record
 from tilemodal.semantics import Evaluator
 from tilemodal.tiling import PeriodicTiling, TileSet
 
 FIN = "fin"
 COFIN = "cofin"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class SidePart:
+
+class SidePart(Record):
     """One parity side: a finite member set or a cofinite removal set."""
 
-    kind: str
-    elems: frozenset[int]
+    __slots__ = ("kind", "elems")
 
-    def __post_init__(self):
-        if self.kind not in (FIN, COFIN):
-            raise ValueError(f"bad kind {self.kind!r}")
-        object.__setattr__(self, "elems", frozenset(self.elems))
+    def __init__(self, kind: str, elems: frozenset[int]):
+        if kind not in (FIN, COFIN):
+            raise ValueError(f"bad kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "elems", frozenset(elems))
 
     def is_empty(self) -> bool:
         return self.kind == FIN and not self.elems
 
 
-@dataclass(frozen=True)
-class SymState:
+class SymState(Record):
     """A subset of the naturals split into its even and odd sides."""
 
-    even: SidePart
-    odd: SidePart
+    __slots__ = ("even", "odd")
 
-    def __post_init__(self):
-        if any(e % 2 for e in self.even.elems):
+    def __init__(self, even: SidePart, odd: SidePart):
+        if any(e % 2 for e in even.elems):
             raise ValueError("even side mentions odd numbers")
-        if any(e % 2 == 0 for e in self.odd.elems):
+        if any(e % 2 == 0 for e in odd.elems):
             raise ValueError("odd side mentions even numbers")
+        _set(self, "even", even)
+        _set(self, "odd", odd)
 
     def is_empty(self) -> bool:
         return self.even.is_empty() and self.odd.is_empty()
@@ -198,11 +199,14 @@ def decompositions(s: SymState, depth: int, mode: str = "union"):
         raise ValueError("depth must be at most 4")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return [(_decode(a), _decode(b)) for a, b in _pairs(_encode(s), depth, mode)]
+    pairs = dict.fromkeys(_pairs(_encode(s), depth, mode))
+    return [(_decode(a), _decode(b)) for a, b in pairs]
 
 
 def _pairs(s: int, depth: int, mode: str) -> list[tuple[int, int]]:
-    """decompositions on codes. Only pairs whose union in the mode is s are
+    """decompositions on codes, in its order but not deduplicated: a pair
+    may come more than once, which _closure reads as once. Only pairs whose
+    union in the mode is s are
     generated: a singleton overlaps the whole state and two cofinite sides
     always overlap, so disjoint mode has no idempotent peels and no growth
     pairs, and nonempty mode drops the pairs with an empty part."""
@@ -247,7 +251,7 @@ def _pairs(s: int, depth: int, mode: str) -> list[tuple[int, int]]:
                     for b in grown:
                         if a & b == s:
                             add((a, b))
-    return list(dict.fromkeys(out))
+    return out
 
 
 def _subsets(bits: list[int], most: int):
@@ -306,29 +310,33 @@ def _satisfaction(w: TileSet, tau: PeriodicTiling, codes: list[int], depth: int,
     return Evaluator(frame).masks(dag, valuation)
 
 
-@dataclass(frozen=True)
-class ConjunctReport:
-    name: str
-    status: str
-    witness: SymState | None
-    note: str
+class ConjunctReport(Record):
+    __slots__ = ("name", "status", "witness", "note")
+
+    def __init__(self, name: str, status: str, witness: SymState | None, note: str):
+        _set(self, "name", name)
+        _set(self, "status", status)
+        _set(self, "witness", witness)
+        _set(self, "note", note)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Per-conjunct outcome of the bounded refutation check.
 
     A full pass means the refutation claims hold on the depth-bounded
     fragment of the powerset frame; it is not a proof of refutation in the
     full frame."""
 
-    mode: str
-    depth: int
-    entries: tuple[ConjunctReport, ...] = field(default_factory=tuple)
+    __slots__ = ("mode", "depth", "entries")
+
+    def __init__(self, mode: str, depth: int, entries: tuple[ConjunctReport, ...] = ()):
+        _set(self, "mode", mode)
+        _set(self, "depth", depth)
+        _set(self, "entries", entries)
 
     @property
     def passed(self) -> bool:

@@ -13,7 +13,6 @@ valuation probes, under a step budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable, Mapping
@@ -26,7 +25,10 @@ from tilemodal.frames import (
     check_associative,
     enumerate_frames,
 )
+from tilemodal.record import Record
 from tilemodal.tiling import SearchBudgetExceeded
+
+_set = object.__setattr__
 
 
 class Evaluator:
@@ -136,20 +138,23 @@ def sat_set(model: Model, f: fm.Formula) -> frozenset[int]:
     return frozenset(bits(sat_mask(model, f)))
 
 
-@dataclass(frozen=True)
-class Valid:
-    pass
+class Valid(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Refuted:
-    model: Model
-    world: int
+class Refuted(Record):
+    __slots__ = ("model", "world")
+
+    def __init__(self, model: Model, world: int):
+        _set(self, "model", model)
+        _set(self, "world", world)
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
 
 Verdict = Valid | Refuted | Unknown

@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from tilemodal import formula as fm
 from tilemodal.frames import Model, bits, mask_of, powerset_frame
+from tilemodal.record import Record
 from tilemodal.semantics import Evaluator, dag_masks
 
 #: The team connectives under their team names: split disjunction is the
@@ -34,18 +34,21 @@ def team_letters(f: fm.Formula) -> set[str]:
     return fm.letters(translate(f))
 
 
-@dataclass(frozen=True)
-class Team:
+_set = object.__setattr__
+
+
+class Team(Record):
     """Valuations as bit rows over an ordered letter inventory."""
 
-    inventory: tuple[str, ...]
-    members: frozenset[int]
+    __slots__ = ("inventory", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        limit = 1 << len(self.inventory)
-        if any(not (0 <= row < limit) for row in self.members):
+    def __init__(self, inventory: tuple[str, ...], members: frozenset[int]):
+        members = frozenset(members)
+        limit = 1 << len(inventory)
+        if any(not (0 <= row < limit) for row in members):
             raise ValueError("row out of range for the inventory")
+        _set(self, "inventory", inventory)
+        _set(self, "members", members)
 
     def value(self, row: int, letter: str) -> int:
         return (row >> self.inventory.index(letter)) & 1
@@ -108,14 +111,15 @@ def team_sat(t: Team, f: fm.Formula) -> bool:
                 >> ((1 << len(t.members)) - 1))
 
 
-@dataclass(frozen=True)
-class TeamValid:
-    pass
+class TeamValid(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Counterteam:
-    team: Team
+class Counterteam(Record):
+    __slots__ = ("team",)
+
+    def __init__(self, team: Team):
+        _set(self, "team", team)
 
 
 def ptl_decide(f: fm.Formula) -> TeamValid | Counterteam:
@@ -188,8 +192,7 @@ class NonPrincipalValuation(ValueError):
         super().__init__(f"valuation of {letter!r} is not a powerset")
 
 
-@dataclass(frozen=True)
-class PMorphismReport:
+class PMorphismReport(Record):
     """Outcome of checking that world-to-team collapse is a p-morphism.
 
     forth: the image of every union triple is again a union triple.
@@ -198,10 +201,14 @@ class PMorphismReport:
     team satisfaction of its image, at every world.
     """
 
-    forth: bool
-    back: bool
-    equivalence: bool
-    failures: tuple[str, ...]
+    __slots__ = ("forth", "back", "equivalence", "failures")
+
+    def __init__(self, forth: bool, back: bool, equivalence: bool,
+                 failures: tuple[str, ...]):
+        _set(self, "forth", forth)
+        _set(self, "back", back)
+        _set(self, "equivalence", equivalence)
+        _set(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

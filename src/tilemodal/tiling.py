@@ -7,37 +7,38 @@ the first-quadrant orientation of the tiling problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from tilemodal.formula import IDENT_RE, RESERVED_WORDS
+from tilemodal.record import MutableRecord, Record
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(Record):
     """Unit square with natural-number edge colours."""
 
-    up: int
-    down: int
-    left: int
-    right: int
+    __slots__ = ("up", "down", "left", "right")
 
-    def __post_init__(self):
-        for c in (self.up, self.down, self.left, self.right):
-            if c < 0:
-                raise ValueError("colours are naturals")
+    def __init__(self, up: int, down: int, left: int, right: int):
+        if up < 0 or down < 0 or left < 0 or right < 0:
+            raise ValueError("colours are naturals")
+        _set(self, "up", up)
+        _set(self, "down", down)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class TileSet:
-    names: tuple[str, ...]
-    tiles: tuple[Tile, ...]
+class TileSet(Record):
+    __slots__ = ("names", "tiles")
 
-    def __post_init__(self):
-        if not self.tiles:
+    def __init__(self, names: tuple[str, ...], tiles: tuple[Tile, ...]):
+        if not tiles:
             raise ValueError("tile sets must be nonempty")
-        if len(self.names) != len(self.tiles):
+        if len(names) != len(tiles):
             raise ValueError("one name per tile")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("tile names must be unique")
+        _set(self, "names", names)
+        _set(self, "tiles", tiles)
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -55,16 +56,15 @@ def matches(w: TileSet, t: int) -> tuple[frozenset[int], frozenset[int]]:
     return right_set, up_set
 
 
-@dataclass
-class Grid:
+class Grid(MutableRecord):
     """Rectangular tile assignment; treat as immutable once built."""
 
-    width: int
-    height: int
-    cells: dict[tuple[int, int], int]
+    __slots__ = ("width", "height", "cells")
 
-    def __post_init__(self):
-        self.cells = dict(self.cells)
+    def __init__(self, width: int, height: int, cells: dict[tuple[int, int], int]):
+        self.width = width
+        self.height = height
+        self.cells = dict(cells)
 
     def tile_at(self, col: int, row: int) -> int:
         return self.cells[(col, row)]
@@ -77,15 +77,17 @@ class Grid:
         )
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
     """Failed adjacency at (col, row): edge "horizontal" means the right/left
     colours of (col, row) and (col+1, row) differ, "vertical" the up/down
     colours of (col, row) and (col, row+1)."""
 
-    col: int
-    row: int
-    edge: str
+    __slots__ = ("col", "row", "edge")
+
+    def __init__(self, col: int, row: int, edge: str):
+        _set(self, "col", col)
+        _set(self, "row", row)
+        _set(self, "edge", edge)
 
 
 def verify_grid(w: TileSet, g: Grid) -> Mismatch | None:
@@ -276,21 +278,20 @@ def solve_rect(w: TileSet, width: int, height: int,
     return None if cells is None else Grid(width, height, cells)
 
 
-@dataclass
-class PeriodicTiling:
+class PeriodicTiling(MutableRecord):
     """A p x q torus assignment; unrolling it periodically tiles the plane."""
 
-    periods: tuple[int, int]
-    cells: dict[tuple[int, int], int]
+    __slots__ = ("periods", "cells")
 
-    def __post_init__(self):
-        self.cells = dict(self.cells)
-        p, q = self.periods
+    def __init__(self, periods: tuple[int, int], cells: dict[tuple[int, int], int]):
+        self.periods = periods
+        self.cells = cells = dict(cells)
+        p, q = periods
         if p < 1 or q < 1:
             raise ValueError("periods must be positive")
         # counted first: the cover set is only built when it can be matched
-        if (len(self.cells) != p * q
-                or set(self.cells) != {(c, r) for c in range(p) for r in range(q)}):
+        if (len(cells) != p * q
+                or set(cells) != {(c, r) for c in range(p) for r in range(q)}):
             raise ValueError("cells must cover exactly the p x q torus")
 
     def tile_at(self, m: int, n: int) -> int:

@@ -419,6 +419,11 @@ BAD_INPUTS = [
     ["ptl-decide", "p | T"],
     ["extract", "--frame", "{point}", "--tiles", "{clash}", "--point", "0", "--k", "1"],
     ["verify-lemma6", "--tiles", "{clash}", "--period", "1,1", "--depth", "1"],
+    # more worlds than any index can hold
+    ["frame-valid", "--frame", "{huge}", "--formula", "p"],
+    ["model-check", "--frame", "{huge}", "--formula", "p"],
+    ["check-assoc", "--frame", "{huge}"],
+    ["extract", "--frame", "{huge}", "--tiles", "{mono}", "--point", "0"],
 ]
 
 #: One well-formed, quick argv per subcommand.
@@ -480,13 +485,14 @@ def fill(tmp_path):
     (tmp_path / "valley.frame").write_text("worlds 2\nvalley: 0\n")
     (tmp_path / "clash.tiles").write_text("x_e 0 0 0 0\n")  # a structural letter
     (tmp_path / "point.frame").write_text("worlds 1\n0 0 0\n")
+    (tmp_path / "huge.frame").write_text("worlds 99999999999999999999\n0 0 1\n")
     model, _ = quotient_countermodel(TileSet(("t1",), (Tile(0, 0, 0, 0),)),
                                      PeriodicTiling((1, 1), {(0, 0): 0}))
     (tmp_path / "quotient.frame").write_text(render_frame_file(model.frame, model.valuation))
     names = dict(swap=tmp_path / "swap.tiles", valley=tmp_path / "valley.frame",
                  missing=tmp_path / "missing", mono=tmp_path / "one.tiles",
                  quotient=tmp_path / "quotient.frame", clash=tmp_path / "clash.tiles",
-                 point=tmp_path / "point.frame")
+                 point=tmp_path / "point.frame", huge=tmp_path / "huge.frame")
     return lambda argv: [a.format(**names) for a in argv]
 
 

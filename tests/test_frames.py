@@ -391,6 +391,7 @@ class TestRowsBuiltFrame:
     def test_out_of_range_rows(self):
         bad = [
             (0, {}, "frames need at least one world"),
+            (sys.maxsize + 1, {}, f"frames have at most {sys.maxsize} worlds"),
             (2, {2: {0: 1}}, "row 2 empty or out of range for size 2"),
             (2, {-1: {0: 1}}, "row -1 empty or out of range for size 2"),
             (2, {0: {1: 1}, 1: {}}, "row 1 empty or out of range for size 2"),
@@ -739,6 +740,7 @@ class TestModelAndFiles:
     def test_construction_errors(self):
         bad = {
             (0, ()): "frames need at least one world",
+            (sys.maxsize + 1, ((0, 0, 1),)): f"frames have at most {sys.maxsize} worlds",
             (2, ((0, 1),)): "triple (0, 1) out of range for size 2",
             (2, ((0, 1, 1, 0),)): "triple (0, 1, 1, 0) out of range for size 2",
         }
