@@ -149,9 +149,7 @@ def cmd_check_assoc(args, out) -> int:
         return 0
     text = (f"counterexample x={verdict.x} a={verdict.a} b={verdict.b} "
             f"c={verdict.c} direction={verdict.direction}")
-    kv = (f"status=counterexample x={verdict.x} a={verdict.a} b={verdict.b} "
-          f"c={verdict.c} direction={verdict.direction}")
-    _emit(out, args.format, [text], [kv])
+    _emit(out, args.format, [text], ["status=" + text])
     return DOMAIN_ERROR
 
 

@@ -24,8 +24,6 @@ from tilemodal.record import Record
 from tilemodal.semantics import Evaluator
 from tilemodal.tiling import Grid, TileSet, verify_grid
 
-_set = object.__setattr__
-
 
 class ExtractionError(Exception):
     pass
@@ -66,14 +64,6 @@ class Axes(Record):
 
     __slots__ = ("z", "x", "y", "xp", "yp")
 
-    def __init__(self, z: int, x: tuple[int, ...], y: tuple[int, ...],
-                 xp: tuple[int, ...], yp: tuple[int, ...]):
-        _set(self, "z", z)
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "xp", xp)
-        _set(self, "yp", yp)
-
     @property
     def k(self) -> int:
         return len(self.x) - 1
@@ -89,11 +79,6 @@ class GridPoints(Record):
     """Grid worlds p[(m, n)] for 1 <= m, n <= k+1 plus the axes they hang on."""
 
     __slots__ = ("k", "points", "axes")
-
-    def __init__(self, k: int, points: dict[tuple[int, int], int], axes: Axes):
-        _set(self, "k", k)
-        _set(self, "points", points)
-        _set(self, "axes", axes)
 
 
 class _Checker:

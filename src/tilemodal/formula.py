@@ -36,6 +36,9 @@ class Formula(Record):
     equality and hashing are structural, and repr shows the rendered text."""
 
     __slots__ = ()
+    # each node class with fields fills them itself; Top and Bottom, built
+    # as often as any node, skip Record's general __init__
+    __init__ = object.__init__
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {render(self)!r}>"

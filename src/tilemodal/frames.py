@@ -135,8 +135,7 @@ class BinRel(Record):
     def __init__(self, size: int, succ: tuple[int, ...]):
         if len(succ) != size or any(m >> size for m in succ):
             raise ValueError("successor masks out of range")
-        _set(self, "size", size)
-        _set(self, "succ", succ)
+        super().__init__(size, succ)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -151,13 +150,6 @@ class AssocCounterexample(Record):
     """
 
     __slots__ = ("x", "a", "b", "c", "direction")
-
-    def __init__(self, x: int, a: int, b: int, c: int, direction: str):
-        _set(self, "x", x)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "direction", direction)
 
 
 def check_associative(frame: Frame) -> AssocCounterexample | None:
@@ -175,7 +167,7 @@ def check_associative(frame: Frame) -> AssocCounterexample | None:
         used |= 1 << y
         for z, xs in cells.items():
             used |= xs | 1 << z
-    worlds = range(frame.size) if used == (1 << frame.size) - 1 else list(bits(used))
+    worlds = range(frame.size) if used.bit_count() == frame.size else list(bits(used))
     n = len(worlds)
     rows = [0] * n
     if n == frame.size:

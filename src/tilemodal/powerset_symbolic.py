@@ -28,8 +28,6 @@ from tilemodal.tiling import PeriodicTiling, TileSet
 FIN = "fin"
 COFIN = "cofin"
 
-_set = object.__setattr__
-
 
 class SidePart(Record):
     """One parity side: a finite member set or a cofinite removal set."""
@@ -39,8 +37,7 @@ class SidePart(Record):
     def __init__(self, kind: str, elems: frozenset[int]):
         if kind not in (FIN, COFIN):
             raise ValueError(f"bad kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "elems", frozenset(elems))
+        super().__init__(kind, frozenset(elems))
 
     def is_empty(self) -> bool:
         return self.kind == FIN and not self.elems
@@ -56,8 +53,7 @@ class SymState(Record):
             raise ValueError("even side mentions odd numbers")
         if any(e % 2 == 0 for e in odd.elems):
             raise ValueError("odd side mentions even numbers")
-        _set(self, "even", even)
-        _set(self, "odd", odd)
+        super().__init__(even, odd)
 
     def is_empty(self) -> bool:
         return self.even.is_empty() and self.odd.is_empty()
@@ -313,12 +309,6 @@ def _satisfaction(w: TileSet, tau: PeriodicTiling, codes: list[int], depth: int,
 class ConjunctReport(Record):
     __slots__ = ("name", "status", "witness", "note")
 
-    def __init__(self, name: str, status: str, witness: SymState | None, note: str):
-        _set(self, "name", name)
-        _set(self, "status", status)
-        _set(self, "witness", witness)
-        _set(self, "note", note)
-
     @property
     def passed(self) -> bool:
         return self.status == "pass"
@@ -334,9 +324,7 @@ class Report(Record):
     __slots__ = ("mode", "depth", "entries")
 
     def __init__(self, mode: str, depth: int, entries: tuple[ConjunctReport, ...] = ()):
-        _set(self, "mode", mode)
-        _set(self, "depth", depth)
-        _set(self, "entries", entries)
+        super().__init__(mode, depth, entries)
 
     @property
     def passed(self) -> bool:

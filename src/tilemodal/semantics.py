@@ -28,8 +28,6 @@ from tilemodal.frames import (
 from tilemodal.record import Record
 from tilemodal.tiling import SearchBudgetExceeded
 
-_set = object.__setattr__
-
 
 class Evaluator:
     """Satisfaction-set evaluator for one frame, under any letter masks.
@@ -145,16 +143,9 @@ class Valid(Record):
 class Refuted(Record):
     __slots__ = ("model", "world")
 
-    def __init__(self, model: Model, world: int):
-        _set(self, "model", model)
-        _set(self, "world", world)
-
 
 class Unknown(Record):
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        _set(self, "reason", reason)
 
 
 Verdict = Valid | Refuted | Unknown

@@ -34,9 +34,6 @@ def team_letters(f: fm.Formula) -> set[str]:
     return fm.letters(translate(f))
 
 
-_set = object.__setattr__
-
-
 class Team(Record):
     """Valuations as bit rows over an ordered letter inventory."""
 
@@ -47,8 +44,7 @@ class Team(Record):
         limit = 1 << len(inventory)
         if any(not (0 <= row < limit) for row in members):
             raise ValueError("row out of range for the inventory")
-        _set(self, "inventory", inventory)
-        _set(self, "members", members)
+        super().__init__(inventory, members)
 
     def value(self, row: int, letter: str) -> int:
         return (row >> self.inventory.index(letter)) & 1
@@ -117,9 +113,6 @@ class TeamValid(Record):
 
 class Counterteam(Record):
     __slots__ = ("team",)
-
-    def __init__(self, team: Team):
-        _set(self, "team", team)
 
 
 def ptl_decide(f: fm.Formula) -> TeamValid | Counterteam:
@@ -202,13 +195,6 @@ class PMorphismReport(Record):
     """
 
     __slots__ = ("forth", "back", "equivalence", "failures")
-
-    def __init__(self, forth: bool, back: bool, equivalence: bool,
-                 failures: tuple[str, ...]):
-        _set(self, "forth", forth)
-        _set(self, "back", back)
-        _set(self, "equivalence", equivalence)
-        _set(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

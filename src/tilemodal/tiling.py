@@ -8,7 +8,7 @@ the first-quadrant orientation of the tiling problem.
 from __future__ import annotations
 
 from tilemodal.formula import IDENT_RE, RESERVED_WORDS
-from tilemodal.record import MutableRecord, Record
+from tilemodal.record import Record
 
 _set = object.__setattr__
 
@@ -37,8 +37,7 @@ class TileSet(Record):
             raise ValueError("one name per tile")
         if len(set(names)) != len(names):
             raise ValueError("tile names must be unique")
-        _set(self, "names", names)
-        _set(self, "tiles", tiles)
+        super().__init__(names, tiles)
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -56,15 +55,13 @@ def matches(w: TileSet, t: int) -> tuple[frozenset[int], frozenset[int]]:
     return right_set, up_set
 
 
-class Grid(MutableRecord):
+class Grid(Record):
     """Rectangular tile assignment; treat as immutable once built."""
 
     __slots__ = ("width", "height", "cells")
 
     def __init__(self, width: int, height: int, cells: dict[tuple[int, int], int]):
-        self.width = width
-        self.height = height
-        self.cells = dict(cells)
+        super().__init__(width, height, dict(cells))
 
     def tile_at(self, col: int, row: int) -> int:
         return self.cells[(col, row)]
@@ -83,11 +80,6 @@ class Mismatch(Record):
     colours of (col, row) and (col, row+1)."""
 
     __slots__ = ("col", "row", "edge")
-
-    def __init__(self, col: int, row: int, edge: str):
-        _set(self, "col", col)
-        _set(self, "row", row)
-        _set(self, "edge", edge)
 
 
 def verify_grid(w: TileSet, g: Grid) -> Mismatch | None:
@@ -278,14 +270,13 @@ def solve_rect(w: TileSet, width: int, height: int,
     return None if cells is None else Grid(width, height, cells)
 
 
-class PeriodicTiling(MutableRecord):
+class PeriodicTiling(Record):
     """A p x q torus assignment; unrolling it periodically tiles the plane."""
 
     __slots__ = ("periods", "cells")
 
     def __init__(self, periods: tuple[int, int], cells: dict[tuple[int, int], int]):
-        self.periods = periods
-        self.cells = cells = dict(cells)
+        cells = dict(cells)
         p, q = periods
         if p < 1 or q < 1:
             raise ValueError("periods must be positive")
@@ -293,6 +284,7 @@ class PeriodicTiling(MutableRecord):
         if (len(cells) != p * q
                 or set(cells) != {(c, r) for c in range(p) for r in range(q)}):
             raise ValueError("cells must cover exactly the p x q torus")
+        super().__init__(periods, cells)
 
     def tile_at(self, m: int, n: int) -> int:
         p, q = self.periods
@@ -403,8 +395,13 @@ def _colour_style(colour: int) -> str:
     return f"hsl({hue},70%,{light}%)"
 
 
-def render_svg(w: TileSet, g: Grid, cell: int = 40) -> str:
+#: The side of one tile in render_svg's picture, in pixels.
+_SVG_CELL = 40
+
+
+def render_svg(w: TileSet, g: Grid) -> str:
     """Unit squares with edge triangles coloured by edge colour index."""
+    cell = _SVG_CELL
     width, height = g.width * cell, g.height * cell
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

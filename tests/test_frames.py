@@ -2,6 +2,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice, permutations, product
 
 import pytest
@@ -244,6 +245,16 @@ class TestSparseLargeFrames:
                             "--point", "0", "--k", "1"])
         assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout == "extraction failed: premise failed: body conjunct seed at 0\n"
+
+    def test_huge_world_count_builds_no_world_sized_integer(self):
+        frame = Frame(2**27, {(0, 0, 0), (1, 1, 1)})
+        tracemalloc.start()
+        try:
+            assert check_associative(frame) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 2**27-bit integer alone is 16 MiB
 
     def test_spread_frame_has_the_compact_counterexample(self, tmp_path):
         rng = random.Random(8)
