@@ -80,11 +80,18 @@ def _load_frame(path: str) -> tuple[Frame, dict[str, set[int]]]:
         raise CliError(f"{path}: {e}") from None
 
 
-def _parse_formula(text: str, dag: fm.Dag | None = None) -> fm.Formula | int:
-    """The formula of text, or with a Dag its root op there (fm.parse)."""
+def _parse_formula(text: str) -> fm.Formula:
     try:
-        return fm.parse(text, dag)
+        return fm.parse(text)
     except fm.FormulaSyntaxError as e:
+        raise CliError(str(e)) from None
+
+
+def _evaluate(run, *args, **keywords):
+    """run(*args, **keywords); a frame over semantics.MAX_WORLDS is a usage error."""
+    try:
+        return run(*args, **keywords)
+    except ValueError as e:
         raise CliError(str(e)) from None
 
 
@@ -157,7 +164,7 @@ def cmd_model_check(args, out) -> int:
     frame, valuation = _load_frame(args.frame)
     model = Model(frame, valuation)
     f = _parse_formula(args.formula)
-    worlds = sorted(sat_set(model, f))
+    worlds = sorted(_evaluate(sat_set, model, f))
     if args.world is not None:
         if not 0 <= args.world < frame.size:
             raise CliError(f"world {args.world} out of range")
@@ -174,10 +181,9 @@ def cmd_model_check(args, out) -> int:
 
 def cmd_frame_valid(args, out) -> int:
     frame, _ = _load_frame(args.frame)
-    dag = fm.Dag()
-    _parse_formula(args.formula, dag)
-    verdict = frame_validity(frame, dag, strategy=args.strategy, seed=args.seed,
-                             samples=args.samples)
+    f = _parse_formula(args.formula)
+    verdict = _evaluate(frame_validity, frame, f, strategy=args.strategy, seed=args.seed,
+                        samples=args.samples)
     if isinstance(verdict, Valid):
         _emit(out, args.format, ["valid"], ["status=valid"])
         return 0
@@ -193,9 +199,8 @@ def cmd_frame_valid(args, out) -> int:
 
 
 def cmd_countermodel(args, out) -> int:
-    dag = fm.Dag()
-    _parse_formula(args.formula, dag)
-    hit = countermodel_search(dag, args.max_worlds, args.budget, seed=args.seed)
+    f = _parse_formula(args.formula)
+    hit = countermodel_search(f, args.max_worlds, args.budget, seed=args.seed)
     if hit is None:
         _emit(out, args.format, ["no countermodel within budget"],
               ["status=exhausted"])
@@ -288,7 +293,7 @@ def cmd_extract(args, out) -> int:
     if not 0 <= args.point < frame.size:
         raise CliError(f"point {args.point} out of range")
     try:
-        grid = extraction.extract_tiling(model, args.point, args.k, w)
+        grid = _evaluate(extraction.extract_tiling, model, args.point, args.k, w)
     except extraction.ExtractionError as e:
         _emit(out, args.format, [f"extraction failed: {e}"],
               [f"status=failed reason={str(e).replace(' ', '_')}"])

@@ -90,7 +90,6 @@ class _Checker:
 
     def __init__(self, model: Model, w: TileSet):
         self.model = model
-        self._ssucc = s_relation(model.frame).succ
         dag = fm.Dag()
         body = reduction.conjuncts(w, dag)
         node = fm.encoders(dag)
@@ -99,6 +98,7 @@ class _Checker:
         products = {(a, b): node[fm.Comp](letters[f"x_{a}"], letters[f"y_{b}"])
                     for a, b in reduction.PARITY_PAIRS}
         sat = Evaluator(model.frame).masks(dag, model.masks)
+        self._ssucc = s_relation(model.frame).succ
         self.letter = {name: sat[i] for name, i in letters.items()}
         self.tile_masks = [sat[i] for i in tiles]
         self.products = {pair: sat[i] for pair, i in products.items()}

@@ -8,15 +8,13 @@ interprets, and :func:`desugar` reads that expansion back as a core tree,
 T spelled as excluded middle over TOP_LETTER.
 
 The parser and the printer are driven by a notation's syntax table, so team
-logic's notation is read and written by the same code as the modal one. The
-parser also compiles as it reads: parse(text, dag) adds the text's ops to a
-Dag with no tree in between.
+logic's notation is read and written by the same code as the modal one.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import islice
 
@@ -33,40 +31,27 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 class Formula(Record):
     """Base class of all formula nodes. Instances are immutable and hashable;
-    equality and hashing are structural, and repr shows the rendered text."""
+    equality and hashing are structural, by the node types and letter names
+    in pre-order (walk), and repr shows the rendered text."""
 
     __slots__ = ()
-    # each node class with fields fills them itself; Top and Bottom, built
-    # as often as any node, skip Record's general __init__
+    # fields: the slots a node's classes declare, each filled by its class;
+    # Top and Bottom, built as often as any node, skip Record's __init__
     __init__ = object.__init__
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {render(self)!r}>"
 
     def __eq__(self, other) -> bool:
-        """Structural equality, walked from an explicit stack so that
-        nesting depth is not bounded by recursion."""
         if not isinstance(other, Formula):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            f, g = todo.pop()
-            if f is g:
-                continue
-            if type(f) is not type(g) or (type(f) is Letter and f.name != g.name):
-                return False
-            todo += zip(_children(f), _children(g))
-        return True
+        return self is other or _key(self) == _key(other)
 
     def __hash__(self) -> int:
-        """Hash of the node types and letter names in pre-order, which
-        determine the formula; built from an explicit stack."""
-        key, todo = [], [self]
-        while todo:
-            g = todo.pop()
-            key.append(g.name if type(g) is Letter else type(g))
-            todo += _children(g)
-        return hash(tuple(key))
+        return hash(_key(self))
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, n) for c in type(self).__mro__[:-1] for n in c.__slots__])
 
 
 class Letter(Formula):
@@ -303,8 +288,8 @@ _ENCODE = {
 def encoders(dag: Dag) -> dict[type, Callable[..., int]]:
     """The node types as builders of dag's ops: entry T adds the ops of a T
     node given its children's op indices (Letter: its name) and returns the
-    node's index, as dag.add compiles it; for the builders that emit ops
-    with no tree in between, the parser and the reduction."""
+    node's index, as dag.add compiles it; for the reduction and extraction,
+    which emit ops with no tree in between."""
     return {Letter: partial(dag._op, VAR),
             **{node: partial(encode, dag) for node, encode in _ENCODE.items()}}
 
@@ -314,12 +299,23 @@ _ARITY = {Letter: 0, Top: 0, Bottom: 0, Neg: 1, Box: 1, Or: 2, Comp: 2, And: 2,
           Implies: 2, Iff: 2, HookR: 2, HookL: 2}
 
 
-def _children(f: Formula) -> tuple[Formula, ...]:
-    """The direct subformulas of f, left to right."""
-    n = _ARITY.get(type(f))
-    if n is None:
-        raise TypeError(f"not a Formula: {f!r}")
-    return (f.left, f.right) if n == 2 else (f.sub,) if n else ()
+def walk(f: Formula) -> Iterator[Formula]:
+    """The nodes of f in pre-order: each node, then its left subtree, then
+    its right; from an explicit stack, so nesting depth is not bounded by
+    recursion. A node that is not a Formula is yielded, then TypeError."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        n = _ARITY.get(type(g))
+        if n is None:
+            raise TypeError(f"not a Formula: {g!r}")
+        todo += (g.right, g.left) if n == 2 else (g.sub,) if n else ()
+
+
+def _key(f: Formula) -> tuple:
+    """f's node types and letter names in pre-order: by the arities, they determine f."""
+    return tuple([g.name if type(g) is Letter else type(g) for g in walk(f)])
 
 
 def to_dag(f: Formula | Dag) -> Dag:
@@ -329,25 +325,13 @@ def to_dag(f: Formula | Dag) -> Dag:
 
 def node_count(f: Formula) -> int:
     """Number of AST nodes, counting derived nodes as single nodes."""
-    count, todo = 0, [f]
-    while todo:
-        count += 1
-        todo += _children(todo.pop())
-    return count
+    return sum(1 for _ in walk(f))
 
 
 def letters(f: Formula) -> set[str]:
     """Letter names occurring in f, counting TOP_LETTER for T and F."""
-    out: set[str] = set()
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if type(g) is Letter:
-            out.add(g.name)
-        elif type(g) in (Top, Bottom):
-            out.add(TOP_LETTER)
-        todo += _children(g)
-    return out
+    return {g.name if type(g) is Letter else TOP_LETTER
+            for g in walk(f) if type(g) in (Letter, Top, Bottom)}
 
 
 # -- concrete syntax ---------------------------------------------------------
@@ -395,7 +379,7 @@ _SYNTAX = {
 }
 
 
-def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int]:
+def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
     """The parse function of a notation, the inverse of render(-, syntax).
 
     A token spelled like a letter is a keyword of the notation; the other
@@ -405,12 +389,9 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
     found): the character index, the acceptable tokens ("a token" when none
     starts there), and the offending token, '' at the end of input.
 
-    parse(text) returns the formula; parse(text, dag) adds the text's ops to
-    the Dag as dag.add(parse(text)) does, and returns the root's index,
-    without building the tree: the one loop calls the Dag's encoders where
-    it would call the node types, and applies each operator once its
-    operands are complete, the order Dag.add compiles in. A failure leaves
-    the Dag as it was."""
+    Operator precedence over explicit stacks: an open bracket saves the
+    operands, operators and pending prefixes of the level around it, so
+    nesting depth is not bounded by recursion."""
     tokens = {token: node for node, (token, _, _) in syntax.items()}
     words = {t for t in tokens if IDENT_RE.fullmatch(t)}
     symbols = sorted(tokens.keys() - words | {"(", ")"}, key=len, reverse=True)
@@ -425,7 +406,6 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
     binary = {t: (prec, assoc)
               for node, (t, prec, assoc) in syntax.items() if _ARITY[node] == 2}
     operand = {"a letter", "(", *constants, *prefixes}
-    trees = {**tokens, "ident": Letter}
 
     def fail(text: str, i: int, expected: set[str], found: str) -> ValueError:
         """The error at token i of text, whose position is found again only
@@ -434,60 +414,36 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[..., Formula | int
         return error(text, m.start(m.lastindex) if m.lastindex else len(text),
                      expected, found)
 
-    def parse(text: str, dag: Dag | None = None) -> Formula | int:
-        if dag is None:
-            return read(text, trees)
-        size, node = len(dag.ops), encoders(dag)
+    def reduce(operands: list[Formula], operators: list[str], least: int) -> None:
+        """Apply the stacked operators binding at least as tightly as least."""
+        while operators and binary[operators[-1]][0] >= least:
+            right = operands.pop()
+            operands[-1] = tokens[operators.pop()](operands[-1], right)
 
-        def var(name: str) -> int:
-            if name in RESERVED_WORDS:
-                Letter(name)  # raises the ValueError of a tree parse
-            return node[Letter](name)
-        try:
-            return read(text, {"ident": var, **{t: node[n] for t, n in tokens.items()}})
-        except ValueError:
-            for op in dag.ops[size:]:
-                del dag._index[op]
-            del dag.ops[size:]
-            raise
-
-    def read(text: str, build: dict[str, Callable]):
-        """Operator precedence over explicit stacks: an open bracket saves
-        the operands, operators and pending prefixes of the level around it,
-        so nesting depth is not bounded by recursion. build["ident"] makes a
-        letter of its name, and build[token] a token's node of its operands."""
+    def parse(text: str) -> Formula:
         toks = token_re.findall(text)  # (token, stray character), ('', '') at the end
         i = next((i for i, (_, stray) in enumerate(toks) if stray), None)
         if i is not None:
             raise fail(text, i, {"a token"}, toks[i][1])
-        i, outer, pending = 0, [], []  # pending: prefixes of every open operand
-        operands: list = []
+        i, outer, pending, seen = 0, [], [], {}  # pending: each open operand's prefixes
+        operands: list[Formula] = []
         operators: list[str] = []
-
-        def reduce(operands: list, operators: list[str], least: int) -> None:
-            """Apply the stacked operators binding at least as tightly as least."""
-            while operators and binary[operators[-1]][0] >= least:
-                right = operands.pop()
-                operands[-1] = build[operators.pop()](operands[-1], right)
-
         while True:  # at an operand
             mark = len(pending)
-            value = toks[i][0]
+            value, i = toks[i][0], i + 1
             kind = kinds.get(value, "ident")
-            i += 1
             while kind in prefixes:
-                pending.append(build[kind])
-                value = toks[i][0]
+                pending.append(tokens[kind])
+                value, i = toks[i][0], i + 1
                 kind = kinds.get(value, "ident")
-                i += 1
             if kind == "(":
                 outer.append((operands, operators, mark))
                 operands, operators = [], []
                 continue
-            if kind == "ident":
-                f = build["ident"](value)
+            if kind == "ident":  # one Letter per name in a parse
+                f = seen[value] if value in seen else seen.setdefault(value, Letter(value))
             elif kind in constants:
-                f = build[kind]()
+                f = tokens[kind]()
             else:
                 raise fail(text, i - 1, operand, value)
             while True:  # f ends an operand; a binary operator may follow

@@ -45,8 +45,8 @@ class Frame(Record):
     x-mask. rows[y][z] is the x-mask of the pair (y, z). Frame(size,
     triples) fills rows in the loop that range-checks the triples;
     Frame.from_rows takes rows as they are built, and derives the triples
-    only when they are read. Either way a frame is equal to, and hashes
-    like, Frame(size, its triples). Frames are immutable. A size must lie
+    only when they are read. Either way a frame equals, hashes and pickles
+    as Frame(size, its triples). Frames are immutable. A size must lie
     between 1 and sys.maxsize."""
 
     __slots__ = ("size", "rows", "cols", "_triples")
@@ -107,6 +107,9 @@ class Frame(Record):
 
     def __hash__(self) -> int:
         return hash((self.size, self.triples))
+
+    def _fields(self) -> tuple:
+        return self.size, self.triples
 
     def __repr__(self) -> str:
         """The repr of (size, triples), the triples sorted, so equal frames

@@ -5,7 +5,8 @@ fills them, positional values first, then keywords; a record that checks or
 normalises its fields does so in its own __init__ and then calls Record's.
 Fields are set once (with object.__setattr__, as assignment raises). A
 record compares equal to a record of its own class with equal fields,
-hashes like the tuple of its fields, and prints as Name(field=value, ...).
+hashes like the tuple of its fields, prints as Name(field=value, ...), and
+pickles and copies as a call of its class on its fields.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ class Record:
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

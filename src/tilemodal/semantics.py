@@ -29,6 +29,10 @@ from tilemodal.record import Record
 from tilemodal.tiling import SearchBudgetExceeded
 
 
+#: Most worlds of a frame to evaluate: a pass builds masks of a bit per world.
+MAX_WORLDS = 1 << 24
+
+
 class Evaluator:
     """Satisfaction-set evaluator for one frame, under any letter masks.
 
@@ -42,6 +46,8 @@ class Evaluator:
     """
 
     def __init__(self, frame: Frame):
+        if frame.size > MAX_WORLDS:
+            raise ValueError(f"too many worlds to evaluate: {frame.size}, over {MAX_WORLDS}")
         self.frame = frame
 
     def mask(self, f: fm.Formula | fm.Dag, letters: Mapping[str, int],

@@ -136,19 +136,10 @@ def ptl_decide(f: fm.Formula) -> TeamValid | Counterteam:
 
 
 def _outside(f: fm.Formula) -> fm.Formula | None:
-    """The first node of f, in pre-order, that is not a team connective or
-    a letter; None when f is a team formula. Walked from an explicit stack,
-    so nesting depth is not bounded by recursion."""
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if type(g) is BoolNeg:
-            todo.append(g.sub)
-        elif type(g) in _TEAM_SYNTAX:
-            todo += (g.right, g.left)
-        elif type(g) is not Letter:
-            return g
-    return None
+    """The first node of f in pre-order (fm.walk) that is not a team
+    connective or a letter; None when f is a team formula."""
+    return next((g for g in fm.walk(f)
+                 if type(g) is not Letter and type(g) not in _TEAM_SYNTAX), None)
 
 
 def translate(f: fm.Formula) -> fm.Formula:

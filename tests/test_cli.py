@@ -7,11 +7,13 @@ import pytest
 
 from conftest import full_parser_main
 from fixtures_quotient import quotient_countermodel
+from test_frames import run_limited
 from tilemodal import formula as fm
 from tilemodal import reduction
 from tilemodal.cli import (COMMANDS, DESUGAR_LIMIT, FORMAT_OPTION, _read_args,
                            build_parser, main)
 from tilemodal.frames import render_frame_file
+from tilemodal.semantics import MAX_WORLDS
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet
 
 MONO_TILES = "t1 0 0 0 0\n"
@@ -486,13 +488,15 @@ def fill(tmp_path):
     (tmp_path / "clash.tiles").write_text("x_e 0 0 0 0\n")  # a structural letter
     (tmp_path / "point.frame").write_text("worlds 1\n0 0 0\n")
     (tmp_path / "huge.frame").write_text("worlds 99999999999999999999\n0 0 1\n")
+    (tmp_path / "vast.frame").write_text(f"worlds {VAST}\n0 0 0\n1 1 1\n")
     model, _ = quotient_countermodel(TileSet(("t1",), (Tile(0, 0, 0, 0),)),
                                      PeriodicTiling((1, 1), {(0, 0): 0}))
     (tmp_path / "quotient.frame").write_text(render_frame_file(model.frame, model.valuation))
     names = dict(swap=tmp_path / "swap.tiles", valley=tmp_path / "valley.frame",
                  missing=tmp_path / "missing", mono=tmp_path / "one.tiles",
                  quotient=tmp_path / "quotient.frame", clash=tmp_path / "clash.tiles",
-                 point=tmp_path / "point.frame", huge=tmp_path / "huge.frame")
+                 point=tmp_path / "point.frame", huge=tmp_path / "huge.frame",
+                 vast=tmp_path / "vast.frame")
     return lambda argv: [a.format(**names) for a in argv]
 
 
@@ -502,6 +506,32 @@ def test_bad_input_is_usage_error_without_traceback(fill, argv):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+#: A world count over semantics.MAX_WORLDS, in a frame of two triples.
+VAST = 2 ** 35
+
+#: The commands that evaluate a formula on the vast frame; check-assoc, which
+#: reads only the worlds of the triples, still answers.
+VAST_INPUTS = [
+    ["model-check", "--frame", "{vast}", "--formula", "T"],
+    ["frame-valid", "--frame", "{vast}", "--formula", "T"],
+    ["frame-valid", "--frame", "{vast}", "--formula", "p", "--strategy", "random"],
+    ["extract", "--frame", "{vast}", "--tiles", "{mono}", "--point", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", VAST_INPUTS)
+def test_frame_too_large_to_evaluate_is_one_line_usage_error(fill, argv):
+    # with little address space, so that a masks pass that starts fails fast
+    proc = run_limited(fill(argv))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"too many worlds to evaluate: {VAST}, over {MAX_WORLDS}\n"
+
+
+def test_frame_too_large_to_evaluate_is_still_checked(fill):
+    proc = run_limited(fill(["check-assoc", "--frame", "{vast}"]))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "associative\n", "")
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS + GOOD_INPUTS + EDGE_INPUTS)

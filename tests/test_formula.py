@@ -25,7 +25,7 @@ from tilemodal.formula import (
     parse,
     render,
 )
-from tilemodal.team_logic import parse_team_formula
+from tilemodal.team_logic import parse_team_formula, render_team_formula
 
 p, q, r = Letter("p"), Letter("q"), Letter("r")
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +114,37 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError) as info:
             parse(text)
         assert str(info.value) == message
+
+    def test_corpus(self, tmp_path):
+        """Every formula of the golden file and of the workloads parses and
+        reprints as it reads, and cutting it short, adding a stray bracket
+        or a stray character gives a located syntax error."""
+        corpus = _corpus(tmp_path)
+        modal = {text for fn, text in corpus if fn is parse}
+        assert len(modal) > 50 and len(corpus) - len(modal) > 5
+        failures = 0
+        for fn, text in corpus:
+            f = fn(text)
+            assert fn((render if fn is parse else render_team_formula)(f)) == f, text
+            for bad in (text[:len(text) // 2], text + ")", text[:3] + "$" + text[3:]):
+                try:
+                    fn(bad)
+                except ValueError as e:
+                    assert str(e).startswith("syntax error at byte "), (bad, str(e))
+                    failures += 1
+        assert failures > 2 * len(corpus)
+
+    def test_reserved_letter_of_another_notation(self):
+        for text in ("p | o", "T"):
+            with pytest.raises(ValueError, match="invalid letter name"):
+                parse_team_formula(text)
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        for text, nodes in (("~" * 3000 + "p", 3001), ("p -> " * 3000 + "q", 6001),
+                            ("(" * 3000 + "p" + ")" * 3000, 1),
+                            ("[]" * 2000 + "(p o q)", 2003)):
+            f = parse(text)
+            assert fm.node_count(f) == nodes and parse(render(f)) == f
 
 
 class TestRender:
@@ -257,60 +288,6 @@ def _corpus(workdir: Path) -> list[tuple[object, str]]:
                 elif "--formula" in argv:
                     out.append((parse, argv[argv.index("--formula") + 1]))
     return out
-
-
-class TestParseIntoDag:
-    """parse(text, dag) adds exactly the ops dag.add(parse(text)) adds, in
-    order, and fails as parse(text) does, leaving the Dag as it was."""
-
-    @staticmethod
-    def outcome(parse_fn, text: str, into_dag: bool):
-        dag = fm.Dag()
-        try:
-            root = parse_fn(text, dag) if into_dag else dag.add(parse_fn(text))
-        except ValueError as e:
-            assert not dag.ops
-            return (type(e), str(e),
-                    *(getattr(e, a, None) for a in ("offset", "expected", "found")))
-        return dag.ops, root
-
-    def test_corpus(self, tmp_path):
-        corpus = _corpus(tmp_path)
-        modal = {text for fn, text in corpus if fn is parse}
-        assert len(modal) > 50 and len(corpus) - len(modal) > 5
-        failures = 0
-        for fn, text in corpus:
-            dag = fm.Dag()
-            root = fn(text, dag)
-            assert dag.ops == fm.Dag(fn(text)).ops and root == len(dag.ops) - 1, text
-            # malformed: cut short, a stray bracket, a stray character
-            for bad in (text[:len(text) // 2], text + ")", text[:3] + "$" + text[3:]):
-                got = self.outcome(fn, bad, True)
-                assert got == self.outcome(fn, bad, False), bad
-                failures += not isinstance(got[0], list)  # an error, not ops
-        assert failures > 2 * len(corpus)
-
-    def test_into_a_dag_that_holds_ops(self):
-        dag, ref = fm.Dag(fm.parse("[](p -> q)")), fm.Dag(fm.parse("[](p -> q)"))
-        for text in ("q o p", "p -> q", "T", "x_e @> (p & q)"):
-            assert parse(text, dag) == ref.add(parse(text)) and dag.ops == ref.ops
-        with pytest.raises(FormulaSyntaxError):
-            parse("(q o x_o) o", dag)
-        assert dag.ops == ref.ops and dag._index == ref._index
-
-    def test_reserved_letter_of_another_notation(self):
-        for text in ("p | o", "T"):
-            with pytest.raises(ValueError, match="invalid letter name"):
-                parse_team_formula(text)
-            assert self.outcome(parse_team_formula, text, True) == self.outcome(
-                parse_team_formula, text, False)
-
-    def test_nesting_deeper_than_the_recursion_limit(self):
-        for text in ("~" * 3000 + "p", "p -> " * 3000 + "q", "(" * 3000 + "p" + ")" * 3000,
-                     "[]" * 2000 + "(p o q)"):
-            dag = fm.Dag()
-            parse(text, dag)
-            assert dag.ops == fm.Dag(parse(text)).ops
 
 
 class TestLetterValidation:

@@ -112,51 +112,26 @@ def test_formula_parser_round_trips_or_raises_a_located_error(parse, render, tex
     run()
 
 
-def _failure(e: ValueError) -> tuple:
-    return (type(e), str(e), *(getattr(e, a, None) for a in ("offset", "expected", "found")))
+#: Formulas over two letters, so that independent draws are often equal.
+NODES = st.recursive(
+    st.sampled_from([fm.Letter("p"), fm.Letter("q"), fm.Top(), fm.Bottom()]),
+    lambda sub: st.builds(lambda node, a: node(a), st.sampled_from([fm.Neg, fm.Box]), sub)
+    | st.builds(lambda node, a, b: node(a, b),
+                st.sampled_from([fm.Or, fm.Comp, fm.And, fm.Implies, fm.Iff, fm.HookR,
+                                 fm.HookL]), sub, sub),
+    max_leaves=4)
 
 
-def _dag_parse(parse, text: str, dag: fm.Dag):
-    """(ops, root) of parse(text, dag), or the error's type, message and
-    fields; the Dag is asserted unchanged on an error."""
-    before = list(dag.ops)
-    try:
-        root = parse(text, dag)
-    except ValueError as e:
-        assert dag.ops == before and len(dag._index) == len(before), text
-        return _failure(e)
-    return dag.ops, root
-
-
-def _tree_then_add(parse, text: str, dag: fm.Dag):
-    """What parse(text, dag) must give: dag.add(parse(text))."""
-    try:
-        f = parse(text)
-    except ValueError as e:
-        return _failure(e)
-    root = dag.add(f)
-    return dag.ops, root
-
-
-@pytest.mark.parametrize("parse, text", [
-    (fm.parse, FORMULA | MODAL_SOUP),
-    (parse_team_formula, TEAM_FORMULA | TEAM_SOUP),
-], ids=["modal", "team"])
-def test_parsing_into_a_dag_adds_what_the_tree_compiles_to(parse, text):
-    """Into an empty Dag and into one that already holds ops: the same ops in
-    the same order and the same root, or the same error, with the Dag left
-    as it was."""
-    @given(text, st.sampled_from(["", "p o q", "~T", "(p -> x_e) & q"]))
-    @settings(FUZZ, max_examples=300)
-    def run(text, prior):
-        def start():
-            dag = fm.Dag()
-            if prior:
-                dag.add(fm.parse(prior))
-            return dag
-        assert _dag_parse(parse, text, start()) == _tree_then_add(parse, text, start()), text
-
-    run()
+@given(NODES, NODES)
+@settings(FUZZ, max_examples=300)
+def test_formulas_are_equal_exactly_when_they_print_alike(f, g):
+    """Equality and hashing read the nodes in pre-order; the printed text
+    determines the formula, so the two must agree."""
+    copy = fm.parse(fm.render(f))
+    assert f == copy and copy == f and hash(f) == hash(copy)
+    assert (f == g) == (g == f) == (fm.render(f) == fm.render(g)), (f, g)
+    if f == g:
+        assert hash(f) == hash(g)
 
 
 COLOUR = st.integers(0, 3)

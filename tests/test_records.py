@@ -1,7 +1,9 @@
 """The record types: plain slotted classes that behave as the dataclasses
 they replaced did, and an import of the CLI that loads no dataclasses."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -112,6 +114,16 @@ def test_record_behaves_as_its_dataclass_did(cls, fields, text):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert record != object()
+
+
+@pytest.mark.parametrize("record", [cls(**fields) for cls, fields, _ in RECORDS] + [
+    frames.Frame(2, {(0, 0, 1), (1, 1, 1)}), frames.Frame.from_rows(2, {0: {1: 1}, 1: {1: 2}}),
+    frames.powerset_frame(2), frames.semilattice_frame([[0, 1], [1, 1]]), MODEL,
+], ids=[cls.__name__ for cls, _, _ in RECORDS] + ["Frame", "Frame.from_rows", "powerset_frame",
+                                                 "semilattice_frame", "Model"])
+def test_record_survives_pickling_and_copying(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
 
 
 def test_every_record_type_is_checked():

@@ -453,12 +453,7 @@ class TestTheLetterTop:
             f = random_formula(rng, rng.randint(1, 4), ("p", "_top"))
             text = fm.render(f)
             seen.update(token for token in ("T", "F", "[]", "_top") if token in text)
-            names, todo = set(), [f]
-            while todo:
-                g = todo.pop()
-                if isinstance(g, Letter):
-                    names.add(g.name)
-                todo += fm._children(g)
+            names = {g.name for g in fm.walk(f) if isinstance(g, Letter)}
             expected = _linear_scan(frame, f, sorted(names))
             _assert_matches(frame_validity(frame, f), frame, expected)
             dag = fm.to_dag(f)

@@ -329,6 +329,14 @@ class TestTranslate:
                 team_sat(Team(("p", "q"), frozenset({1, 2})), h)
             assert translate_back(h) is None
 
+    def test_refusal_names_the_first_node_in_pre_order(self):
+        # the left subtree is read before the right, however deep it goes
+        f = SplitOr(BoolNeg(And(p, fm.HookR(p, q))), fm.Top())
+        with pytest.raises(TypeError, match=r"^not a team formula: <HookR 'p @> q'>$"):
+            translate(f)
+        with pytest.raises(TypeError, match=r"^not a team formula: <Top 'T'>$"):
+            translate(GlobalOr(And(p, q), And(fm.Top(), fm.Box(p))))
+
     def test_translate_back_fails_off_image(self):
         assert translate_back(fm.Box(fm.Letter("p"))) is None
         assert translate_back(fm.HookR(fm.Letter("p"), fm.Letter("q"))) is None
