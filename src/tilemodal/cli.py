@@ -43,56 +43,42 @@ class CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
-    """The file's text, decoded as UTF-8 with its line ends kept: its
-    readers split it with splitlines(), so they see the lines text mode
-    would give them."""
+def _usage(run, *args, where: str = "", **keywords):
+    """run(*args, **keywords); a ValueError from it is a usage error, its
+    message headed "where: " when where is given."""
+    try:
+        return run(*args, **keywords)
+    except ValueError as e:
+        raise CliError(f"{where}: {e}" if where else str(e)) from None
+
+
+def _load(parse, path: str):
+    """parse of the file's text, decoded as UTF-8 with its line ends kept:
+    its readers split it with splitlines(), so they see the lines text mode
+    would give them. A file that cannot be read, decoded or parsed is a
+    usage error."""
     try:
         with open(path, "rb", buffering=0) as fh:
             data = fh.read()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
-    return data.decode("utf-8")
+    return _usage(lambda: parse(data.decode("utf-8")), where=path)
 
 
 def _load_tiles(path: str) -> tiling.TileSet:
-    try:
-        return tiling.parse_tileset_file(_read(path))
-    except ValueError as e:
-        raise CliError(f"{path}: {e}") from None
+    return _load(tiling.parse_tileset_file, path)
 
 
 def _load_phi_tiles(path: str) -> tiling.TileSet:
     """A tile set to build phi's conjuncts from: no tile may be named by a
     structural letter."""
     w = _load_tiles(path)
-    try:
-        reduction.letter_inventory(w)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    _usage(reduction.letter_inventory, w)
     return w
 
 
 def _load_frame(path: str) -> tuple[Frame, dict[str, set[int]]]:
-    try:
-        return parse_frame_file(_read(path))
-    except ValueError as e:
-        raise CliError(f"{path}: {e}") from None
-
-
-def _parse_formula(text: str) -> fm.Formula:
-    try:
-        return fm.parse(text)
-    except fm.FormulaSyntaxError as e:
-        raise CliError(str(e)) from None
-
-
-def _evaluate(run, *args, **keywords):
-    """run(*args, **keywords); a frame over semantics.MAX_WORLDS is a usage error."""
-    try:
-        return run(*args, **keywords)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    return _load(parse_frame_file, path)
 
 
 def _emit(out: list[str], fmt: str, text_lines: list[str], kv_lines: list[str]):
@@ -129,7 +115,7 @@ def _desugar(f: fm.Formula) -> fm.Formula:
 
 
 def cmd_parse_formula(args, out) -> int:
-    f = _parse_formula(args.formula)
+    f = _usage(fm.parse, args.formula)
     text = fm.render(_desugar(f) if args.desugar else f)
     _emit(out, args.format, [text], [f"formula={text}"])
     return 0
@@ -163,8 +149,8 @@ def cmd_check_assoc(args, out) -> int:
 def cmd_model_check(args, out) -> int:
     frame, valuation = _load_frame(args.frame)
     model = Model(frame, valuation)
-    f = _parse_formula(args.formula)
-    worlds = sorted(_evaluate(sat_set, model, f))
+    f = _usage(fm.parse, args.formula)
+    worlds = sorted(_usage(sat_set, model, f))
     if args.world is not None:
         if not 0 <= args.world < frame.size:
             raise CliError(f"world {args.world} out of range")
@@ -181,9 +167,9 @@ def cmd_model_check(args, out) -> int:
 
 def cmd_frame_valid(args, out) -> int:
     frame, _ = _load_frame(args.frame)
-    f = _parse_formula(args.formula)
-    verdict = _evaluate(frame_validity, frame, f, strategy=args.strategy, seed=args.seed,
-                        samples=args.samples)
+    f = _usage(fm.parse, args.formula)
+    verdict = _usage(frame_validity, frame, f, strategy=args.strategy, seed=args.seed,
+                     samples=args.samples)
     if isinstance(verdict, Valid):
         _emit(out, args.format, ["valid"], ["status=valid"])
         return 0
@@ -199,7 +185,7 @@ def cmd_frame_valid(args, out) -> int:
 
 
 def cmd_countermodel(args, out) -> int:
-    f = _parse_formula(args.formula)
+    f = _usage(fm.parse, args.formula)
     hit = countermodel_search(f, args.max_worlds, args.budget, seed=args.seed)
     if hit is None:
         _emit(out, args.format, ["no countermodel within budget"],
@@ -293,7 +279,7 @@ def cmd_extract(args, out) -> int:
     if not 0 <= args.point < frame.size:
         raise CliError(f"point {args.point} out of range")
     try:
-        grid = _evaluate(extraction.extract_tiling, model, args.point, args.k, w)
+        grid = _usage(extraction.extract_tiling, model, args.point, args.k, w)
     except extraction.ExtractionError as e:
         _emit(out, args.format, [f"extraction failed: {e}"],
               [f"status=failed reason={str(e).replace(' ', '_')}"])
@@ -345,10 +331,8 @@ def cmd_verify_lemma6(args, out) -> int:
 
 
 def cmd_ptl_decide(args, out) -> int:
-    try:  # a syntax error, a reserved letter name, or too many letters
-        verdict = team_logic.ptl_decide(team_logic.parse_team_formula(args.formula))
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    # a syntax error, a reserved letter name, or too many letters
+    verdict = _usage(team_logic.ptl_decide, _usage(team_logic.parse_team_formula, args.formula))
     if isinstance(verdict, team_logic.TeamValid):
         _emit(out, args.format, ["valid"], ["status=valid"])
         return 0
@@ -370,9 +354,9 @@ def cmd_enum_frames(args, out) -> int:
         count += 1
         if not args.count:
             triples = " ".join(f"{x},{y},{z}" for x, y, z in sorted(frame.triples))
-            srel = s_relation(frame)
             if args.format == "lines":
-                out.append(f"frame={triples or '(empty)'} s_pairs={len(srel.pairs)}")
+                s_pairs = len(s_relation(frame).pairs)
+                out.append(f"frame={triples or '(empty)'} s_pairs={s_pairs}")
             else:
                 out.append(f"frame: {triples or '(empty)'}")
         if args.limit and count >= args.limit:

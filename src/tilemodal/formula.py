@@ -32,7 +32,8 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 class Formula(Record):
     """Base class of all formula nodes. Instances are immutable and hashable;
     equality and hashing are structural, by the node types and letter names
-    in pre-order (walk), and repr shows the rendered text."""
+    in pre-order (walk), repr shows the rendered text, and a formula pickles
+    and copies as that text, so nesting depth is not bounded by recursion."""
 
     __slots__ = ()
     # fields: the slots a node's classes declare, each filled by its class;
@@ -42,16 +43,11 @@ class Formula(Record):
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {render(self)!r}>"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self is other or _key(self) == _key(other)
-
-    def __hash__(self) -> int:
-        return hash(_key(self))
-
     def _fields(self) -> tuple:
-        return tuple([getattr(self, n) for c in type(self).__mro__[:-1] for n in c.__slots__])
+        return _key(self)
+
+    def __reduce__(self):
+        return _parsed, (render(self),)
 
 
 class Letter(Formula):
@@ -476,6 +472,11 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
 
 #: Parse the modal notation; derived tokens give derived nodes.
 parse = parser(_SYNTAX, FormulaSyntaxError)
+
+
+def _parsed(text: str) -> Formula:
+    """parse(text), under a name pickle can find: how formulas unpickle."""
+    return parse(text)
 
 
 def render(f: Formula, syntax: dict = _SYNTAX) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from tilemodal.record import Record
@@ -99,14 +100,6 @@ class Frame(Record):
                 (x, y, z) for y, row in self.rows.items()
                 for z, xs in row.items() for x in bits(xs)))
         return self._triples
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.size == other.size and self.triples == other.triples
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.triples))
 
     def _fields(self) -> tuple:
         return self.size, self.triples
@@ -427,47 +420,37 @@ def _least_in_orbit(n: int, code: int, triples: list[Triple]) -> bool:
     return True
 
 
-class Model:
+class Model(Record):
     """A frame plus a valuation from letters to world sets.
 
-    Letters absent from the valuation denote the empty set. Models are
-    immutable once constructed.
+    masks maps each letter to its world bitmask, read-only, the form
+    semantics.Evaluator reads; letters absent from it denote the empty set.
+    A model equals, hashes and pickles as Model(frame, its valuation).
     """
 
-    __slots__ = ("frame", "_masks")
+    __slots__ = ("frame", "masks")
 
     def __init__(self, frame: Frame, valuation: Mapping[str, Iterable[int]] = ()):
-        self.frame = frame
         masks = {}
         for letter, worlds in dict(valuation).items():
             m = mask_of(worlds)
             if m >> frame.size:
                 raise ValueError(f"valuation of {letter!r} out of range")
             masks[letter] = m
-        self._masks = masks
-
-    @property
-    def masks(self) -> Mapping[str, int]:
-        """Letter -> world bitmask, the form semantics.Evaluator reads."""
-        return self._masks
+        super().__init__(frame, MappingProxyType(masks))
 
     def letter_mask(self, letter: str) -> int:
-        return self._masks.get(letter, 0)
+        return self.masks.get(letter, 0)
 
     @property
     def valuation(self) -> dict[str, frozenset[int]]:
-        return {p: frozenset(bits(m)) for p, m in self._masks.items()}
+        return {p: frozenset(bits(m)) for p, m in self.masks.items()}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Model):
-            return NotImplemented
-        return self.frame == other.frame and self._masks == other._masks
-
-    def __hash__(self):
-        return hash((self.frame, tuple(sorted(self._masks.items()))))
+    def _fields(self) -> tuple:
+        return self.frame, frozenset(self.valuation.items())
 
     def __repr__(self):
-        return f"<Model size={self.frame.size} letters={sorted(self._masks)}>"
+        return f"<Model size={self.frame.size} letters={sorted(self.masks)}>"
 
 
 # -- frame file format --------------------------------------------------------

@@ -7,6 +7,12 @@ Fields are set once (with object.__setattr__, as assignment raises). A
 record compares equal to a record of its own class with equal fields,
 hashes like the tuple of its fields, prints as Name(field=value, ...), and
 pickles and copies as a call of its class on its fields.
+
+_fields() is the one place a record states its identity: ==, hash and
+pickling all read it, and no subclass defines __eq__ or __hash__. A type
+whose identity is not its slots overrides _fields(): a Frame is (size,
+triples), a Model (frame, its valuation), and a Formula its pre-order key;
+a Formula pickles and copies as its rendered text, parsed again.
 """
 
 from __future__ import annotations

@@ -33,9 +33,11 @@ FIN2 = ps.SidePart("fin", frozenset({2}))
 COFIN1 = ps.SidePart("cofin", frozenset({1}))
 AXES = ex.Axes(0, (1, 2), (3, 4), (5,), (6,))
 SEED = ps.ConjunctReport("seed", "pass", None, "checked")
-MODEL = frames.Model(frames.Frame(1, {(0, 0, 0)}), {"p": {0}})
+FRAME1 = frames.Frame(1, {(0, 0, 0)})
+MODEL = frames.Model(FRAME1, {"p": {0}})
 
-#: (class, fields, repr at the last dataclass version) for every record type.
+#: (class, fields, repr at the last dataclass version) for every record type;
+#: Model, never a dataclass, takes a valuation and keeps its own repr.
 RECORDS = [
     (fm.Letter, dict(name="p"), "<Letter 'p'>"),
     (fm.Neg, dict(sub=p), "<Neg '~p'>"),
@@ -50,6 +52,7 @@ RECORDS = [
     (fm.HookL, dict(left=p, right=q), "<HookL 'p <@ q'>"),
     (fm.Box, dict(sub=p), "<Box '[]p'>"),
     (frames.BinRel, dict(size=2, succ=(1, 3)), "BinRel(size=2, succ=(1, 3))"),
+    (frames.Model, dict(frame=FRAME1, valuation={"p": {0}}), "<Model size=1 letters=['p']>"),
     (frames.AssocCounterexample, dict(x=0, a=1, b=0, c=1, direction="left_to_right"),
      "AssocCounterexample(x=0, a=1, b=0, c=1, direction='left_to_right')"),
     (tiling.Tile, dict(up=1, down=2, left=3, right=4), "Tile(up=1, down=2, left=3, right=4)"),
@@ -118,16 +121,43 @@ def test_record_behaves_as_its_dataclass_did(cls, fields, text):
 
 @pytest.mark.parametrize("record", [cls(**fields) for cls, fields, _ in RECORDS] + [
     frames.Frame(2, {(0, 0, 1), (1, 1, 1)}), frames.Frame.from_rows(2, {0: {1: 1}, 1: {1: 2}}),
-    frames.powerset_frame(2), frames.semilattice_frame([[0, 1], [1, 1]]), MODEL,
+    frames.powerset_frame(2), frames.semilattice_frame([[0, 1], [1, 1]]),
 ], ids=[cls.__name__ for cls, _, _ in RECORDS] + ["Frame", "Frame.from_rows", "powerset_frame",
-                                                 "semilattice_frame", "Model"])
+                                                 "semilattice_frame"])
 def test_record_survives_pickling_and_copying(record):
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
 
 
-def test_every_record_type_is_checked():
-    """A record type added to tilemodal must be added to RECORDS too."""
+#: Formulas nested past the recursion limit, and one in team notation.
+DEEP = {
+    "neg-3000": fm.parse("~" * 3000 + "p"),
+    "implies-3000": fm.parse(" -> ".join(f"p{i}" for i in range(3000))),
+    "box-2000": fm.parse("[]" * 2000 + "p"),
+    "team": tl.parse_team_formula("~~(p | q) \\|/ p & (q | ~~p)"),
+}
+
+
+@pytest.mark.parametrize("formula", DEEP.values(), ids=DEEP)
+def test_formula_survives_pickling_and_copying_at_any_depth(formula):
+    for twin in (pickle.loads(pickle.dumps(formula)), copy.copy(formula), copy.deepcopy(formula)):
+        assert type(twin) is type(formula) and twin == formula
+
+
+def test_model_is_frozen():
+    with pytest.raises(AttributeError):
+        MODEL.frame = frames.Frame(2, ())
+    with pytest.raises(AttributeError):
+        del MODEL.frame
+    with pytest.raises(TypeError):
+        MODEL.masks["p"] = 0
+    with pytest.raises(TypeError):
+        del MODEL.masks["p"]
+    assert MODEL == frames.Model(FRAME1, {"p": {0}}) and dict(MODEL.masks) == {"p": 1}
+
+
+def _record_types() -> set[type]:
+    """Every subclass of Record in tilemodal's modules."""
     for info in pkgutil.iter_modules(tilemodal.__path__):
         importlib.import_module(f"tilemodal.{info.name}")
     found, todo = set(), [Record]
@@ -136,8 +166,20 @@ def test_every_record_type_is_checked():
             todo.append(cls)
             if cls.__module__.startswith("tilemodal."):
                 found.add(cls)
+    return found
+
+
+def test_every_record_type_is_checked():
+    """A record type added to tilemodal must be added to RECORDS too."""
     exempt = {fm.Formula, fm._Unary, fm._Binary, frames.Frame}
-    assert found - exempt == {cls for cls, _, _ in RECORDS}
+    assert _record_types() - exempt == {cls for cls, _, _ in RECORDS}
+
+
+def test_records_state_their_identity_only_through_fields():
+    """==, hash and pickling all read _fields(): no record type defines
+    __eq__ or __hash__ of its own."""
+    for cls in _record_types():
+        assert not {"__eq__", "__hash__"} & cls.__dict__.keys(), cls
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
