@@ -20,6 +20,7 @@ from tilemodal import reduction, team_logic, tiling
 from tilemodal.frames import (
     Frame,
     Model,
+    bits,
     check_associative,
     enumerate_frames,
     parse_frame_file,
@@ -87,8 +88,7 @@ def _emit(out: list[str], fmt: str, text_lines: list[str], kv_lines: list[str]):
 
 def _valuation_parts(model: Model) -> list[str]:
     """One "p:w,w" part per letter of the model, in letter order."""
-    return [f"{p}:{','.join(map(str, sorted(ws)))}"
-            for p, ws in sorted(model.valuation.items())]
+    return [f"{p}:{','.join(map(str, bits(m)))}" for p, m in sorted(model.masks.items())]
 
 
 def _cell_names(w: tiling.TileSet, cells: dict[tuple[int, int], int],

@@ -15,8 +15,6 @@ needed because any locally valid witness admits continuation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from tilemodal import formula as fm
 from tilemodal import reduction
 from tilemodal.frames import Frame, Model, bits, check_associative, s_relation
@@ -89,7 +87,7 @@ class _Checker:
     pass."""
 
     def __init__(self, model: Model, w: TileSet):
-        self.model = model
+        self.model, self.tiles = model, w
         dag = fm.Dag()
         body = reduction.conjuncts(w, dag)
         node = fm.encoders(dag)
@@ -116,8 +114,18 @@ class _Checker:
                 raise PremiseFailure(f"body conjunct {name}", z)
 
 
-#: One _Checker per (model, tile set), shared by the pipeline's stages.
-_checker = lru_cache(maxsize=8)(_Checker)
+#: The last _Checker built; it holds its model and tile set.
+_last: _Checker | None = None
+
+
+def _checker(model: Model, w: TileSet) -> _Checker:
+    """The _Checker of model and w that the pipeline's stages share: the
+    last one built while it holds these very objects, matched by identity,
+    so neither is hashed."""
+    global _last
+    if _last is None or _last.model is not model or _last.tiles is not w:
+        _last = _Checker(model, w)
+    return _last
 
 
 def assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
@@ -130,9 +138,10 @@ def assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
     Raises PremiseFailure if the premise pair does not hold, and NoWitness if
     no witness exists, which certifies the frame is not associative.
     """
-    R, rows = model.frame.triples, model.frame.rows
+    frame = model.frame
+    rows = frame.rows
     if kind == "forward":
-        if (a, pivot, y) not in R or (pivot, x, c) not in R:
+        if not (frame.has(a, pivot, y) and frame.has(pivot, x, c)):
             raise PremiseFailure("forward rewrite premise", (a, x, c, y, pivot))
         row_x = rows.get(x, {})
         found = next((b for b in bits(rows.get(c, {}).get(y, 0))
@@ -141,7 +150,7 @@ def assoc_witness(model: Model, kind: str, a: int, x: int, c: int, y: int,
             raise NoWitness(f"no forward witness for {(a, x, c, y)}")
         return found
     if kind == "backward":
-        if (a, x, pivot) not in R or (pivot, c, y) not in R:
+        if not (frame.has(a, x, pivot) and frame.has(pivot, c, y)):
             raise PremiseFailure("backward rewrite premise", (a, x, c, y, pivot))
         found = next((d for d in bits(rows.get(x, {}).get(c, 0))
                       if rows.get(d, {}).get(y, 0) >> a & 1), None)
@@ -210,14 +219,14 @@ def extract_axes(model: Model, z: int, k: int, w: TileSet) -> Axes:
 
 def _check_axes(chk: _Checker, axes: Axes) -> None:
     """Re-verify items 1-7 directly against the relation and valuation."""
-    R = chk.model.frame.triples
+    R = chk.model.frame.has
     z = axes.z
-    if (z, axes.x[0], axes.y[0]) not in R:
+    if not R(z, axes.x[0], axes.y[0]):
         raise PremiseFailure("item 1")
     for i in range(axes.k):
-        if (axes.x[i], axes.xprime(i + 1), axes.x[i + 1]) not in R:
+        if not R(axes.x[i], axes.xprime(i + 1), axes.x[i + 1]):
             raise PremiseFailure("item 2", i)
-        if (axes.y[i], axes.y[i + 1], axes.yprime(i + 1)) not in R:
+        if not R(axes.y[i], axes.y[i + 1], axes.yprime(i + 1)):
             raise PremiseFailure("item 3", i)
         if not chk.sat(chk.letter["x'"], axes.xprime(i + 1)):
             raise PremiseFailure("item 4: x'", i + 1)
@@ -289,21 +298,21 @@ def extract_grid(model: Model, z: int, k: int, w: TileSet) -> GridPoints:
 def _check_grid(chk: _Checker, grid: GridPoints) -> None:
     """Verify the staircase equations and the grid equations wherever the
     referenced points exist."""
-    R = chk.model.frame.triples
+    R = chk.model.frame.has
     axes = grid.axes
     K = grid.k + 1
     p = grid.points
     for j in range(1, K + 1):
-        if (p[(j, j)], axes.x[j], axes.y[j]) not in R:
+        if not R(p[(j, j)], axes.x[j], axes.y[j]):
             raise PremiseFailure("staircase: diagonal decomposition", j)
-        if j < K and (p[(j + 1, j)], axes.x[j + 1], axes.y[j]) not in R:
+        if j < K and not R(p[(j + 1, j)], axes.x[j + 1], axes.y[j]):
             raise PremiseFailure("staircase: subdiagonal decomposition", j)
     for (m, n), world in p.items():
         if not chk.s_reaches(axes.z, world):
             raise PremiseFailure("grid: z S p", (m, n))
-        if m < K and (world, axes.xprime(m + 1), p[(m + 1, n)]) not in R:
+        if m < K and not R(world, axes.xprime(m + 1), p[(m + 1, n)]):
             raise PremiseFailure("grid: horizontal relation", (m, n))
-        if n < K and (world, p[(m, n + 1)], axes.yprime(n + 1)) not in R:
+        if n < K and not R(world, p[(m, n + 1)], axes.yprime(n + 1)):
             raise PremiseFailure("grid: vertical relation", (m, n))
 
 

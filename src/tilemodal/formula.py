@@ -194,32 +194,41 @@ class Dag:
         """Index of f's desugared core, appending the ops not yet present.
 
         Subformulas are compiled before their parents, left to right, from
-        explicit stacks, so nesting depth is not bounded by recursion:
-        visiting each node before its children, right child first, lists
-        the nodes in reverse post-order."""
-        nodes, arities, todo, encode = [], [], [f], _ENCODE
+        an explicit stack on which a node waits for its children, so nesting
+        depth is not bounded by recursion. Each node object is compiled once
+        per call, through a memo by id: a subtree met again would add no
+        ops, as hash-consing finds them all present. So a tree that shares
+        its equal subtrees, as parse and desugar build them, compiles in
+        time linear in its Dag."""
+        done: dict[int, int] = {}  # id of a node -> its op index
+        todo, encode = [f], _ENCODE
         while todo:
             g = todo.pop()
+            if id(g) in done:
+                continue
             n = _ARITY.get(type(g))
-            if n is None:
-                raise TypeError(f"not a Formula: {g!r}")
-            nodes.append(g)
-            arities.append(n)
-            if n == 1:
-                todo.append(g.sub)
-            elif n:
-                todo += (g.left, g.right)
-        done: list[int] = []
-        for g, n in zip(reversed(nodes), reversed(arities)):
             if n == 2:
-                right = done.pop()
-                done.append(encode[type(g)](self, done.pop(), right))
+                a, b = done.get(id(g.left)), done.get(id(g.right))
+                if a is None or b is None:
+                    todo.append(g)
+                    if b is None:
+                        todo.append(g.right)
+                    if a is None:
+                        todo.append(g.left)
+                    continue
+                done[id(g)] = encode[type(g)](self, a, b)
             elif n:
-                done.append(encode[type(g)](self, done.pop()))
+                a = done.get(id(g.sub))
+                if a is None:
+                    todo += (g, g.sub)
+                    continue
+                done[id(g)] = encode[type(g)](self, a)
+            elif n is None:
+                raise TypeError(f"not a Formula: {g!r}")
             else:
-                done.append(self._op(VAR, g.name) if type(g) is Letter
-                            else encode[type(g)](self))
-        return done[0]
+                done[id(g)] = (self._op(VAR, g.name) if type(g) is Letter
+                               else encode[type(g)](self))
+        return done[id(f)]
 
     def _not(self, a: int) -> int:
         return self._op(NOT, a)
@@ -387,7 +396,10 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
 
     Operator precedence over explicit stacks: an open bracket saves the
     operands, operators and pending prefixes of the level around it, so
-    nesting depth is not bounded by recursion."""
+    nesting depth is not bounded by recursion. Equal subtrees of one parse
+    are one object, as a node is looked up by its type and its children's
+    identities (a letter by its name) before it is built; so Dag.add
+    compiles each once."""
     tokens = {token: node for node, (token, _, _) in syntax.items()}
     words = {t for t in tokens if IDENT_RE.fullmatch(t)}
     symbols = sorted(tokens.keys() - words | {"(", ")"}, key=len, reverse=True)
@@ -410,18 +422,24 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
         return error(text, m.start(m.lastindex) if m.lastindex else len(text),
                      expected, found)
 
-    def reduce(operands: list[Formula], operators: list[str], least: int) -> None:
-        """Apply the stacked operators binding at least as tightly as least."""
+    def reduce(operands: list[Formula], operators: list[str], least: int,
+               seen: dict) -> None:
+        """Apply the stacked operators binding at least as tightly as least;
+        seen holds the parse's nodes, see parse."""
         while operators and binary[operators[-1]][0] >= least:
             right = operands.pop()
-            operands[-1] = tokens[operators.pop()](operands[-1], right)
+            key = (tokens[operators.pop()], id(operands[-1]), id(right))
+            operands[-1] = seen.get(key) or seen.setdefault(key, key[0](operands[-1], right))
 
     def parse(text: str) -> Formula:
         toks = token_re.findall(text)  # (token, stray character), ('', '') at the end
         i = next((i for i, (_, stray) in enumerate(toks) if stray), None)
         if i is not None:
             raise fail(text, i, {"a token"}, toks[i][1])
-        i, outer, pending, seen = 0, [], [], {}  # pending: each open operand's prefixes
+        i, outer, pending = 0, [], []  # pending: each open operand's prefixes
+        # the nodes built so far: a Letter by its name, a node by its type
+        # and its children's ids, looked up before one is built
+        seen: dict = {}
         operands: list[Formula] = []
         operators: list[str] = []
         while True:  # at an operand
@@ -436,27 +454,29 @@ def parser(syntax: dict, error: type[ValueError]) -> Callable[[str], Formula]:
                 outer.append((operands, operators, mark))
                 operands, operators = [], []
                 continue
-            if kind == "ident":  # one Letter per name in a parse
+            if kind == "ident":
                 f = seen[value] if value in seen else seen.setdefault(value, Letter(value))
             elif kind in constants:
-                f = tokens[kind]()
+                key = tokens[kind]
+                f = seen.get(key) or seen.setdefault(key, key())
             else:
                 raise fail(text, i - 1, operand, value)
             while True:  # f ends an operand; a binary operator may follow
                 while len(pending) > mark:
-                    f = pending.pop()(f)
+                    key = (pending.pop(), id(f))
+                    f = seen.get(key) or seen.setdefault(key, key[0](f))
                 operands.append(f)
                 value = toks[i][0]
                 kind = kinds.get(value, "ident")
                 if kind in binary:
                     prec, assoc = binary[kind]
-                    reduce(operands, operators, prec if assoc == "left" else prec + 1)
+                    reduce(operands, operators, prec if assoc == "left" else prec + 1, seen)
                     # unbracketed, a non-associative operator cannot follow its like
                     if assoc != "none" or not operators or binary[operators[-1]][0] != prec:
                         operators.append(kind)
                         i += 1
                         break
-                reduce(operands, operators, 0)
+                reduce(operands, operators, 0, seen)
                 f = operands.pop()
                 if not outer:
                     if kind != "end":

@@ -45,9 +45,12 @@ class Frame(Record):
     z -> the bitmask of those x, and cols each such z to its cells, y ->
     x-mask. rows[y][z] is the x-mask of the pair (y, z). Frame(size,
     triples) fills rows in the loop that range-checks the triples;
-    Frame.from_rows takes rows as they are built, and derives the triples
-    only when they are read. Either way a frame equals, hashes and pickles
-    as Frame(size, its triples). Frames are immutable. A size must lie
+    Frame.from_rows takes rows as they are built, as the lemma-6 closure
+    and parse_frame_file build them, and derives the triples only when
+    they are read. has, s_relation, the evaluator, the associativity check
+    and extraction read rows and cols; the triples are a view for
+    printing, ==, hash and pickling: a frame equals, hashes and pickles as
+    Frame(size, its triples). Frames are immutable. A size must lie
     between 1 and sys.maxsize."""
 
     __slots__ = ("size", "rows", "cols", "_triples")
@@ -112,7 +115,9 @@ class Frame(Record):
         return f"Frame(size={self.size!r}, triples={triples})"
 
     def has(self, x: int, y: int, z: int) -> bool:
-        return (x, y, z) in self.triples
+        """Whether Rxyz holds; False for any world outside the frame."""
+        row = self.rows.get(y)
+        return row is not None and x >= 0 and row.get(z, 0) >> x & 1 == 1
 
 
 def _check_size(size: int) -> None:
@@ -254,15 +259,39 @@ def _assoc_failures(n: int, must: list[int], may: list[int]):
 def s_relation(frame: Frame) -> BinRel:
     """Derived accessibility for the box: xSy if Rxay, Rxya, or Rx(ay)b.
 
-    succ[x] gathers u and v of every Rxuv; third[z] is the v of every Rzuv,
-    so Rx(ay)b adds third[z] to succ[x] for each Rxzb."""
-    succ, third = [0] * frame.size, [0] * frame.size
-    for x, u, v in frame.triples:
-        succ[x] |= 1 << u | 1 << v
-        third[x] |= 1 << v
-    for x, z, _b in frame.triples:
-        succ[x] |= third[z]
-    return BinRel(frame.size, tuple(succ))
+    Read off the rows and cols as one mask of x per y, pred[y]: heads[z]
+    holds the x of every Rxzb (row z's cells), so Rxya adds heads[y]; into,
+    the x of every Rxay (column y's cells), is also the z of every Rzay, so
+    Rx(ay)b adds heads[z] for each z in it. pred is then transposed into
+    the successor masks. Set bits are walked inline, not through bits():
+    on frames of a few worlds the generators would cost more than the
+    work."""
+    n = frame.size
+    heads = [0] * n
+    for z, row in frame.rows.items():
+        xs = 0
+        for cell in row.values():
+            xs |= cell
+        heads[z] = xs
+    pred = heads[:]
+    for y, col in frame.cols.items():
+        into = 0
+        for cell in col.values():
+            into |= cell
+        xs, rest = into, into
+        while rest:
+            low = rest & -rest
+            xs |= heads[low.bit_length() - 1]
+            rest ^= low
+        pred[y] |= xs
+    succ = [0] * n
+    for y, xs in enumerate(pred):
+        bit = 1 << y
+        while xs:
+            low = xs & -xs
+            succ[low.bit_length() - 1] |= bit
+            xs ^= low
+    return BinRel(n, tuple(succ))
 
 
 def powerset_worlds(k: int, mode: str = "union") -> list[frozenset[int]]:
@@ -462,8 +491,13 @@ class Model(Record):
 
 
 def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
-    size = None
-    triples: set[Triple] = set()
+    """The frame and valuation of a frame file. Its triples go straight
+    into the frame's rows (Frame.from_rows), range-checked as they are
+    read; when one is out of range or the size is, the error is
+    Frame(size, triples)'s, raised after every line has been read."""
+    size = limit = None
+    rows: dict[int, dict[int, int]] = {}
+    in_range = True
     valuation: dict[str, set[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0]
@@ -476,6 +510,7 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'worlds N'")
             size = _ints(parts[1:], lineno)[0]
+            limit = size if size <= sys.maxsize else 0
             continue
         if size is None:
             raise ValueError(f"line {lineno}: expected 'worlds N' first")
@@ -490,14 +525,25 @@ def parse_frame_file(text: str) -> tuple[Frame, dict[str, set[int]]]:
             continue
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'x y z'")
-        x, y, z = parts
         try:
-            triples.add((int(x), int(y), int(z)))
+            x, y, z = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             _ints(parts, lineno)  # raises, naming the line
+        if 0 <= x < limit > y >= 0 <= z < limit:
+            row = rows.get(y)
+            if row is None:
+                row = rows[y] = {}
+            row[z] = row.get(z, 0) | 1 << x
+        else:
+            in_range = False
     if size is None:
         raise ValueError("missing 'worlds N' line")
-    frame = Frame(size, frozenset(triples))
+    if not in_range:  # raises as Frame(size, triples) does, naming the same triple
+        Frame(size, frozenset({
+            (int(p[0]), int(p[1]), int(p[2]))
+            for p in (raw.partition("#")[0].split() for raw in text.splitlines())
+            if len(p) == 3 and p[0] != "worlds" and p[0].partition(":")[0] != "val"}))
+    frame = Frame.from_rows(size, rows)
     for letter, worlds in valuation.items():
         if any(not (0 <= w < size) for w in worlds):
             raise ValueError(f"valuation of {letter!r} out of range")
@@ -516,7 +562,8 @@ def render_frame_file(frame: Frame, valuation: Mapping[str, Iterable[int]] = ())
     lines = [f"worlds {frame.size}"]
     for t in sorted(frame.triples):
         lines.append(f"{t[0]} {t[1]} {t[2]}")
-    for letter in sorted(dict(valuation)):
-        ws = " ".join(str(w) for w in sorted(set(dict(valuation)[letter])))
+    valuation = dict(valuation)
+    for letter in sorted(valuation):
+        ws = " ".join(str(w) for w in sorted(set(valuation[letter])))
         lines.append(f"val {letter}: {ws}".rstrip())
     return "\n".join(lines) + "\n"

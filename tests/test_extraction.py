@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from fixtures_quotient import quotient_countermodel, quotient_frame
+from tilemodal import cli, extraction
 from tilemodal import formula as fm
 from tilemodal import reduction
 from tilemodal.extraction import (
@@ -18,7 +19,8 @@ from tilemodal.extraction import (
     extract_tiling,
     read_tiling,
 )
-from tilemodal.frames import Frame, Model, bits, check_associative, powerset_frame
+from tilemodal.frames import (Frame, Model, bits, check_associative, parse_frame_file,
+                              powerset_frame, render_frame_file)
 from tilemodal.semantics import Evaluator, sat_mask, sat_set
 from tilemodal.tiling import PeriodicTiling, Tile, TileSet, verify_grid
 
@@ -77,6 +79,39 @@ class TestChecker:
             for a, b in reduction.PARITY_PAIRS}
         assert chk.body == [(name, sat_mask(model, f))
                             for name, f in reduction.conjuncts(w)]
+
+
+class TestExtractReadsRows:
+    def test_extract_builds_no_triples_and_hashes_no_model(self, tmp_path, monkeypatch,
+                                                            capsys, mono_model):
+        """The CLI's extract reads its frame file into rows and never reads
+        the triples; its three stages share one checker, matched by
+        identity, so the model is never hashed or compared."""
+        model, z = mono_model
+        (tmp_path / "quotient.frame").write_text(
+            render_frame_file(model.frame, model.valuation))
+        (tmp_path / "one.tiles").write_text("t1 0 0 0 0\n")
+        read, keyed, checkers = [], [], []
+        monkeypatch.setattr(cli, "parse_frame_file",
+                            lambda text: read.append(parse_frame_file(text)) or read[-1])
+        fields = Model._fields
+        monkeypatch.setattr(Model, "_fields", lambda m: keyed.append(m) or fields(m))
+        monkeypatch.setattr(extraction, "_Checker",
+                            lambda *args: checkers.append(_Checker(*args)) or checkers[-1])
+        assert cli.main(["extract", "--frame", str(tmp_path / "quotient.frame"),
+                         "--tiles", str(tmp_path / "one.tiles"), "--point", str(z),
+                         "--k", "3", "--format", "lines"]) == 0
+        assert capsys.readouterr().out.startswith("status=extracted k=3 cells=")
+        ((frame, _),) = read
+        assert frame._triples is None
+        assert keyed == [] and len(checkers) == 1
+
+    def test_has_is_false_outside_the_frame(self):
+        frame = Frame(3, frozenset({(0, 1, 2), (2, 2, 2), (1, 0, 0)}))
+        rows_frame = Frame.from_rows(3, frame.rows)
+        for x, y, z in product(range(-2, 5), repeat=3):
+            assert frame.has(x, y, z) == rows_frame.has(x, y, z) == ((x, y, z) in frame.triples)
+        assert rows_frame._triples is None
 
 
 class TestAssocWitness:

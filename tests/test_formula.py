@@ -1,11 +1,14 @@
 import random
+import re
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from conftest import random_formula
+from conftest import random_formula, random_team_formula
 from tilemodal import formula as fm
+from tilemodal import team_logic as tl
 from tilemodal.formula import (
     And,
     Bottom,
@@ -25,6 +28,7 @@ from tilemodal.formula import (
     parse,
     render,
 )
+from tilemodal.reduction import phi
 from tilemodal.team_logic import parse_team_formula, render_team_formula
 
 p, q, r = Letter("p"), Letter("q"), Letter("r")
@@ -300,3 +304,207 @@ class TestLetterValidation:
         Letter("x'")
         Letter("_top")
         Letter("a_b'c")
+
+
+# -- sharing equal subtrees, against the unshared parser and compiler ---------
+
+
+def unshared_parser(syntax: dict, error: type[ValueError]):
+    """fm.parser with every node but a letter built afresh: the reference
+    for the parser that shares equal subtrees."""
+    tokens = {token: node for node, (token, _, _) in syntax.items()}
+    words = {t for t in tokens if fm.IDENT_RE.fullmatch(t)}
+    symbols = sorted(tokens.keys() - words | {"(", ")"}, key=len, reverse=True)
+    # after optional whitespace, a word or a symbol, a stray character, or
+    # the end: every position matches, so trailing whitespace is read once
+    token_re = re.compile(
+        rf"\s*(?:({fm.IDENT_RE.pattern}|{'|'.join(map(re.escape, symbols))})|(\S)|\Z)")
+    # a token's kind is the token itself, "end" at the end, or else "ident"
+    kinds = {**{t: t for t in tokens}, "(": "(", ")": ")", "": "end"}
+    constants = {t for t, node in tokens.items() if fm._ARITY[node] == 0}
+    prefixes = {t for t, node in tokens.items() if fm._ARITY[node] == 1}
+    binary = {t: (prec, assoc)
+              for node, (t, prec, assoc) in syntax.items() if fm._ARITY[node] == 2}
+    operand = {"a letter", "(", *constants, *prefixes}
+
+    def fail(text: str, i: int, expected: set[str], found: str):
+        """The error at token i of text, whose position is found again only
+        here."""
+        m = next(islice(token_re.finditer(text), i, None))
+        return error(text, m.start(m.lastindex) if m.lastindex else len(text),
+                     expected, found)
+
+    def reduce(operands: list, operators: list[str], least: int) -> None:
+        """Apply the stacked operators binding at least as tightly as least."""
+        while operators and binary[operators[-1]][0] >= least:
+            right = operands.pop()
+            operands[-1] = tokens[operators.pop()](operands[-1], right)
+
+    def parse(text: str):
+        toks = token_re.findall(text)  # (token, stray character), ('', '') at the end
+        i = next((i for i, (_, stray) in enumerate(toks) if stray), None)
+        if i is not None:
+            raise fail(text, i, {"a token"}, toks[i][1])
+        i, outer, pending, seen = 0, [], [], {}  # pending: each open operand's prefixes
+        operands: list = []
+        operators: list[str] = []
+        while True:  # at an operand
+            mark = len(pending)
+            value, i = toks[i][0], i + 1
+            kind = kinds.get(value, "ident")
+            while kind in prefixes:
+                pending.append(tokens[kind])
+                value, i = toks[i][0], i + 1
+                kind = kinds.get(value, "ident")
+            if kind == "(":
+                outer.append((operands, operators, mark))
+                operands, operators = [], []
+                continue
+            if kind == "ident":  # one Letter per name in a parse
+                f = seen[value] if value in seen else seen.setdefault(value, Letter(value))
+            elif kind in constants:
+                f = tokens[kind]()
+            else:
+                raise fail(text, i - 1, operand, value)
+            while True:  # f ends an operand; a binary operator may follow
+                while len(pending) > mark:
+                    f = pending.pop()(f)
+                operands.append(f)
+                value = toks[i][0]
+                kind = kinds.get(value, "ident")
+                if kind in binary:
+                    prec, assoc = binary[kind]
+                    reduce(operands, operators, prec if assoc == "left" else prec + 1)
+                    # unbracketed, a non-associative operator cannot follow its like
+                    if assoc != "none" or not operators or binary[operators[-1]][0] != prec:
+                        operators.append(kind)
+                        i += 1
+                        break
+                reduce(operands, operators, 0)
+                f = operands.pop()
+                if not outer:
+                    if kind != "end":
+                        raise fail(text, i, {"end of input"}, value)
+                    return f
+                if kind != ")":
+                    raise fail(text, i, {")"}, value)
+                i += 1
+                operands, operators, mark = outer.pop()
+
+    return parse
+
+
+unshared_parse = unshared_parser(fm._SYNTAX, FormulaSyntaxError)
+unshared_team_parse = unshared_parser(tl._TEAM_SYNTAX, tl.TeamSyntaxError)
+
+
+def unshared_add(dag: fm.Dag, f) -> int:
+    """fm.Dag.add compiling every occurrence of a subtree, its nodes listed
+    in reverse post-order first: the reference for the compiler that
+    compiles each distinct node object once."""
+    nodes, arities, todo, encode = [], [], [f], fm._ENCODE
+    while todo:
+        g = todo.pop()
+        n = fm._ARITY.get(type(g))
+        if n is None:
+            raise TypeError(f"not a Formula: {g!r}")
+        nodes.append(g)
+        arities.append(n)
+        if n == 1:
+            todo.append(g.sub)
+        elif n:
+            todo += (g.left, g.right)
+    done: list[int] = []
+    for g, n in zip(reversed(nodes), reversed(arities)):
+        if n == 2:
+            right = done.pop()
+            done.append(encode[type(g)](dag, done.pop(), right))
+        elif n:
+            done.append(encode[type(g)](dag, done.pop()))
+        else:
+            done.append(dag._op(fm.VAR, g.name) if type(g) is Letter
+                        else encode[type(g)](dag))
+    return done[0]
+
+
+def sharing(f) -> tuple[int, int]:
+    """(distinct node objects, distinct subtrees up to ==) among f's nodes:
+    equal when every repeated subtree is one object. The first is the
+    number of nodes Dag.add visits. Reversed pre-order meets each node
+    after its children."""
+    cls: dict[int, int] = {}
+    classes: dict = {}
+    for g in reversed(list(fm.walk(f))):
+        arity = fm._ARITY[type(g)]
+        key = (g.name if type(g) is Letter
+               else (type(g), cls[id(g.sub)]) if arity == 1
+               else (type(g), cls[id(g.left)], cls[id(g.right)]) if arity == 2
+               else type(g))
+        cls[id(g)] = classes.setdefault(key, len(classes))
+    return len(cls), len(classes)
+
+
+def assert_parses_alike(parse, unshared, text: str) -> None:
+    """parse and unshared agree on text: the same error, or equal trees
+    whose repeated subtrees parse makes one object, which compile to the
+    same ops and root as the unshared tree by the unshared compiler."""
+    try:
+        expect = unshared(text)
+    except ValueError as e:
+        with pytest.raises(type(e)) as got:
+            parse(text)
+        assert str(got.value) == str(e), text
+        return
+    f = parse(text)
+    assert f == expect, text
+    distinct, classes = sharing(f)
+    assert distinct == classes, text
+    old, new = fm.Dag(), fm.Dag()
+    assert (new.add(f), new.ops) == (unshared_add(old, expect), old.ops), text
+
+
+class TestSharedSubtrees:
+    def test_phi_texts(self):
+        from test_reduction import MONO
+        from test_tiling import PERIOD5, all_small_tilesets
+        for w in (MONO, PERIOD5, *all_small_tilesets()):
+            assert_parses_alike(parse, unshared_parse, render(phi(w)))
+
+    def test_a_repeated_subterm_is_one_object(self):
+        f = parse("(p o ~q) & ~(p o ~q) | (p o ~q)")
+        assert f.left.left is f.right and f.left.right.sub is f.right
+        for text in ("~q | ~q", "T & T", "[](p o q) -> [](p o q)"):
+            g = parse(text)
+            assert g.left is g.right
+        # within one parse only
+        assert parse("p o q") is not parse("p o q")
+
+    def test_desugared_and_random_trees(self):
+        rng = random.Random(103)
+        for _ in range(300):
+            f = random_formula(rng, rng.randint(1, 5))
+            for tree in (f, desugar(f)):
+                old, new = fm.Dag(), fm.Dag()
+                assert (new.add(tree), new.ops) == (unshared_add(old, tree), old.ops)
+                assert_parses_alike(parse, unshared_parse, render(tree))
+
+    def test_a_desugared_tree_compiles_once_per_op(self, monkeypatch):
+        """desugar shares each op's subtree, so Dag.add makes one op call per
+        node object, one per op of the tree's Dag, although the tree is
+        exponentially larger."""
+        f = p
+        for _ in range(8):
+            f = Box(Or(f, q))
+        tree = desugar(f)
+        assert fm.node_count(tree) == fm.Dag(f).tree_size() == 144321
+        calls = []
+        op = fm.Dag._op
+        monkeypatch.setattr(fm.Dag, "_op", lambda d, *a: calls.append(a) or op(d, *a))
+        dag = fm.Dag(tree)
+        assert len(calls) == len(dag.ops) == len(fm.Dag(f).ops) + 2  # T: _top | ~_top
+
+    def test_team_texts(self):
+        rng = random.Random(104)
+        for _ in range(200):
+            text = render_team_formula(random_team_formula(rng, ("p", "q"), 4))
+            assert_parses_alike(parse_team_formula, unshared_team_parse, text)

@@ -10,6 +10,7 @@ import pytest
 from fixtures_quotient import quotient_frame
 from tilemodal import formula as fm
 from tilemodal import frames
+from tilemodal import powerset_symbolic as ps
 from tilemodal.frames import (
     AssocCounterexample,
     BinRel,
@@ -451,7 +452,93 @@ def find_intransitivity(rel: BinRel) -> tuple[int, int, int] | None:
     return None
 
 
+def triple_s_succ(frame: Frame) -> tuple[int, ...]:
+    """The successor masks of S read off the triples: succ[x] gathers u and
+    v of every Rxuv, and third[z] the v of every Rzuv for each Rxzb; the
+    reference for s_relation, which reads the rows."""
+    succ, third = [0] * frame.size, [0] * frame.size
+    for x, u, v in frame.triples:
+        succ[x] |= 1 << u | 1 << v
+        third[x] |= 1 << v
+    for x, z, _b in frame.triples:
+        succ[x] |= third[z]
+    return tuple(succ)
+
+
+def triples_parse_frame_file(text: str):
+    """A frame file read by gathering its triples and building Frame(size,
+    triples): the reference for parse_frame_file, which writes the rows."""
+    size = None
+    triples: set = set()
+    valuation: dict[str, set[int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "worlds":
+            if size is not None:
+                raise ValueError(f"line {lineno}: duplicate worlds line")
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected 'worlds N'")
+            size = frames._ints(parts[1:], lineno)[0]
+            continue
+        if size is None:
+            raise ValueError(f"line {lineno}: expected 'worlds N' first")
+        if parts[0].partition(":")[0] == "val":
+            head, colon, tail = line.strip()[3:].partition(":")
+            letter = head.strip()
+            if not letter:
+                raise ValueError(f"line {lineno}: missing letter name")
+            if not colon or len(letter.split()) != 1:
+                raise ValueError(f"line {lineno}: expected 'val LETTER: WORLDS'")
+            valuation[letter] = set(frames._ints(tail.split(), lineno))
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'x y z'")
+        x, y, z = parts
+        try:
+            triples.add((int(x), int(y), int(z)))
+        except ValueError:
+            frames._ints(parts, lineno)
+    if size is None:
+        raise ValueError("missing 'worlds N' line")
+    frame = Frame(size, frozenset(triples))
+    for letter, worlds in valuation.items():
+        if any(not (0 <= w < size) for w in worlds):
+            raise ValueError(f"valuation of {letter!r} out of range")
+    return frame, valuation
+
+
+def _same_outcome(read, reference, text: str) -> int:
+    """Asserts read and reference give text the same frame, its rows and
+    cols too, and valuation, or the same error message; 1 for an error."""
+    try:
+        expect = reference(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            read(text)
+        assert str(got.value) == str(e), text
+        return 1
+    frame, valuation = read(text)
+    assert (frame, valuation) == expect, text
+    assert (frame.rows, frame.cols) == (expect[0].rows, expect[0].cols), text
+    return 0
+
+
 class TestSRelation:
+    def test_rows_against_the_triple_formula(self):
+        rng = random.Random(19)
+        tested = [random_frame(rng, rng.randint(1, 9), rng.choice((0.02, 0.1, 0.4)))
+                  for _ in range(500)]
+        tested += [quotient_frame(), powerset_frame(3, "disjoint_union")]
+        tested += [ps._closure(ps._universe(2, mode), 2, mode)
+                   for mode in frames.POWERSET_MODES]
+        for frame in tested:
+            rows_frame = Frame.from_rows(frame.size, frame.rows)
+            assert s_relation(rows_frame).succ == triple_s_succ(frame)
+            assert rows_frame._triples is None  # read off the rows alone
+
     def test_successor_masks_match_pair_oracle(self):
         rng = random.Random(17)
         for _ in range(2000):
@@ -743,6 +830,50 @@ class TestModelAndFiles:
                 parse_frame_file(text)
         _, val = parse_frame_file("worlds 2\nval\tp:1\nval q: 0\n")
         assert val == {"p": {1}, "q": {0}}
+
+    def test_rows_route_against_frame_of_triples(self):
+        """parse_frame_file against the reader that gathers the triples and
+        builds Frame(size, triples): the same frame and valuation, or the
+        same error, word for word, on random files with out-of-range
+        triples, bad sizes, junk and comments."""
+        rng = random.Random(23)
+        sizes = (-1, 0, 1, 2, 3, 5, 9, sys.maxsize + 1, 10 ** 20)
+        errors = 0
+        for _ in range(3000):
+            size = rng.choice(sizes)
+            span = min(size, 9) + 2
+            lines = [f"worlds {size}"] if rng.random() < 0.97 else []
+            for _ in range(rng.randint(0, 12)):
+                kind = rng.random()
+                if kind < 0.75:
+                    lines.append(" ".join(str(rng.randint(-1, span)) for _ in range(3)))
+                elif kind < 0.85:
+                    ws = " ".join(str(rng.randint(-1, span)) for _ in range(rng.randint(0, 3)))
+                    lines.append(f"val {rng.choice('pqr')}: {ws}")
+                elif kind < 0.9:
+                    lines.append(rng.choice(["# comment", "", "0 x 1", "1 2", "worlds 3"]))
+                else:
+                    lines.append(f"{rng.randint(0, 2)} {rng.randint(0, 2)} 0 # note")
+            if rng.random() < 0.3:
+                rng.shuffle(lines)
+            text = "\n".join(lines) + "\n"
+            errors += _same_outcome(parse_frame_file, triples_parse_frame_file, text)
+        assert errors > 1000
+
+    def test_out_of_range_errors_name_the_triple_frame_names(self):
+        several = "worlds 3\n" + "".join(f"{x} {y} {z}\n" for x, y, z in (
+            (0, 1, 2), (5, 0, 0), (0, 7, 1), (2, 2, 2), (1, 1, 9), (3, 0, 0), (0, 0, 4)))
+        texts = [several, several[::-1].partition("\n")[2][::-1],
+                 "worlds 2\n0 0 5\n0 0 x\n",  # the line of integers wins
+                 "worlds 2\n9 9 9\n1 2\n",
+                 "worlds 0\n0 0 0\n", "worlds 0\n",
+                 f"worlds {sys.maxsize + 1}\n0 0 0\n", f"worlds {10 ** 20}\n",
+                 "worlds 2\n0 0 1\nval p: 7\n"]
+        texts += ["worlds 40\n" + "".join(f"{i} {i % 7} {40 + i % 3}\n" for i in range(40)),
+                  "worlds 4\n" + "".join(f"{x} {y} {z}\n"
+                                          for x, y, z in product(range(-1, 6), repeat=3))]
+        for text in texts:
+            assert _same_outcome(parse_frame_file, triples_parse_frame_file, text) == 1, text
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ValueError):

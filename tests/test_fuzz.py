@@ -1,5 +1,6 @@
 """Fuzz tests of the input boundary: both file parsers, both formula
-parsers and every subcommand.
+parsers (also against the parser that shares no subtrees) and every
+subcommand.
 
 A parser either returns its value or raises ValueError; `cli.main` returns
 0, 1 or 2 and lets no exception escape, whatever the argv and whatever the
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import full_parser_main
 from fixtures_quotient import quotient_countermodel
+from test_formula import assert_parses_alike, unshared_parse, unshared_team_parse
 from test_tiling import reference_fill
 from tilemodal import formula as fm
 from tilemodal.cli import main
@@ -108,6 +110,19 @@ def test_formula_parser_round_trips_or_raises_a_located_error(parse, render, tex
                     or str(e).startswith("invalid letter name")), (text, str(e))
         else:
             assert parse(render(f)) == f, text
+
+    run()
+
+
+@pytest.mark.parametrize("parse, unshared, text", [
+    (fm.parse, unshared_parse, FORMULA | MODAL_SOUP),
+    (parse_team_formula, unshared_team_parse, TEAM_FORMULA | TEAM_SOUP),
+], ids=["modal", "team"])
+def test_shared_subtrees_parse_and_compile_as_unshared_ones(parse, unshared, text):
+    @given(text)
+    @settings(FUZZ, max_examples=300)
+    def run(text):
+        assert_parses_alike(parse, unshared, text)
 
     run()
 

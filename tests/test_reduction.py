@@ -185,6 +185,14 @@ def compile_work(w: TileSet) -> tuple[int, int]:
     return len(dag.ops), sum(fm.node_count(f) for _, f in conjuncts(w))
 
 
+def parsed_compile_work(w: TileSet) -> tuple[int, int]:
+    """The node objects Dag.add visits compiling parse(render(phi(w))), one
+    per distinct object as the parser shares equal subtrees, and the nodes
+    of that tree as node_count walks it."""
+    f = fm.parse(fm.render(phi(w)))
+    return len({id(g) for g in fm.walk(f)}), fm.node_count(f)
+
+
 class TestDagRoute:
     """conjuncts(w, dag) against dag.add of each tree of conjuncts(w)."""
 

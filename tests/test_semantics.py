@@ -22,6 +22,7 @@ from tilemodal.formula import (
     parse,
 )
 from tilemodal.frames import (
+    POWERSET_MODES,
     Frame,
     Model,
     bits,
@@ -682,6 +683,28 @@ def _tree_sat(s, f: fm.Formula, memo: dict) -> bool:
     return val
 
 
+def dense_dia(frame: Frame, full: int):
+    """The diamond on the lanes of full walking every key of the grouping by
+    its sparser argument: the reference for Evaluator._dia, which walks
+    the set bits of that argument instead where they are few."""
+    rows, cols = frame.rows, frame.cols
+    lane0 = full // ((1 << frame.size) - 1)
+
+    def dia(left_mask: int, right_mask: int) -> int:
+        if left_mask.bit_count() <= right_mask.bit_count():
+            walk, other, groups = left_mask, right_mask, rows
+        else:
+            walk, other, groups = right_mask, left_mask, cols
+        acc = 0
+        for a, cells in groups.items():
+            hit = (walk >> a) & lane0
+            if hit:
+                for b, xs in cells.items():
+                    acc |= (hit & (other >> b)) * xs
+        return acc
+    return dia
+
+
 def _random_frame(rng: random.Random) -> Frame:
     n = rng.randint(1, 4)
     density = rng.choice((0.15, 0.3, 0.5))
@@ -818,6 +841,42 @@ class TestOpList:
                         assert (got >> (i * n)) & ((1 << n) - 1) == expect, (walk, lanes)
                     walks[walk] += 1
         assert min(walks.values()) > 300
+
+    def test_set_bit_walk_against_key_walk_and_triples(self):
+        """On one lane the diamond walks the set bits of its sparser
+        argument when they are under a third of its grouping's keys; its
+        result against the walk of every key (dense_dia) and, on two of
+        the lanes, the triples, on random frames of 1-40 worlds and on the
+        lemma-6 closure frames, at 1 and 64 lanes, with arguments of every
+        density."""
+        rng = random.Random(59)
+        tested = [Frame(n, frozenset(t for t in product(range(n), repeat=3)
+                                     if rng.random() < density))
+                  for n, density in ((rng.randint(1, 40), rng.choice((0.0005, 0.005, 0.05, 0.3)))
+                                     for _ in range(60))]
+        tested += [ps._closure(ps._universe(2, mode), 2, mode) for mode in POWERSET_MODES]
+        walks = {"set bits": 0, "keys": 0}
+        for frame in tested:
+            n = frame.size
+            for lanes in (1, 64):
+                full = (1 << n * lanes) - 1
+                dia, reference = Evaluator(frame)._dia(full), dense_dia(frame, full)
+                for _ in range(12):
+                    args = [[mask_of(rng.sample(range(n), rng.choice(
+                        (0, 1, 2, rng.randint(0, n // 6), rng.randint(0, n)))))
+                        for _ in range(lanes)] for _ in range(2)]
+                    left, right = (_pack(arg, n) for arg in args)
+                    got = dia(left, right)
+                    assert got == reference(left, right), (n, lanes)
+                    for i in {0, lanes - 1}:
+                        expect = mask_of({x for x, y, z in frame.triples
+                                          if args[0][i] >> y & 1 and args[1][i] >> z & 1})
+                        assert (got >> (i * n)) & ((1 << n) - 1) == expect
+                    walk, groups = min((left, frame.rows), (right, frame.cols),
+                                       key=lambda pair: pair[0].bit_count())
+                    sparse = lanes == 1 and n > 3 and 3 * walk.bit_count() < len(groups)
+                    walks["set bits" if sparse else "keys"] += 1
+        assert min(walks.values()) > 300, walks
 
     def test_symbolic_evaluator_on_mono(self):
         rng = random.Random(47)
